@@ -8,6 +8,7 @@ from .frame import (
     BasisViolation,
     Frame,
     FrameError,
+    ResourceLimitError,
     Topology,
     generate_topology,
     load_frame,

@@ -2,7 +2,9 @@
 queries, protocol synthesis, simulation, and the soundness battery.
 
 Exit codes: 0 success (or property holds), 1 a checked property fails
-(invalid formula, infeasible target, law failure), 2 input error.
+(invalid formula, infeasible target, law failure), 2 input error, 3 resource
+limit (a capped search, such as L's witness enumeration, would exceed its
+cap on valid input).
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import json
 import sys
 
 from .attest import ProtocolError, load_scenario, run_scenario, synthesize, verify_protocol
-from .frame import FrameError
+from .frame import FrameError, ResourceLimitError
 from .hierarchy import closed_rank, open_rank
 from .laws import law_battery
 from .logic import EvalError, Model, ParseError, check, evaluate, parse
 
-OK, PROPERTY_FAILED, INPUT_ERROR = 0, 1, 2
+OK, PROPERTY_FAILED, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
 
 
 def _world_set(model: Model, spec: str) -> int:
@@ -307,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FrameError, ParseError, EvalError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except ResourceLimitError as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -15,6 +16,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 class FrameError(ValueError):
     """A malformed frame, basis, world set, or model file."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A search over valid input would exceed its size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +92,25 @@ class BasisReport:
     violations: tuple[BasisViolation, ...]
 
 
+def _meets(elements: Sequence[int], universe: int) -> list[int]:
+    """Per world position, the intersection of the elements containing that
+    world of ``universe``; -1 (every bit set) where no element does."""
+    meets = [-1] * universe.bit_length()
+    for e in elements:
+        for w in bits(e & universe):
+            meets[w] &= e
+    return meets
+
+
 def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     """Check the two basis conditions (cover, local directedness) plus the
     ingestion rules (non-empty, within universe, no duplicates).
 
     Violations are data, not faults: the report lists every failed condition
-    with a witness.
+    with a witness. The elements at a world are directed there exactly when
+    their intersection is itself an element (a finite directed family has a
+    least member, and any member below all of them is their intersection), so
+    the pairwise search for witnesses runs only at worlds failing that test.
     """
     found: list[BasisViolation] = []
     seen: set[int] = set()
@@ -105,11 +123,14 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
             found.append(BasisViolation("duplicate-element", element=e))
         seen.add(e)
 
+    meets = _meets(elements, universe)
     for w in bits(universe):
-        at_w = [e for e in elements if (e >> w) & 1]
-        if not at_w:
+        if meets[w] == -1:
             found.append(BasisViolation("uncovered-world", world=w))
             continue
+        if meets[w] in seen:
+            continue
+        at_w = [e for e in elements if (e >> w) & 1]
         for i, e1 in enumerate(at_w):
             for e2 in at_w[i + 1 :]:
                 meet = e1 & e2
@@ -192,17 +213,18 @@ class Topology:
         return self._opens[0]
 
 
-def _topology_from_neighborhoods(
-    universe: int, neighborhoods: Sequence[int], generators: Sequence[int]
-) -> Topology:
-    return Topology(universe, tuple(neighborhoods), tuple(generators))
+def _basis_topology(basis: Sequence[int], universe: int) -> Topology:
+    """The topology of a basis already known to be valid over ``universe``:
+    each world's minimal neighborhood is the intersection of the elements
+    containing it, which directedness makes an element itself."""
+    nbhd = tuple(0 if m == -1 else m for m in _meets(basis, universe))
+    return Topology(universe, nbhd, tuple(basis))
 
 
 def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topology:
     """Close a valid evidence basis under arbitrary unions (plus the empty set).
 
-    The minimal neighborhood of a world is the intersection of the basis
-    elements containing it, which directedness makes a basis element itself.
+    The basis is validated first; an invalid one is a ``FrameError``.
     """
     if universe is None:
         universe = 0
@@ -213,15 +235,7 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
         raise FrameError(
             "invalid basis: " + "; ".join(v.describe() for v in report.violations)
         )
-    width = universe.bit_length()
-    nbhd = [0] * width
-    for w in bits(universe):
-        acc = universe
-        for e in basis:
-            if (e >> w) & 1:
-                acc &= e
-        nbhd[w] = acc
-    return _topology_from_neighborhoods(universe, nbhd, tuple(basis))
+    return _basis_topology(basis, universe)
 
 
 def topology_from_open_family(family: Sequence[int], universe: int) -> Topology:
@@ -238,7 +252,7 @@ def topology_from_open_family(family: Sequence[int], universe: int) -> Topology:
             if (g >> w) & 1:
                 acc &= g
         nbhd[w] = acc
-    topo = _topology_from_neighborhoods(universe, nbhd, tuple(family))
+    topo = Topology(universe, tuple(nbhd), tuple(family))
     for g in family:
         if not topo.is_open(g):
             raise FrameError("family is not point-refined; cannot generate topology")
@@ -261,6 +275,11 @@ class AgentSpec:
     name: str
     basis: tuple[int, ...]
     tolerance: int
+
+
+def _check_tolerance(agent: AgentSpec) -> None:
+    if agent.tolerance < 0:
+        raise FrameError(f"agent {agent.name}: tolerance must be >= 0")
 
 
 class Frame:
@@ -292,8 +311,7 @@ class Frame:
         self._subspaces: dict[tuple[str, int], Topology] = {}
 
         for a in agents:
-            if a.tolerance < 0:
-                raise FrameError(f"agent {a.name}: tolerance must be >= 0")
+            _check_tolerance(a)
             report = validate_basis(a.basis, self.universe)
             if not report.ok:
                 detail = "; ".join(v.describe(worlds) for v in report.violations)
@@ -329,7 +347,7 @@ class Frame:
     def topology(self, agent: str) -> Topology:
         topo = self._topologies.get(agent)
         if topo is None:
-            topo = generate_topology(self.agent(agent).basis, self.universe)
+            topo = _basis_topology(self.agent(agent).basis, self.universe)
             self._topologies[agent] = topo
         return topo
 
@@ -365,14 +383,17 @@ class Frame:
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but re-assigned tolerances.
-        Topology caches are shared (tolerances do not affect topologies)."""
+        The bases are not validated again, and topology caches are shared
+        (tolerances do not affect topologies)."""
         agents = tuple(
             AgentSpec(a.name, a.basis, tolerances.get(a.name, a.tolerance))
             for a in self.agents
         )
-        out = Frame(self.worlds, agents)
-        out._topologies = self._topologies
-        out._subspaces = self._subspaces
+        for a in agents:
+            _check_tolerance(a)
+        out = copy.copy(self)
+        out.agents = agents
+        out._by_name = {a.name: a for a in agents}
         return out
 
     def __repr__(self) -> str:

@@ -176,16 +176,19 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     is clopen proper at depth k (the subspace is disconnected there); such
     evidence supports believing and disbelieving equally, counts as neither,
     and keeping it out is what makes having-reason idempotent.
+
+    Some such k exists iff the closed rank c is within tolerance and the open
+    rank exceeds c (take k = c). Both ranks are taken in the agent's own
+    topology: the evidence is open, so the subspace over it has the same
+    minimal neighborhoods at its worlds, hence the same hulls and ranks for
+    its subsets, and one rank memo serves every piece of evidence.
     """
     spec = frame.agent(agent)
     if evidence not in spec.basis:
         raise FrameError(f"not a basis element of agent {agent!r}")
-    sub = frame.subspace(agent, evidence)
-    part = w_set & evidence
-    for k in range(spec.tolerance + 1):
-        if is_k_closed(sub, part, k) and not is_k_open(sub, part, k):
-            return True
-    return False
+    topo = frame.topology(agent)
+    closed = open_rank(topo, evidence & ~w_set).rank
+    return closed <= spec.tolerance and open_rank(topo, w_set & evidence).rank > closed
 
 
 def gives_reason_against(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:

@@ -15,6 +15,10 @@ Concrete grammar (whitespace-insensitive)::
 ``R``/``S``/``I``/``B``/``G`` act as modalities only when followed by ``[``;
 ``C`` acts as one when followed by anything that can start a unary formula.
 Otherwise they parse as plain proposition names.
+
+A formula may nest at most ``MAX_DEPTH`` levels deep, counting each operator,
+modality and pair of parentheses as one level and an atom alone as one;
+deeper input is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -180,6 +184,8 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+MAX_DEPTH = 100  # the parser, printer and evaluator recurse once per level
+
 _MODAL_BRACKET = {"R", "S", "I", "B", "G"}
 _UNARY_STARTERS = {"~", "("}
 
@@ -188,6 +194,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # unary() calls in progress
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -214,6 +221,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
+        if _depth(f) > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
         return f
 
     def iff(self) -> Formula:
@@ -224,10 +233,13 @@ class _Parser:
         return f
 
     def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek().text == "->":
+        parts = [self.disj()]
+        while self.peek().text == "->":
             self.next()
-            return Imp(f, self.imp())
+            parts.append(self.disj())
+        f = parts.pop()
+        while parts:
+            f = Imp(parts.pop(), f)
         return f
 
     def disj(self) -> Formula:
@@ -248,6 +260,16 @@ class _Parser:
         return tok.kind == "name" or tok.text in _UNARY_STARTERS
 
     def unary(self) -> Formula:
+        # Every nested construct recurses through here; bounding the calls in
+        # progress keeps deep input from exhausting the interpreter's stack.
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", self.peek().pos)
+        f = self._unary()
+        self.depth -= 1
+        return f
+
+    def _unary(self) -> Formula:
         tok = self.peek()
         if tok.text == "~":
             self.next()
@@ -295,6 +317,17 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     return _Parser(text).parse()
+
+
+def _depth(f: Formula) -> int:
+    """Levels in the syntax tree, counted without recursion."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in vars(node).values() if isinstance(c, Formula))
+    return deepest
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,22 @@ Each operator maps world sets to world sets: reason simpliciter, indication,
 belief via a witness, true reason, witness-generated common inductive
 knowledge (a greatest fixed point), common inductive knowledge (interior in
 the meet of the per-agent true-reason topologies), and its witness-existential
-variant. All operators are pure; the context only caches frame-derived data,
-so concurrent readers are safe.
+variant. Everything but the witness-existential variant works from minimal
+neighborhoods and never enumerates open sets. All operators are pure; the
+context only caches frame-derived data, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
-from .frame import Frame, FrameError, Topology, submasks, topology_from_open_family
+from .frame import (
+    Frame,
+    FrameError,
+    ResourceLimitError,
+    Topology,
+    bits,
+    submasks,
+    topology_from_open_family,
+)
 from .hierarchy import INFINITE, gives_reason, open_rank
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -19,22 +28,24 @@ DEFAULT_ENUMERATION_CAP = 16
 class OperatorContext:
     """Operator evaluation over one frame, with per-agent caches.
 
-    Caches hold topologies, the family of two-step-open sets (differences of
-    opens) that generates each agent's true-reason topology, and the evidence
-    that supports each queried witness set. Rebuilding a context from the
-    same frame yields identical families.
+    Caches hold each agent's true-reason neighborhoods and the evidence that
+    supports each queried witness set. Rebuilding a context from the same
+    frame yields identical caches.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self.universe = frame.universe
         self._two_open: dict[str, tuple[int, ...]] = {}
+        self._skula: dict[str, Topology] = {}
         self._supporting: dict[tuple[str, int], tuple[int, ...]] = {}
 
     # -- cached frame data -------------------------------------------------
 
     def two_open_family(self, agent: str) -> tuple[int, ...]:
-        """All differences of nested opens in the agent's topology."""
+        """All differences of nested opens in the agent's topology.
+        Exponential materialization, kept for cross-checks such as
+        ``common_via_interior``; no operator calls it."""
         fam = self._two_open.get(agent)
         if fam is None:
             opens = self.frame.topology(agent).opens
@@ -85,16 +96,10 @@ class OperatorContext:
         """Worlds where the agent has some true reason to believe the target.
 
         A deductive agent (tolerance 0) gets the plain interior; an inductive
-        agent gets the union of all two-step-open subsets of the target.
+        agent gets the union of all two-step-open subsets of the target,
+        which is the interior in ``true_reason_topology``.
         """
-        spec = self.frame.agent(agent)
-        if spec.tolerance == 0:
-            return self.frame.topology(agent).interior(target)
-        out = 0
-        for d in self.two_open_family(agent):
-            if d & ~target == 0:
-                out |= d
-        return out
+        return self.true_reason_topology(agent).interior(target)
 
     def everyone_believes_via(self, witness: int, target: int) -> int:
         """One step of everyone-believes with a shared witness."""
@@ -136,17 +141,40 @@ class OperatorContext:
     def true_reason_topology(self, agent: str) -> Topology:
         """The topology whose interior operator is ``true_reason``: the
         agent's own topology for tolerance 0, else the one generated by the
-        two-step-open family. Exponential materialization; intended for
-        cross-checks at small world counts."""
+        differences of opens (the Skula topology). Its minimal neighborhood
+        of w is ``N(w) & cl{w}`` with ``cl{w} = {v : w in N(v)}``, which is
+        the set of worlds whose minimal neighborhood equals ``N(w)``: v is in
+        both exactly when each lies in the other's neighborhood. Built once
+        per agent in linear time."""
         spec = self.frame.agent(agent)
+        base = self.frame.topology(agent)
         if spec.tolerance == 0:
-            return self.frame.topology(agent)
-        return topology_from_open_family(self.two_open_family(agent), self.universe)
+            return base
+        topo = self._skula.get(agent)
+        if topo is None:
+            classes: dict[int, int] = {}
+            for w in bits(base.universe):
+                n = base.neighborhoods[w]
+                classes[n] = classes.get(n, 0) | (1 << w)
+            topo = Topology(
+                base.universe,
+                tuple(classes[n] if n else 0 for n in base.neighborhoods),
+                tuple(classes.values()),
+            )
+            self._skula[agent] = topo
+        return topo
 
     def common_via_interior(self, target: int) -> int:
         """Cross-check path for ``common``: interior of the target in the
-        meet of all agents' true-reason topologies."""
-        families = [set(self.true_reason_topology(a.name).opens) for a in self.frame.agents]
+        meet of all agents' true-reason topologies, each enumerated from the
+        agent's opens or its two-step-open family. Exponential; intended for
+        small world counts."""
+        families = []
+        for a in self.frame.agents:
+            topo = self.frame.topology(a.name)
+            if a.tolerance > 0:
+                topo = topology_from_open_family(self.two_open_family(a.name), self.universe)
+            families.append(set(topo.opens))
         shared = set.intersection(*families)
         out = 0
         for o in shared:
@@ -161,13 +189,14 @@ class OperatorContext:
 
         Enumeration is sound when restricted to subsets of ``common(target)``
         and is capped; past the cap only the fast path (the common-knowledge
-        set itself being feasible for everyone) is offered.
+        set itself being feasible for everyone) is offered, and a miss there
+        raises ``ResourceLimitError``.
         """
         c = self.common(target)
         if self._feasible(c):
             return c
         if c.bit_count() > cap:
-            raise FrameError(
+            raise ResourceLimitError(
                 f"witness enumeration over {c.bit_count()} worlds exceeds cap {cap}"
             )
         out = 0

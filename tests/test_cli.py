@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from limitknow.cli import main
 
 MODEL = os.path.join(os.path.dirname(__file__), "fixtures", "model3.json")
@@ -152,3 +154,48 @@ def test_json_payloads_are_schema_stable(capsys):
 def test_world_set_fallback_reports_unknown_names(capsys):
     code, _, err = run(capsys, "rank", "-m", MODEL, "-a", "a", "-s", "x,ghost")
     assert code == 2 and "ghost" in err
+
+
+def opposed_chains_model(tmp_path, n):
+    """n worlds, agent a learning suffixes and b prefixes, both tolerance 1;
+    p is every world but w0, w1 and w2."""
+    worlds = [f"w{i}" for i in range(n)]
+    path = tmp_path / f"chains{n}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "worlds": worlds,
+                "agents": [
+                    {"name": "a", "tolerance": 1, "basis": [worlds[k:] for k in range(n)]},
+                    {"name": "b", "tolerance": 1, "basis": [worlds[: k + 1] for k in range(n)]},
+                ],
+                "valuation": {"p": worlds[3:]},
+            }
+        )
+    )
+    return str(path), worlds
+
+
+def test_inductive_operators_past_twenty_worlds(capsys, tmp_path):
+    model, worlds = opposed_chains_model(tmp_path, 24)
+    code, payload, _ = run_json(capsys, "ops", "-m", model, "-a", "a", "--op", "S", "-p", "@p")
+    assert code == 0 and payload["result"] == worlds[3:]
+    code, payload, _ = run_json(capsys, "ops", "-m", model, "--op", "C", "-p", "@p")
+    assert code == 0 and payload["result"] == worlds[3:]
+    code, payload, _ = run_json(capsys, "synth", "-m", model, "-p", "@p")
+    assert code == 0 and payload["success_set"] == worlds[3:]
+
+
+def test_lewis_cap_is_a_resource_limit(capsys, tmp_path):
+    model, worlds = opposed_chains_model(tmp_path, 20)
+    operand = ",".join(w for w in worlds if w not in ("w1", "w3"))
+    code, out, err = run(capsys, "ops", "-m", model, "--op", "L", "-p", operand)
+    assert code == 3 and out == ""
+    assert err == "error: resource limit: witness enumeration over 18 worlds exceeds cap 16\n"
+
+
+@pytest.mark.parametrize("formula", ["(" * 400 + "p" + ")" * 400, "~" * 1000 + "p"])
+def test_too_deep_formula_is_one_error_line(capsys, formula):
+    code, out, err = run(capsys, "check", "-m", MODEL, "-f", formula)
+    assert code == 2 and out == ""
+    assert err.startswith("error: formula nests deeper than") and err.count("\n") == 1

@@ -1,0 +1,206 @@
+"""The neighborhood closed forms against their brute-force definitions: true
+reason, common knowledge, reason simpliciter and basis validation, plus the
+large frames that only the closed forms can handle."""
+
+import itertools
+import random
+
+import pytest
+
+from limitknow import frame as frame_module
+from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, bits, submasks
+from limitknow.hierarchy import gives_reason, is_k_closed, is_k_open
+from limitknow.operators import OperatorContext
+from randgen import oracle_all_ranks, random_frame
+
+
+def chain_frame(n, tolerance=1):
+    """Two opposed chain agents over n worlds: a learns suffixes, b prefixes."""
+    universe = (1 << n) - 1
+    ascending = tuple(universe & ~((1 << k) - 1) for k in range(n))
+    descending = tuple((1 << (k + 1)) - 1 for k in range(n))
+    return Frame(
+        [f"w{i}" for i in range(n)],
+        [AgentSpec("a", ascending, tolerance), AgentSpec("b", descending, tolerance)],
+    )
+
+
+# ---------------------------------------------------------------------------
+# true reason and common knowledge
+
+
+def test_true_reason_matches_two_open_union():
+    rng = random.Random(31)
+    for _ in range(60):
+        frame = random_frame(rng, max_worlds=6)
+        ctx = OperatorContext(frame)
+        for a in frame.agents:
+            if a.tolerance == 0:
+                continue
+            family = ctx.two_open_family(a.name)
+            for target in submasks(frame.universe):
+                expected = 0
+                for d in family:
+                    if d & ~target == 0:
+                        expected |= d
+                assert ctx.true_reason(a.name, target) == expected
+
+
+def test_true_reason_matches_feasible_subset_union():
+    # Some true reason = some subset of the target the agent can decide
+    # within tolerance (rank at most tolerance + 1), at every tolerance.
+    rng = random.Random(32)
+    for _ in range(40):
+        frame = random_frame(rng, max_worlds=5)
+        ctx = OperatorContext(frame)
+        for a in frame.agents:
+            ranks = oracle_all_ranks(frame.topology(a.name))
+            feasible = [v for v, r in ranks.items() if r <= a.tolerance + 1]
+            for target in submasks(frame.universe):
+                expected = 0
+                for v in feasible:
+                    if v & ~target == 0:
+                        expected |= v
+                assert ctx.true_reason(a.name, target) == expected
+
+
+def test_common_matches_meet_interior():
+    rng = random.Random(33)
+    for _ in range(60):
+        frame = random_frame(rng, max_worlds=7)
+        ctx = OperatorContext(frame)
+        for _ in range(4):
+            target = rng.randint(0, frame.universe)
+            assert ctx.common(target) == ctx.common_via_interior(target)
+
+
+# ---------------------------------------------------------------------------
+# reason simpliciter
+
+
+def subspace_gives_reason(frame, agent, w_set, evidence):
+    """The definition: within tolerance, some k at which the trace is
+    k-closed but not k-open in the subspace over the evidence."""
+    sub = frame.subspace(agent, evidence)
+    part = w_set & evidence
+    return any(
+        is_k_closed(sub, part, k) and not is_k_open(sub, part, k)
+        for k in range(frame.agent(agent).tolerance + 1)
+    )
+
+
+def test_gives_reason_matches_subspace_loop():
+    rng = random.Random(34)
+    for _ in range(40):
+        frame = random_frame(rng, max_worlds=6)
+        for a in frame.agents:
+            for e in a.basis:
+                for w_set in submasks(frame.universe):
+                    assert gives_reason(frame, a.name, w_set, e) == subspace_gives_reason(
+                        frame, a.name, w_set, e
+                    )
+
+
+# ---------------------------------------------------------------------------
+# basis validation
+
+
+def pairwise_validate(elements, universe):
+    """The definition: every pair of elements at a world has an element at
+    that world inside their intersection."""
+    found = []
+    seen = set()
+    for e in elements:
+        if e == 0:
+            found.append(BasisViolation("empty-element", element=e))
+        if e & ~universe:
+            found.append(BasisViolation("outside-universe", element=e))
+        if e in seen:
+            found.append(BasisViolation("duplicate-element", element=e))
+        seen.add(e)
+    for w in bits(universe):
+        at_w = [e for e in elements if (e >> w) & 1]
+        if not at_w:
+            found.append(BasisViolation("uncovered-world", world=w))
+            continue
+        for i, e1 in enumerate(at_w):
+            for e2 in at_w[i + 1 :]:
+                meet = e1 & e2
+                if not any((e3 >> w) & 1 and e3 & ~meet == 0 for e3 in at_w):
+                    found.append(
+                        BasisViolation("not-directed", element=e1, other=e2, world=w)
+                    )
+    return BasisReport(not found, tuple(found))
+
+
+def test_validate_basis_matches_pairwise_on_every_small_family():
+    universe = 0b111
+    masks = range(0, 16)  # includes the empty set and a bit outside
+    for size in range(0, 4):
+        for family in itertools.product(masks, repeat=size):
+            assert frame_module.validate_basis(family, universe) == pairwise_validate(
+                family, universe
+            )
+
+
+def test_validate_basis_matches_pairwise_on_random_families():
+    rng = random.Random(35)
+    invalid = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        universe = (1 << n) - 1
+        if rng.random() < 0.5:
+            family = list(random_frame(rng, max_worlds=n).agents[0].basis)
+            universe = (1 << max(e.bit_length() for e in family)) - 1
+            family.append(rng.randint(1, universe))  # often breaks directedness
+        else:
+            family = [rng.randint(0, 2 * universe + 1) for _ in range(rng.randint(1, 8))]
+        rng.shuffle(family)
+        report = frame_module.validate_basis(family, universe)
+        assert report == pairwise_validate(family, universe)
+        invalid += not report.ok
+    assert invalid > 100
+
+
+# ---------------------------------------------------------------------------
+# frames too large to enumerate
+
+
+def test_inductive_operators_run_past_enumeration_size():
+    # 24 worlds, where enumerating opens was refused (limit 20)
+    frame = chain_frame(24)
+    ctx = OperatorContext(frame)
+    p = frame.universe & ~0b111
+    assert ctx.true_reason("a", p) == p
+    assert ctx.common(p) == p
+
+
+def test_reason_on_a_large_chain_builds_no_subspaces():
+    frame = chain_frame(256)
+    ctx = OperatorContext(frame)
+    p = frame.universe & ~0b111
+    # a: evidence inside p supports it, the rest has closed rank 2 > 1
+    assert ctx.reason("a", p) == p
+    # b: every prefix reaching into p leaves {w0,w1,w2}, an open, outside
+    assert ctx.reason("b", p) == frame.universe
+    assert ctx.true_reason("a", p) == ctx.common(p) == p
+    assert frame._subspaces == {}
+
+
+def test_with_tolerances_does_not_validate_again(monkeypatch):
+    frame = chain_frame(8)
+    calls = []
+    original = frame_module.validate_basis
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frame_module, "validate_basis", counting)
+    bumped = frame.with_tolerances({"a": 3})
+    assert calls == []
+    assert bumped.agent("a").tolerance == 3 and bumped.agent("b").tolerance == 1
+    assert bumped.topology("a") is frame.topology("a")
+    assert frame.agent("a").tolerance == 1
+    with pytest.raises(frame_module.FrameError):
+        frame.with_tolerances({"b": -1})

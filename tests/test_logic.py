@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from limitknow.logic import (
     BOT,
+    MAX_DEPTH,
     TOP,
     And,
     BelievesVia,
@@ -76,6 +77,25 @@ def test_parse_errors_carry_positions():
         parse("(p & q")
     with pytest.raises(ParseError):
         parse("p q")
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * (n - 1) + "p" + ")" * (n - 1),
+        lambda n: "~" * (n - 1) + "p",
+        lambda n: "p" + " & p" * (n - 1),
+        lambda n: "p" + " -> p" * (n - 1),
+        lambda n: "C " * (n - 1) + "p",
+    ],
+)
+def test_depth_limit(chain_model, nest):
+    deepest = parse(nest(MAX_DEPTH))
+    assert parse(print_formula(deepest)) == deepest
+    evaluate(chain_model, deepest)
+    with pytest.raises(ParseError) as err:
+        parse(nest(MAX_DEPTH + 1))
+    assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
