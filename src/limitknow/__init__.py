@@ -13,7 +13,6 @@ from .frame import (
     generate_topology,
     load_frame,
     load_frame_file,
-    open_hull,
     subspace_basis,
     validate_basis,
 )
@@ -28,7 +27,6 @@ from .hierarchy import (
     closed_rank,
     gives_reason,
     gives_reason_against,
-    is_k_clopen,
     is_k_closed,
     is_k_open,
     limit_verdicts,

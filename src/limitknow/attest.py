@@ -22,7 +22,7 @@ from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
     Verdict,
-    limit_verdicts,
+    limit_yes_set,
     max_switches,
     method_from_chain,
     open_rank,
@@ -126,12 +126,7 @@ def verify_protocol(
     for spec in frame.agents:
         strategy = protocol.strategy(spec.name)
         method = strategy.induced_method()
-        sigma = limit_verdicts(method, spec.basis)
-        yes = 0
-        for w, v in sigma.items():
-            if v is Verdict.YES:
-                yes |= 1 << w
-        limit_yes[spec.name] = yes
+        limit_yes[spec.name] = limit_yes_set(method, spec.basis)
         count = max_switches(method, spec.basis, Verdict.YES).switches
         bounds[spec.name] = SwitchBoundCheck(count, spec.tolerance)
 
@@ -185,50 +180,30 @@ def synthesize(
     chain lengths are uniform). Without one, the common-knowledge set is
     chosen when feasible, otherwise its subsets are tried in decreasing size.
     """
-    ctx = OperatorContext(frame)
     if success_target is None:
-        success_target = _select_target(frame, ctx, target_prop)
-    else:
-        if success_target == 0:
-            raise ProtocolError("success target must be non-empty")
-        if success_target & ~target_prop:
-            raise ProtocolError("success target must be a subset of the proposition")
-        for spec in frame.agents:
-            rank = open_rank(frame.topology(spec.name), success_target)
-            if rank.rank > spec.tolerance + 1:
-                raise ProtocolError(
-                    f"target is not decidable for agent {spec.name!r}: "
-                    f"needs a chain of {rank.rank} opens, "
-                    f"tolerance allows {spec.tolerance + 1}"
-                )
-
-    protocol = AttestationProtocol(
+        success_target = _select_target(OperatorContext(frame), target_prop)
+    elif success_target == 0:
+        raise ProtocolError("success target must be non-empty")
+    elif success_target & ~target_prop:
+        raise ProtocolError("success target must be a subset of the proposition")
+    return AttestationProtocol(
         tuple(
             _strategy_for_success_set(frame, a.name, success_target)
             for a in frame.agents
         )
     )
-    report = verify_protocol(frame, protocol, target_prop)
-    assert report.solves and report.success_set == success_target
-    return protocol
 
 
-def _select_target(frame: Frame, ctx: OperatorContext, target_prop: int) -> int:
+def _select_target(ctx: OperatorContext, target_prop: int) -> int:
     common = ctx.common(target_prop)
     if common == 0:
         raise ProtocolError(
             "no non-empty feasible success set exists (common knowledge is empty)"
         )
-    if all(
-        a.tolerance >= ctx.min_tolerance(a.name, target_prop) for a in frame.agents
-    ):
+    if ctx.feasible(common):
         return common
-    candidates = sorted(submasks(common), key=lambda v: -v.bit_count())
-    for v in candidates:
-        if v and all(
-            open_rank(frame.topology(a.name), v).rank <= a.tolerance + 1
-            for a in frame.agents
-        ):
+    for v in sorted(submasks(common), key=lambda v: -v.bit_count()):
+        if v and ctx.feasible(v):
             return v
     raise ProtocolError("no non-empty feasible success set exists at these tolerances")
 
@@ -363,12 +338,6 @@ def simulate(
                 shame.append(ShameEvent(name, world_name, "false-yes"))
             if any(limits[o] != ATTEST for o in honest):
                 shame.append(ShameEvent(name, world_name, "disagreement"))
-
-    if len(fault_set) < len(agent_names) / 2:
-        report = verify_protocol(frame, protocol, target)
-        if report.solves:
-            in_success = bool((report.success_set >> w) & 1)
-            assert (aggregator[-1] == ATTEST) == in_success
 
     return SimulationReport(
         world=world_name,

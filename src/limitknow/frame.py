@@ -2,8 +2,8 @@
 
 World sets are plain ints used as bit vectors over a frame's world table
 (bit k set = world at index k is a member). Every structure here is immutable
-after construction; topologies and subspaces are cached on the frame and are
-safe to share between threads.
+after construction; topologies are cached on the frame and are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -163,14 +163,12 @@ class Topology:
     """A finite topology given by the minimal open neighborhood of each world.
 
     A set is open iff it contains the neighborhood of each of its members, so
-    membership, hulls, and interiors never need the full open family; the
-    ``opens`` tuple is materialized lazily for callers that enumerate it.
+    membership, hulls, and interiors never need the full open family.
     """
 
     universe: int
     neighborhoods: tuple[int, ...]  # indexed by world position; 0 off-universe
     generators: tuple[int, ...]
-    _opens: list = field(default_factory=list, repr=False)
     _rank_memo: dict = field(default_factory=dict, repr=False)
 
     def check_subset(self, s: int) -> None:
@@ -200,17 +198,15 @@ class Topology:
 
     @property
     def opens(self) -> tuple[int, ...]:
-        if not self._opens:
-            n = self.universe.bit_count()
-            if n > _ENUMERATION_LIMIT:
-                raise FrameError(
-                    f"refusing to enumerate opens over {n} worlds "
-                    f"(limit {_ENUMERATION_LIMIT})"
-                )
-            self._opens.append(
-                tuple(sorted(s for s in submasks(self.universe) if self.is_open(s)))
+        """Every open set, by brute force over all subsets; a test oracle that
+        no operator calls."""
+        n = self.universe.bit_count()
+        if n > _ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"refusing to enumerate opens over {n} worlds "
+                f"(limit {_ENUMERATION_LIMIT})"
             )
-        return self._opens[0]
+        return tuple(sorted(s for s in submasks(self.universe) if self.is_open(s)))
 
 
 def _basis_topology(basis: Sequence[int], universe: int) -> Topology:
@@ -238,32 +234,6 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
     return _basis_topology(basis, universe)
 
 
-def topology_from_open_family(family: Sequence[int], universe: int) -> Topology:
-    """Build the topology generated by an arbitrary family of sets that is
-    closed under pairwise intersection at every point (so unions of members
-    already form a topology). Used for derived topologies such as the one
-    generated by an interior operator's open sets.
-    """
-    width = universe.bit_length()
-    nbhd = [0] * width
-    for w in bits(universe):
-        acc = universe
-        for g in family:
-            if (g >> w) & 1:
-                acc &= g
-        nbhd[w] = acc
-    topo = Topology(universe, tuple(nbhd), tuple(family))
-    for g in family:
-        if not topo.is_open(g):
-            raise FrameError("family is not point-refined; cannot generate topology")
-    return topo
-
-
-def open_hull(topology: Topology, s: int) -> int:
-    """The inclusion-least open superset of ``s`` in ``topology``."""
-    return topology.hull(s)
-
-
 # ---------------------------------------------------------------------------
 # frames
 
@@ -286,8 +256,7 @@ class Frame:
     """A world table plus, per agent, an evidence basis and tolerance.
 
     Bases are validated at construction; duplicate elements are rejected
-    rather than merged. Per-agent topologies and subspace topologies are
-    built once and cached.
+    rather than merged. Per-agent topologies are built once and cached.
     """
 
     def __init__(self, worlds: Sequence[str], agents: Sequence[AgentSpec]):
@@ -308,7 +277,6 @@ class Frame:
         self._by_name: dict[str, AgentSpec] = {a.name: a for a in agents}
         self._index: dict[str, int] = {w: i for i, w in enumerate(worlds)}
         self._topologies: dict[str, Topology] = {}
-        self._subspaces: dict[tuple[str, int], Topology] = {}
 
         for a in agents:
             _check_tolerance(a)
@@ -353,33 +321,27 @@ class Frame:
 
     def subspace(self, agent: str, evidence: int) -> Topology:
         """Subspace topology over a basis element, generated by the restricted
-        basis. Cached per (agent, element)."""
-        key = (agent, evidence)
-        topo = self._subspaces.get(key)
-        if topo is None:
-            restricted = subspace_basis(self.agent(agent).basis, evidence)
-            topo = generate_topology(restricted, evidence)
-            self._subspaces[key] = topo
-        return topo
+        basis; a test oracle that no operator calls."""
+        return generate_topology(subspace_basis(self.agent(agent).basis, evidence), evidence)
 
     # -- evidence queries --------------------------------------------------
 
-    def evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
-        """All basis elements of ``agent`` containing the world."""
+    def _position(self, world: int | str) -> int:
         w = world if isinstance(world, int) else self.index(world)
         if not (self.universe >> w) & 1:
             raise FrameError(f"world index {w} out of range")
+        return w
+
+    def evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
+        """All basis elements of ``agent`` containing the world."""
+        w = self._position(world)
         return tuple(e for e in self.agent(agent).basis if (e >> w) & 1)
 
     def minimal_evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
-        """The inclusion-minimal elements of ``evidence_at``. For a valid
-        finite basis this is a single least element (directedness)."""
-        at_w = self.evidence_at(agent, world)
-        minimal = tuple(
-            e for e in at_w if not any(o != e and o & ~e == 0 for o in at_w)
-        )
-        assert len(minimal) == 1, "directed finite evidence has a least element"
-        return minimal
+        """The inclusion-minimal elements of ``evidence_at``: the single least
+        element, which is the world's minimal neighborhood (a valid finite
+        basis is directed, so the elements at a world meet in one of them)."""
+        return (self.topology(agent).neighborhoods[self._position(world)],)
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but re-assigned tolerances.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, bits
+from .frame import Frame, FrameError, Topology, _meets, bits, generate_topology
 
 INFINITE = float("inf")
 
@@ -157,10 +157,6 @@ def is_k_closed(topology: Topology, s: int, k: int | float) -> bool:
     return closed_rank(topology, s).rank <= k
 
 
-def is_k_clopen(topology: Topology, s: int, k: int | float) -> bool:
-    return is_k_open(topology, s, k) and is_k_closed(topology, s, k)
-
-
 # ---------------------------------------------------------------------------
 # evidence-relative belief predicates
 
@@ -221,29 +217,22 @@ def check_method(method: DecisionMethod, basis: Sequence[int]) -> None:
 def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Verdict]:
     """The verdict each world's evidence stream converges to.
 
-    A world settles on Yes iff some evidence containing it has every finer
-    evidence containing it mapped to Yes; symmetrically for No. On a finite
-    valid basis every world settles (bounded switching), which is asserted.
+    A world settles on the verdict of its least evidence ``N(w)``, the
+    intersection of the evidence containing it: every stream there ends at
+    ``N(w)``. A basis whose evidence at some world has no least element (it
+    is not directed there) has no such limit, which is a ``FrameError``.
     """
     check_method(method, basis)
     universe = 0
     for e in basis:
         universe |= e
     out: dict[int, Verdict] = {}
-    for w in bits(universe):
-        at_w = [e for e in basis if (e >> w) & 1]
-        verdict = Verdict.DIVERGES
-        for e in at_w:
-            fixed = method.verdicts[e]
-            if all(
-                method.verdicts[e2] is fixed
-                for e2 in at_w
-                if e2 & ~e == 0
-            ):
-                verdict = fixed
-                break
-        assert verdict is not Verdict.DIVERGES, "bounded switching settles every world"
-        out[w] = verdict
+    for w, least in enumerate(_meets(basis, universe)):
+        if least == -1:
+            continue
+        if least not in method.verdicts:
+            raise FrameError(f"evidence at world {w} has no least element")
+        out[w] = method.verdicts[least]
     return out
 
 
@@ -292,12 +281,6 @@ def max_switches(
     return SwitchCount(max(starts), True)
 
 
-def has_at_most_switches_after(
-    method: DecisionMethod, basis: Sequence[int], start: Verdict, n: int
-) -> bool:
-    return max_switches(method, basis, start).switches <= n
-
-
 def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
     """Fewest verdict alternations with which the agent can limit decide
     ``w_set``, over both start verdicts; INFINITE when no bound exists.
@@ -326,7 +309,7 @@ def method_from_chain(
     odd position or when no member contains it (depth -1 counts as odd).
 
     The result has at most len(chain)-1 switches after saying Yes and its
-    limit-Yes set is the chain's nested difference; both are asserted.
+    limit-Yes set is the chain's nested difference.
     """
     verdicts: dict[int, Verdict] = {}
     for e in basis:
@@ -335,10 +318,7 @@ def method_from_chain(
             if e & ~o == 0:
                 deepest = k
         verdicts[e] = Verdict.YES if deepest % 2 == 0 and deepest >= 0 else Verdict.NO
-    method = DecisionMethod(verdicts, owner)
-    assert max_switches(method, basis, Verdict.YES).switches <= max(len(chain) - 1, 0)
-    assert limit_yes_set(method, basis) == chain.evaluate()
-    return method
+    return DecisionMethod(verdicts, owner)
 
 
 def chain_from_method(
@@ -351,17 +331,18 @@ def chain_from_method(
     after saying Yes, by layering the evidence sets where the verdict
     alternates. The chain's nested difference recovers the limit-Yes set.
     """
-    if not has_at_most_switches_after(method, basis, Verdict.YES, n):
+    if max_switches(method, basis, Verdict.YES).switches > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
     if topology is None:
-        from .frame import generate_topology
-
         topology = generate_topology(basis)
 
     layer = [e for e in basis if method.verdicts[e] is Verdict.YES]
     opens = []
     for k in range(n + 1):
-        opens.append(_union(layer))
+        union = 0
+        for e in layer:
+            union |= e
+        opens.append(union)
         want = Verdict.NO if (k + 1) % 2 == 1 else Verdict.YES
         layer = [
             e2
@@ -369,14 +350,4 @@ def chain_from_method(
             if method.verdicts[e2] is want
             and any(e2 & ~e == 0 for e in layer)
         ]
-    assert not layer, "alternation layers must be exhausted at the switch bound"
-    chain = DescendingOpenChain(topology, tuple(opens))
-    assert chain.evaluate() == limit_yes_set(method, basis)
-    return chain
-
-
-def _union(sets: Sequence[int]) -> int:
-    out = 0
-    for s in sets:
-        out |= s
-    return out
+    return DescendingOpenChain(topology, tuple(opens))

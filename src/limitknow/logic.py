@@ -443,9 +443,10 @@ def evaluate(model: Model, f: Formula) -> int:
     """
     ctx = model.context
     universe = model.frame.universe
+    agent_names = {a.name for a in model.frame.agents}
 
     def agent_of(name: str) -> str:
-        if name not in {a.name for a in model.frame.agents}:
+        if name not in agent_names:
             raise EvalError(f"unknown agent {name!r}")
         return name
 

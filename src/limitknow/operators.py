@@ -11,15 +11,7 @@ context only caches frame-derived data, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from .frame import (
-    Frame,
-    FrameError,
-    ResourceLimitError,
-    Topology,
-    bits,
-    submasks,
-    topology_from_open_family,
-)
+from .frame import Frame, FrameError, ResourceLimitError, Topology, bits, submasks
 from .hierarchy import INFINITE, gives_reason, open_rank
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -36,22 +28,16 @@ class OperatorContext:
     def __init__(self, frame: Frame):
         self.frame = frame
         self.universe = frame.universe
-        self._two_open: dict[str, tuple[int, ...]] = {}
         self._skula: dict[str, Topology] = {}
         self._supporting: dict[tuple[str, int], tuple[int, ...]] = {}
 
     # -- cached frame data -------------------------------------------------
 
     def two_open_family(self, agent: str) -> tuple[int, ...]:
-        """All differences of nested opens in the agent's topology.
-        Exponential materialization, kept for cross-checks such as
-        ``common_via_interior``; no operator calls it."""
-        fam = self._two_open.get(agent)
-        if fam is None:
-            opens = self.frame.topology(agent).opens
-            fam = tuple(sorted({o & ~o2 for o in opens for o2 in opens}))
-            self._two_open[agent] = fam
-        return fam
+        """All differences of nested opens in the agent's topology, by brute
+        force over ``Topology.opens``; a test oracle that no operator calls."""
+        opens = self.frame.topology(agent).opens
+        return tuple(sorted({o & ~o2 for o in opens for o2 in opens}))
 
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
@@ -75,7 +61,6 @@ class OperatorContext:
         out = 0
         for e in self.supporting_evidence(agent, w_set):
             out |= e
-        assert self.frame.topology(agent).is_open(out)
         return out
 
     def indicates(self, agent: str, witness: int, target: int) -> int:
@@ -164,24 +149,6 @@ class OperatorContext:
             self._skula[agent] = topo
         return topo
 
-    def common_via_interior(self, target: int) -> int:
-        """Cross-check path for ``common``: interior of the target in the
-        meet of all agents' true-reason topologies, each enumerated from the
-        agent's opens or its two-step-open family. Exponential; intended for
-        small world counts."""
-        families = []
-        for a in self.frame.agents:
-            topo = self.frame.topology(a.name)
-            if a.tolerance > 0:
-                topo = topology_from_open_family(self.two_open_family(a.name), self.universe)
-            families.append(set(topo.opens))
-        shared = set.intersection(*families)
-        out = 0
-        for o in shared:
-            if o & ~target == 0:
-                out |= o
-        return out
-
     def lewis_common(self, target: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
         """Worlds where some true witness generates common inductive knowledge
         of the target: the union of all subsets of the target that are
@@ -193,7 +160,7 @@ class OperatorContext:
         raises ``ResourceLimitError``.
         """
         c = self.common(target)
-        if self._feasible(c):
+        if self.feasible(c):
             return c
         if c.bit_count() > cap:
             raise ResourceLimitError(
@@ -201,11 +168,13 @@ class OperatorContext:
             )
         out = 0
         for v in submasks(c):
-            if v and v & ~out and self._feasible(v):
+            if v and v & ~out and self.feasible(v):
                 out |= v
         return out
 
-    def _feasible(self, v: int) -> bool:
+    def feasible(self, v: int) -> bool:
+        """Can every agent decide the set within tolerance: is its open rank
+        at most the agent's tolerance + 1?"""
         return all(
             open_rank(self.frame.topology(a.name), v).rank <= a.tolerance + 1
             for a in self.frame.agents

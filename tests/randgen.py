@@ -1,12 +1,13 @@
 """Shared test helpers: random valid frames, exhaustive basis enumeration,
-and independent brute-force oracles for ranks and switching counts."""
+and independent brute-force oracles for ranks, switching counts, limit
+verdicts and common knowledge."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from limitknow.frame import AgentSpec, Frame, Topology, validate_basis
+from limitknow.frame import AgentSpec, Frame, FrameError, Topology, bits, validate_basis
 from limitknow.hierarchy import (
     INFINITE,
     DecisionMethod,
@@ -14,6 +15,7 @@ from limitknow.hierarchy import (
     limit_yes_set,
     max_switches,
 )
+from limitknow.operators import OperatorContext
 
 
 def close_under_meets(elements: set[int]) -> set[int]:
@@ -126,3 +128,56 @@ def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
         start = method.verdicts[universe]
         best = min(best, max_switches(method, spec.basis, start).switches)
     return best
+
+
+def oracle_limit_verdicts(method: DecisionMethod, basis: tuple[int, ...]) -> dict[int, Verdict]:
+    """Settle by definition: a world settles on v when some evidence at it
+    has every finer evidence at it mapped to v; worlds that settle on
+    nothing are left out."""
+    universe = 0
+    for e in basis:
+        universe |= e
+    out = {}
+    for w in bits(universe):
+        at_w = [e for e in basis if (e >> w) & 1]
+        for e in at_w:
+            fixed = method.verdicts[e]
+            if all(method.verdicts[e2] is fixed for e2 in at_w if e2 & ~e == 0):
+                out[w] = fixed
+                break
+    return out
+
+
+def topology_from_open_family(family, universe: int) -> Topology:
+    """The topology generated by a family of sets closed under pairwise
+    intersection at every point (so unions of members already form a
+    topology), such as the open sets of an interior operator."""
+    nbhd = [0] * universe.bit_length()
+    for w in bits(universe):
+        acc = universe
+        for g in family:
+            if (g >> w) & 1:
+                acc &= g
+        nbhd[w] = acc
+    topo = Topology(universe, tuple(nbhd), tuple(family))
+    for g in family:
+        if not topo.is_open(g):
+            raise FrameError("family is not point-refined; cannot generate topology")
+    return topo
+
+
+def common_via_interior(ctx: OperatorContext, target: int) -> int:
+    """Common knowledge as the interior of the target in the meet of all
+    agents' true-reason topologies, each enumerated from the agent's opens or
+    its two-step-open family. Exponential; for small world counts."""
+    families = []
+    for a in ctx.frame.agents:
+        topo = ctx.frame.topology(a.name)
+        if a.tolerance > 0:
+            topo = topology_from_open_family(ctx.two_open_family(a.name), ctx.universe)
+        families.append(set(topo.opens))
+    out = 0
+    for o in set.intersection(*families):
+        if o & ~target == 0:
+            out |= o
+    return out

@@ -293,6 +293,9 @@ def test_simulate_honest_limits_equal_sigma():
             )
             expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
             assert report.limits[spec.name] == expected
+        success = verify_protocol(frame, protocol, target).success_set
+        expected = ATTEST if (success >> world) & 1 else DEFER
+        assert report.aggregator_limit == expected
 
 
 def test_simulate_validates_inputs():

@@ -1,6 +1,6 @@
 """The neighborhood closed forms against their brute-force definitions: true
-reason, common knowledge, reason simpliciter and basis validation, plus the
-large frames that only the closed forms can handle."""
+reason, common knowledge, reason simpliciter, basis validation and limit
+verdicts, plus the large frames that only the closed forms can handle."""
 
 import itertools
 import random
@@ -9,9 +9,23 @@ import pytest
 
 from limitknow import frame as frame_module
 from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, bits, submasks
-from limitknow.hierarchy import gives_reason, is_k_closed, is_k_open
+from limitknow.hierarchy import (
+    DecisionMethod,
+    Verdict,
+    gives_reason,
+    is_k_closed,
+    is_k_open,
+    limit_verdicts,
+)
 from limitknow.operators import OperatorContext
-from randgen import oracle_all_ranks, random_frame
+from randgen import (
+    all_methods,
+    all_valid_bases,
+    common_via_interior,
+    oracle_all_ranks,
+    oracle_limit_verdicts,
+    random_frame,
+)
 
 
 def chain_frame(n, tolerance=1):
@@ -71,7 +85,7 @@ def test_common_matches_meet_interior():
         ctx = OperatorContext(frame)
         for _ in range(4):
             target = rng.randint(0, frame.universe)
-            assert ctx.common(target) == ctx.common_via_interior(target)
+            assert ctx.common(target) == common_via_interior(ctx, target)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +177,31 @@ def test_validate_basis_matches_pairwise_on_random_families():
 
 
 # ---------------------------------------------------------------------------
+# limit verdicts
+
+
+def test_limit_verdicts_match_settling_definition_on_every_small_basis():
+    # all_valid_bases lists elements in increasing order, where the first
+    # element at a world is already the least; the reversed order is not
+    methods = 0
+    for n in range(1, 4):
+        for basis in all_valid_bases(n):
+            for method in all_methods(basis):
+                for order in (basis, basis[::-1]):
+                    assert limit_verdicts(method, order) == oracle_limit_verdicts(method, order)
+                methods += 1
+    assert methods == 1358  # every method on all 77 valid bases
+
+
+def test_limit_verdicts_reject_evidence_without_a_least_element():
+    # world 1 lies in both elements, whose meet {1} is not evidence
+    basis = (0b011, 0b110)
+    method = DecisionMethod({0b011: Verdict.YES, 0b110: Verdict.NO})
+    with pytest.raises(frame_module.FrameError):
+        limit_verdicts(method, basis)
+
+
+# ---------------------------------------------------------------------------
 # frames too large to enumerate
 
 
@@ -175,7 +214,11 @@ def test_inductive_operators_run_past_enumeration_size():
     assert ctx.common(p) == p
 
 
-def test_reason_on_a_large_chain_builds_no_subspaces():
+def test_reason_on_a_large_chain_builds_no_subspaces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Frame.subspace called")
+
+    monkeypatch.setattr(Frame, "subspace", refuse)
     frame = chain_frame(256)
     ctx = OperatorContext(frame)
     p = frame.universe & ~0b111
@@ -184,7 +227,6 @@ def test_reason_on_a_large_chain_builds_no_subspaces():
     # b: every prefix reaching into p leaves {w0,w1,w2}, an open, outside
     assert ctx.reason("b", p) == frame.universe
     assert ctx.true_reason("a", p) == ctx.common(p) == p
-    assert frame._subspaces == {}
 
 
 def test_with_tolerances_does_not_validate_again(monkeypatch):

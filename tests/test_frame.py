@@ -8,10 +8,10 @@ from limitknow.frame import (
     AgentSpec,
     Frame,
     FrameError,
+    ResourceLimitError,
     bits,
     generate_topology,
     load_frame,
-    open_hull,
     submasks,
     subspace_basis,
     validate_basis,
@@ -64,6 +64,8 @@ def test_generate_topology_sierpinski():
 def test_generate_topology_indiscrete():
     topo = generate_topology([U | V], U | V)
     assert topo.opens == (0, U | V)
+    with pytest.raises(ResourceLimitError):
+        generate_topology([(1 << 21) - 1]).opens
 
 
 def test_generate_topology_chain_fixture():
@@ -117,8 +119,8 @@ def test_subspace_opens_are_traces_of_full_opens():
 
 def test_open_hull_examples():
     sierpinski = generate_topology([U, U | V])
-    assert open_hull(sierpinski, V) == U | V
-    assert open_hull(sierpinski, 0) == 0
+    assert sierpinski.hull(V) == U | V
+    assert sierpinski.hull(0) == 0
     chain = generate_topology([0b111, 0b110, 0b100])
     # Oracle: intersect every open containing the set.
     target = 0b010
@@ -126,7 +128,7 @@ def test_open_hull_examples():
     for o in chain.opens:
         if target & ~o == 0:
             expected &= o
-    assert open_hull(chain, target) == expected == 0b110
+    assert chain.hull(target) == expected == 0b110
 
 
 def test_hull_is_least_open_superset():
@@ -163,7 +165,10 @@ def test_minimal_evidence_is_singleton_on_random_frames():
         frame = random_frame(rng, max_worlds=5)
         for a in frame.agents:
             for w in range(len(frame.worlds)):
-                assert len(frame.minimal_evidence_at(a.name, w)) == 1
+                at_w = frame.evidence_at(a.name, w)
+                scan = tuple(e for e in at_w if not any(o != e and o & ~e == 0 for o in at_w))
+                assert len(scan) == 1
+                assert frame.minimal_evidence_at(a.name, w) == scan
 
 
 def test_frame_rejects_bad_inputs():

@@ -424,6 +424,7 @@ def test_chain_method_round_trips():
         chain = DescendingOpenChain(topo, tuple(sets))
         method = method_from_chain(chain, basis)
         assert limit_yes_set(method, basis) == chain.evaluate()
+        assert max_switches(method, basis, YES).switches <= max(len(chain) - 1, 0)
 
         # random methods -> chain at their own switch bound -> same set
         if len(basis) <= 8:

@@ -8,7 +8,7 @@ import pytest
 from limitknow.frame import AgentSpec, Frame, FrameError, submasks
 from limitknow.hierarchy import open_rank
 from limitknow.operators import OperatorContext
-from randgen import random_frame
+from randgen import common_via_interior, random_frame
 
 CHAIN = ("chain", (0b111, 0b110, 0b100))
 
@@ -208,7 +208,7 @@ def test_common_matches_interior_cross_check():
         frame = random_frame(rng, max_worlds=5)
         ctx = OperatorContext(frame)
         target = rng.randint(0, frame.universe)
-        assert ctx.common(target) == ctx.common_via_interior(target)
+        assert ctx.common(target) == common_via_interior(ctx, target)
 
 
 def test_common_is_tolerance_invariant_for_inductive_agents():
