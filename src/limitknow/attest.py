@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .frame import Frame, load_frame_file, submasks
+from .frame import Frame, _is_int, _is_names, load_frame_file
 from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
@@ -47,8 +47,7 @@ class AttestationStrategy:
 
     def induced_method(self) -> DecisionMethod:
         return DecisionMethod(
-            {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in self.verdicts.items()},
-            self.owner,
+            {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in self.verdicts.items()}
         )
 
 
@@ -159,7 +158,7 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> Attesta
         )
     padded = rank.witness + (0,) * (spec.tolerance + 1 - len(rank.witness))
     chain = DescendingOpenChain(topo, padded)
-    method = method_from_chain(chain, spec.basis, owner=agent)
+    method = method_from_chain(chain, spec.basis)
     return AttestationStrategy(
         agent,
         {
@@ -178,7 +177,8 @@ def synthesize(
     proposition that every agent can decide within tolerance; each agent's
     strategy is read off a witness chain for it (padded with empty sets so
     chain lengths are uniform). Without one, the common-knowledge set is
-    chosen when feasible, otherwise its subsets are tried in decreasing size.
+    chosen when feasible, otherwise its subsets are tried in decreasing size
+    (a search capped like ``lewis_common``'s).
     """
     if success_target is None:
         success_target = _select_target(OperatorContext(frame), target_prop)
@@ -202,7 +202,7 @@ def _select_target(ctx: OperatorContext, target_prop: int) -> int:
         )
     if ctx.feasible(common):
         return common
-    for v in sorted(submasks(common), key=lambda v: -v.bit_count()):
+    for v in sorted(ctx.witness_candidates(common), key=lambda v: -v.bit_count()):
         if v and ctx.feasible(v):
             return v
     raise ProtocolError("no non-empty feasible success set exists at these tolerances")
@@ -225,7 +225,7 @@ class EvidenceStream:
 def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> EvidenceStream:
     """Random strictly descending walk through the agent's evidence at the
     world, from a random start down to the unique minimal element."""
-    w = world if isinstance(world, int) else frame.index(world)
+    w = frame.position(world)
     at_w = sorted(frame.evidence_at(agent, w), key=lambda e: (e.bit_count(), e))
     least = frame.minimal_evidence_at(agent, w)[0]
     rng = random.Random(f"{seed}")
@@ -289,7 +289,7 @@ def simulate(
     streams realize because they end at minimal evidence.
     """
     _check_protocol_shape(frame, protocol)
-    w = world if isinstance(world, int) else frame.index(world)
+    w = frame.position(world)
     world_name = frame.worlds[w]
     fault_set = set(faults)
     agent_names = [a.name for a in frame.agents]
@@ -369,7 +369,7 @@ class Scenario:
 def _parse_world_set(frame: Frame, valuation: dict[str, int], spec) -> int:
     """A world set given either as a list of names, a comma string of names,
     or an ``@formula`` evaluated against the valuation."""
-    if isinstance(spec, list):
+    if _is_names(spec):
         return frame.mask(spec)
     if isinstance(spec, str) and spec.startswith("@"):
         from .logic import Model, evaluate, parse
@@ -399,22 +399,30 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ProtocolError(f"cannot read scenario {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"scenario {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # also undecodable bytes or a NUL in the path
+        raise ProtocolError(f"cannot read scenario {path}: {exc}") from None
 
+    if not isinstance(data, dict):
+        raise ProtocolError(f"scenario {path} must be a JSON object")
+    faults, seed, step_cap = data.get("faults", []), data.get("seed", 0), data.get("step_cap")
     try:
-        frame_path = data["frame"]
+        frame_path, world, proto_spec = data["frame"], data["world"], data["protocol"]
+        for ok, what in (
+            (isinstance(frame_path, str), "'frame' must be a path"),
+            (isinstance(world, str), "'world' must be a world name"),
+            (_is_names(faults), "'faults' must be a list of agent names"),
+            (_is_int(seed), "'seed' must be an integer"),
+            (step_cap is None or _is_int(step_cap), "'step_cap' must be an integer"),
+            (isinstance(proto_spec, dict), "'protocol' must be an object"),
+        ):
+            if not ok:
+                raise ProtocolError(f"malformed scenario: {what}")
         if not os.path.isabs(frame_path):
             frame_path = os.path.join(os.path.dirname(os.path.abspath(path)), frame_path)
         frame, valuation = load_frame_file(frame_path)
         target = _parse_world_set(frame, valuation, data["target"])
-        world = data["world"]
-        faults = tuple(data.get("faults", []))
-        seed = data.get("seed", 0)
-        step_cap = data.get("step_cap")
-        proto_spec = data["protocol"]
         if proto_spec.get("type") == "synthesized":
             chosen = proto_spec.get("success_target")
             success = (
@@ -422,8 +430,16 @@ def load_scenario(path: str) -> Scenario:
             )
             protocol = synthesize(frame, target, success)
         elif proto_spec.get("type") == "explicit":
+            table = proto_spec["strategies"]
+            rows_ok = isinstance(table, dict) and all(
+                isinstance(rows, list)
+                and all(isinstance(row, dict) and _is_names(row.get("evidence")) for row in rows)
+                for rows in table.values()
+            )
+            if not rows_ok:
+                raise ProtocolError("malformed scenario: 'strategies' rows need 'evidence' lists")
             strategies = []
-            for agent, rows in proto_spec["strategies"].items():
+            for agent, rows in table.items():
                 verdicts = {
                     frame.mask(row["evidence"]): row["verdict"] for row in rows
                 }
@@ -432,11 +448,11 @@ def load_scenario(path: str) -> Scenario:
             _check_protocol_shape(frame, protocol)
         else:
             raise ProtocolError("protocol type must be 'synthesized' or 'explicit'")
-    except (KeyError, TypeError) as exc:
-        raise ProtocolError(f"malformed scenario: {exc}") from None
+    except KeyError as exc:
+        raise ProtocolError(f"malformed scenario: missing {exc}") from None
 
     frame.index(world)
-    return Scenario(frame, valuation, target, protocol, world, faults, seed, step_cap)
+    return Scenario(frame, valuation, target, protocol, world, tuple(faults), seed, step_cap)
 
 
 def run_scenario(scenario: Scenario) -> SimulationReport:

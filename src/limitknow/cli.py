@@ -3,8 +3,8 @@ queries, protocol synthesis, simulation, and the soundness battery.
 
 Exit codes: 0 success (or property holds), 1 a checked property fails
 (invalid formula, infeasible target, law failure), 2 input error, 3 resource
-limit (a capped search, such as L's witness enumeration, would exceed its
-cap on valid input).
+limit (a capped search, such as the witness enumeration of L and target-free
+synth, would exceed its cap on valid input).
 """
 
 from __future__ import annotations

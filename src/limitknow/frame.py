@@ -44,13 +44,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evidence basis validation
 
@@ -168,7 +161,6 @@ class Topology:
 
     universe: int
     neighborhoods: tuple[int, ...]  # indexed by world position; 0 off-universe
-    generators: tuple[int, ...]
     _rank_memo: dict = field(default_factory=dict, repr=False)
 
     def check_subset(self, s: int) -> None:
@@ -214,7 +206,7 @@ def _basis_topology(basis: Sequence[int], universe: int) -> Topology:
     each world's minimal neighborhood is the intersection of the elements
     containing it, which directedness makes an element itself."""
     nbhd = tuple(0 if m == -1 else m for m in _meets(basis, universe))
-    return Topology(universe, nbhd, tuple(basis))
+    return Topology(universe, nbhd)
 
 
 def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topology:
@@ -326,22 +318,24 @@ class Frame:
 
     # -- evidence queries --------------------------------------------------
 
-    def _position(self, world: int | str) -> int:
-        w = world if isinstance(world, int) else self.index(world)
-        if not (self.universe >> w) & 1:
-            raise FrameError(f"world index {w} out of range")
-        return w
+    def position(self, world: int | str) -> int:
+        """The index of a world given by name or by index."""
+        if isinstance(world, str):
+            return self.index(world)
+        if not _is_int(world) or not 0 <= world < len(self.worlds):
+            raise FrameError(f"no world at index {world!r}")
+        return world
 
     def evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
         """All basis elements of ``agent`` containing the world."""
-        w = self._position(world)
+        w = self.position(world)
         return tuple(e for e in self.agent(agent).basis if (e >> w) & 1)
 
     def minimal_evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
         """The inclusion-minimal elements of ``evidence_at``: the single least
         element, which is the world's minimal neighborhood (a valid finite
         basis is directed, so the elements at a world meet in one of them)."""
-        return (self.topology(agent).neighborhoods[self._position(world)],)
+        return (self.topology(agent).neighborhoods[self.position(world)],)
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but re-assigned tolerances.
@@ -366,6 +360,16 @@ class Frame:
 # model files
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    """A JSON list of strings (a bare string is not one)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
     """Build a frame (and optional valuation) from the JSON model schema:
 
@@ -374,53 +378,58 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
                         "basis": [["x","y","z"], ["y","z"], ["z"]] } ],
           "valuation": { "p": ["x","z"] } }
 
-    Unknown world names anywhere are a load error listing the offenders.
+    Each field must have its JSON type: a string is never read as a list of
+    its characters, nor ``true`` or ``1.7`` as tolerance 1. Unknown world
+    names anywhere are a load error listing the offenders.
     """
-    try:
-        world_list = list(data["worlds"])
-        agent_list = list(data["agents"])
-    except (KeyError, TypeError) as exc:
-        raise FrameError(f"model file must define 'worlds' and 'agents': {exc}") from None
+    if not isinstance(data, dict) or not {"worlds", "agents"} <= data.keys():
+        raise FrameError("model file must be an object defining 'worlds' and 'agents'")
+    world_list, agent_list, valuation = data["worlds"], data["agents"], data.get("valuation", {})
+    if not _is_names(world_list):
+        raise FrameError("'worlds' must be a list of world names")
+    if not isinstance(agent_list, list) or not isinstance(valuation, dict):
+        raise FrameError("'agents' must be a list and 'valuation' an object")
 
     index = {w: i for i, w in enumerate(world_list)}
     unknown: list[str] = []
 
-    def to_mask(names: Iterable[str], where: str) -> int:
+    def to_mask(names, where: str) -> int:
+        # Type-checked name by name: a separate pass would slow large models.
+        if not isinstance(names, list):
+            raise FrameError(f"{where} must be a list of world names, not {names!r:.40}")
         out = 0
         for name in names:
-            if name in index:
-                out |= 1 << index[name]
-            else:
+            if not isinstance(name, str):
+                raise FrameError(f"{where} must list world names, not {name!r:.40}")
+            i = index.get(name)
+            if i is None:
                 unknown.append(f"{name!r} in {where}")
+            else:
+                out |= 1 << i
         return out
 
     agents = []
     for spec in agent_list:
-        try:
-            name = spec["name"]
-            tolerance = int(spec["tolerance"])
-            basis = [
-                to_mask(e, f"basis of agent {name!r}") for e in spec["basis"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameError(f"malformed agent entry: {exc}") from None
-        agents.append(AgentSpec(name, tuple(basis), tolerance))
+        if not isinstance(spec, dict) or not {"name", "tolerance", "basis"} <= spec.keys():
+            raise FrameError("each agent needs a 'name', a 'tolerance' and a 'basis'")
+        name, tolerance, basis = spec["name"], spec["tolerance"], spec["basis"]
+        if not isinstance(name, str) or not _is_int(tolerance) or not isinstance(basis, list):
+            raise FrameError(f"agent {name!r}: needs a string name, integer tolerance, basis list")
+        basis = tuple(to_mask(e, f"basis of agent {name!r}") for e in basis)
+        agents.append(AgentSpec(name, basis, tolerance))
 
-    valuation = {
-        str(p): to_mask(ws, f"valuation of {p!r}")
-        for p, ws in dict(data.get("valuation", {})).items()
-    }
+    masks = {str(p): to_mask(ws, f"valuation of {p!r}") for p, ws in valuation.items()}
     if unknown:
         raise FrameError("unknown world names: " + ", ".join(unknown))
-    return Frame(world_list, agents), valuation
+    return Frame(world_list, agents), masks
 
 
 def load_frame_file(path: str) -> tuple[Frame, dict[str, int]]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise FrameError(f"cannot read model file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FrameError(f"model file {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # also undecodable bytes or a NUL in the path
+        raise FrameError(f"cannot read model file {path}: {exc}") from None
     return load_frame(data)

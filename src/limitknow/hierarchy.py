@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, _meets, bits, generate_topology
+from .frame import Frame, FrameError, Topology, _meets, generate_topology
 
 INFINITE = float("inf")
 
@@ -19,14 +19,9 @@ INFINITE = float("inf")
 class Verdict(Enum):
     YES = "yes"
     NO = "no"
-    DIVERGES = "diverges"
 
     def flipped(self) -> "Verdict":
-        if self is Verdict.YES:
-            return Verdict.NO
-        if self is Verdict.NO:
-            return Verdict.YES
-        return self
+        return Verdict.NO if self is Verdict.YES else Verdict.YES
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +50,7 @@ class DescendingOpenChain:
     sets: tuple[int, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.sets, self.sets[1:]):
-            if b & ~a:
-                raise FrameError("chain is not descending")
+        nested_difference(self.sets)  # raises unless descending
         for s in self.sets:
             if not self.topology.is_open(s):
                 raise FrameError("chain member is not open in the topology")
@@ -100,43 +93,24 @@ def open_rank(topology: Topology, s: int) -> RankResult:
     """
     topology.check_subset(s)
     memo = topology._rank_memo
-    cached = memo.get(s)
-    if cached is not None:
-        return cached
-
-    trail: list[int] = []
-    hulls: list[int] = []
+    trail: list[tuple[int, int]] = []  # (derivative, its hull), not yet memoized
     cur = s
-    prev_hull = -1
-    result: RankResult | None = None
-    while True:
-        if cur == 0:
-            result = RankResult(len(hulls), tuple(hulls))
-            break
-        hit = memo.get(cur)
-        if hit is not None:
-            if hit.is_infinite:
-                result = RankResult(INFINITE, None)
-            else:
-                result = RankResult(len(hulls) + hit.rank, tuple(hulls) + hit.witness)
-            break
-        trail.append(cur)
+    while (rest := memo.get(cur)) is None:
         hull = topology.hull(cur)
-        if hull == prev_hull:
-            result = RankResult(INFINITE, None)
-            break
-        hulls.append(hull)
-        prev_hull = hull
-        cur = hull & ~cur
-
-    # Every intermediate derivative's rank is now known; fill the memo.
-    for depth, inter in enumerate(trail):
-        if result.is_infinite:
-            memo[inter] = RankResult(INFINITE, None)
+        if cur == 0:
+            memo[0] = RankResult(0, ())
+        elif trail and hull == trail[-1][1]:
+            memo[cur] = RankResult(INFINITE, None)
         else:
-            memo[inter] = RankResult(result.rank - depth, result.witness[depth:])
-    memo[s] = memo.get(s, result)
-    return memo[s]
+            trail.append((cur, hull))
+            cur = hull & ~cur
+
+    while trail:  # each derivative's rank is one more than the next one's
+        derivative, hull = trail.pop()
+        if not rest.is_infinite:
+            rest = RankResult(rest.rank + 1, (hull,) + rest.witness)
+        memo[derivative] = rest
+    return rest
 
 
 def closed_rank(topology: Topology, s: int) -> RankResult:
@@ -201,7 +175,6 @@ class DecisionMethod:
     """A total Yes/No verdict map on an agent's basis elements."""
 
     verdicts: Mapping[int, Verdict]
-    owner: str | None = None
 
     def verdict(self, evidence: int) -> Verdict:
         return self.verdicts[evidence]
@@ -210,8 +183,6 @@ class DecisionMethod:
 def check_method(method: DecisionMethod, basis: Sequence[int]) -> None:
     if set(method.verdicts) != set(basis):
         raise FrameError("method domain must equal the basis exactly")
-    if any(v is Verdict.DIVERGES for v in method.verdicts.values()):
-        raise FrameError("method verdicts must be Yes or No")
 
 
 def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Verdict]:
@@ -301,9 +272,7 @@ def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
 # chains <-> methods (the two halves of the switching/rank correspondence)
 
 
-def method_from_chain(
-    chain: DescendingOpenChain, basis: Sequence[int], owner: str | None = None
-) -> DecisionMethod:
+def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> DecisionMethod:
     """Read a decision method off a witness chain: evidence answers Yes when
     the deepest chain member containing it sits at an even position, No at an
     odd position or when no member contains it (depth -1 counts as odd).
@@ -318,7 +287,7 @@ def method_from_chain(
             if e & ~o == 0:
                 deepest = k
         verdicts[e] = Verdict.YES if deepest % 2 == 0 and deepest >= 0 else Verdict.NO
-    return DecisionMethod(verdicts, owner)
+    return DecisionMethod(verdicts)
 
 
 def chain_from_method(

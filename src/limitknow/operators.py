@@ -11,10 +11,12 @@ context only caches frame-derived data, so concurrent readers are safe.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .frame import Frame, FrameError, ResourceLimitError, Topology, bits, submasks
 from .hierarchy import INFINITE, gives_reason, open_rank
 
-DEFAULT_ENUMERATION_CAP = 16
+WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
 
 class OperatorContext:
@@ -142,35 +144,37 @@ class OperatorContext:
                 n = base.neighborhoods[w]
                 classes[n] = classes.get(n, 0) | (1 << w)
             topo = Topology(
-                base.universe,
-                tuple(classes[n] if n else 0 for n in base.neighborhoods),
-                tuple(classes.values()),
+                base.universe, tuple(classes[n] if n else 0 for n in base.neighborhoods)
             )
             self._skula[agent] = topo
         return topo
 
-    def lewis_common(self, target: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    def lewis_common(self, target: int) -> int:
         """Worlds where some true witness generates common inductive knowledge
         of the target: the union of all subsets of the target that are
         feasibly decidable for every agent (rank within tolerance + 1).
 
-        Enumeration is sound when restricted to subsets of ``common(target)``
-        and is capped; past the cap only the fast path (the common-knowledge
-        set itself being feasible for everyone) is offered, and a miss there
-        raises ``ResourceLimitError``.
+        Feasible sets lie inside ``common(target)``; the search runs over its subsets.
         """
         c = self.common(target)
         if self.feasible(c):
             return c
-        if c.bit_count() > cap:
-            raise ResourceLimitError(
-                f"witness enumeration over {c.bit_count()} worlds exceeds cap {cap}"
-            )
         out = 0
-        for v in submasks(c):
+        for v in self.witness_candidates(c):
             if v and v & ~out and self.feasible(v):
                 out |= v
         return out
+
+    def witness_candidates(self, common: int) -> Iterator[int]:
+        """Every subset of a common-knowledge set, from the set itself down
+        to the empty set, for a witness search; past ``WITNESS_CAP`` worlds a
+        ``ResourceLimitError`` before any subset is enumerated."""
+        n = common.bit_count()
+        if n > WITNESS_CAP:
+            raise ResourceLimitError(
+                f"witness enumeration over {n} worlds exceeds cap {WITNESS_CAP}"
+            )
+        return submasks(common)
 
     def feasible(self, v: int) -> bool:
         """Can every agent decide the set within tolerance: is its open rank

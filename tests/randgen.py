@@ -1,13 +1,22 @@
 """Shared test helpers: random valid frames, exhaustive basis enumeration,
-and independent brute-force oracles for ranks, switching counts, limit
-verdicts and common knowledge."""
+JSON document edits, and independent brute-force oracles for ranks,
+switching counts, limit verdicts, common knowledge and witness searches."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
-from limitknow.frame import AgentSpec, Frame, FrameError, Topology, bits, validate_basis
+from limitknow.frame import (
+    AgentSpec,
+    Frame,
+    FrameError,
+    Topology,
+    bits,
+    submasks,
+    validate_basis,
+)
 from limitknow.hierarchy import (
     INFINITE,
     DecisionMethod,
@@ -85,6 +94,27 @@ def all_valid_bases(n_worlds: int, max_elements: int | None = None) -> list[tupl
     return out
 
 
+def field_paths(document, prefix: tuple = ()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield prefix
+    if isinstance(document, (dict, list)):
+        items = document.items() if isinstance(document, dict) else enumerate(document)
+        for key, value in items:
+            yield from field_paths(value, prefix + (key,))
+
+
+def with_field(document, path: tuple, value):
+    """A deep copy of a JSON document with the value at ``path`` replaced."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(document))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -107,6 +137,34 @@ def oracle_all_ranks(topology: Topology) -> dict[int, int]:
 
 def oracle_open_rank(topology: Topology, s: int) -> int | float:
     return oracle_all_ranks(topology).get(s, INFINITE)
+
+
+def oracle_feasible_sets(frame: Frame) -> list[int]:
+    """Every non-empty world set that each agent decides within tolerance
+    (open rank at most tolerance + 1), with ranks from ``oracle_all_ranks``."""
+    ranks = [(oracle_all_ranks(frame.topology(a.name)), a.tolerance) for a in frame.agents]
+    return [
+        v
+        for v in submasks(frame.universe)
+        if v and all(r.get(v, INFINITE) <= tolerance + 1 for r, tolerance in ranks)
+    ]
+
+
+def oracle_lewis_common(feasible: list[int], target: int) -> int:
+    """L by definition: the union of the feasible subsets of the target, over
+    all of them rather than those of the common-knowledge set."""
+    out = 0
+    for v in feasible:
+        if v & ~target == 0:
+            out |= v
+    return out
+
+
+def oracle_synth_success(feasible: list[int], target: int) -> int | None:
+    """The success set target-free synthesis picks: the feasible subset of
+    the target largest by (size, mask); None when there is none."""
+    inside = [v for v in feasible if v & ~target == 0]
+    return max(inside, key=lambda v: (v.bit_count(), v), default=None)
 
 
 def all_methods(basis: tuple[int, ...]):
@@ -159,7 +217,7 @@ def topology_from_open_family(family, universe: int) -> Topology:
             if (g >> w) & 1:
                 acc &= g
         nbhd[w] = acc
-    topo = Topology(universe, tuple(nbhd), tuple(family))
+    topo = Topology(universe, tuple(nbhd))
     for g in family:
         if not topo.is_open(g):
             raise FrameError("family is not point-refined; cannot generate topology")

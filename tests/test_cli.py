@@ -6,6 +6,7 @@ import os
 import pytest
 
 from limitknow.cli import main
+from randgen import with_field
 
 MODEL = os.path.join(os.path.dirname(__file__), "fixtures", "model3.json")
 
@@ -189,9 +190,10 @@ def test_inductive_operators_past_twenty_worlds(capsys, tmp_path):
 def test_lewis_cap_is_a_resource_limit(capsys, tmp_path):
     model, worlds = opposed_chains_model(tmp_path, 20)
     operand = ",".join(w for w in worlds if w not in ("w1", "w3"))
-    code, out, err = run(capsys, "ops", "-m", model, "--op", "L", "-p", operand)
-    assert code == 3 and out == ""
-    assert err == "error: resource limit: witness enumeration over 18 worlds exceeds cap 16\n"
+    for command in (["ops", "--op", "L"], ["synth"]):  # L and target-free synth share the cap
+        code, out, err = run(capsys, *command, "-m", model, "-p", operand)
+        assert code == 3 and out == ""
+        assert err == "error: resource limit: witness enumeration over 18 worlds exceeds cap 16\n"
 
 
 @pytest.mark.parametrize("formula", ["(" * 400 + "p" + ")" * 400, "~" * 1000 + "p"])
@@ -199,3 +201,82 @@ def test_too_deep_formula_is_one_error_line(capsys, formula):
     code, out, err = run(capsys, "check", "-m", MODEL, "-f", formula)
     assert code == 2 and out == ""
     assert err.startswith("error: formula nests deeper than") and err.count("\n") == 1
+
+
+with open(MODEL) as fh:
+    MODEL3 = json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("valuation",), 5),
+        (("valuation", "p"), 3),
+        (("valuation", "p"), "xz"),
+        (("valuation",), None),
+        (("worlds",), "xyz"),
+        (("worlds", 0), ["x"]),
+        (("agents",), {"a": 1}),
+        (("agents", 0), "a"),
+        (("agents", 0, "name"), ["a"]),
+        (("agents", 0, "tolerance"), True),
+        (("agents", 0, "tolerance"), 1.7),
+        (("agents", 0, "basis"), "xyz"),
+        (("agents", 0, "basis", 1), "yz"),
+    ],
+)
+def test_malformed_model_is_one_error_line(capsys, tmp_path, path, value):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(with_field(MODEL3, path, value)))
+    code, out, err = run(capsys, "eval", "-m", str(model), "-f", "top")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SCENARIO = {
+    "frame": MODEL,
+    "target": "@p",
+    "protocol": {"type": "synthesized", "success_target": "z"},
+    "world": "z",
+    "faults": [],
+    "seed": 5,
+}
+EXPLICIT = {"type": "explicit", "strategies": {"a": [{"evidence": ["z"], "verdict": "yes"}]}}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("step_cap",), "x"),
+        (("step_cap",), True),
+        (("step_cap",), 2.5),
+        (("protocol",), [EXPLICIT]),
+        (("protocol",), dict(EXPLICIT, strategies=[1])),
+        (("protocol",), dict(EXPLICIT, strategies={"a": [["z"]]})),
+        (("protocol",), dict(EXPLICIT, strategies={"a": [{"evidence": "z", "verdict": "yes"}]})),
+        (("faults",), "a"),
+        (("faults",), None),
+        (("seed",), [1, 2]),
+        (("seed",), True),
+        (("world",), ["z"]),
+        (("target",), [["z"]]),
+        (("frame",), 5),
+    ],
+)
+def test_malformed_scenario_is_one_error_line(capsys, tmp_path, path, value):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(with_field(SCENARIO, path, value)))
+    code, out, err = run(capsys, "simulate", "-s", str(scenario))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_inputs_are_one_error_line(capsys, tmp_path):
+    undecodable = tmp_path / "model.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "eval", "-m", str(undecodable), "-f", "top")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(with_field(SCENARIO, ("frame",), "model\0.json")))
+    code, out, err = run(capsys, "simulate", "-s", str(scenario))
+    assert code == 2 and out == "" and err.count("\n") == 1

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from limitknow import frame as frame_module
+from limitknow.attest import ProtocolError, synthesize, verify_protocol
 from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, bits, submasks
 from limitknow.hierarchy import (
     DecisionMethod,
@@ -23,7 +24,10 @@ from randgen import (
     all_valid_bases,
     common_via_interior,
     oracle_all_ranks,
+    oracle_feasible_sets,
+    oracle_lewis_common,
     oracle_limit_verdicts,
+    oracle_synth_success,
     random_frame,
 )
 
@@ -90,6 +94,28 @@ def test_common_matches_meet_interior():
 
 # ---------------------------------------------------------------------------
 # reason simpliciter
+
+
+def test_witness_searches_match_feasible_subset_oracles():
+    """L and target-free synthesis against searches over every subset of the
+    target, for every target of random frames; the library searches only the
+    common-knowledge set, past its own fast path."""
+    rng = random.Random(29)
+    searched = 0
+    for _ in range(300):
+        frame = random_frame(rng, max_worlds=6)
+        ctx = OperatorContext(frame)
+        feasible = oracle_feasible_sets(frame)
+        for target in submasks(frame.universe):
+            assert ctx.lewis_common(target) == oracle_lewis_common(feasible, target)
+            try:
+                chosen = verify_protocol(frame, synthesize(frame, target), target).success_set
+            except ProtocolError:
+                chosen = None
+            assert chosen == oracle_synth_success(feasible, target)
+            common = ctx.common(target)
+            searched += bool(common) and not ctx.feasible(common)
+    assert searched >= 40
 
 
 def subspace_gives_reason(frame, agent, w_set, evidence):

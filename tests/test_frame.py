@@ -155,8 +155,11 @@ def test_evidence_at_and_minimal():
     assert frame.minimal_evidence_at("a", "x") == (0b111,)
     sierpinski = Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0)])
     assert sierpinski.minimal_evidence_at("a", "u") == (U,)
-    with pytest.raises(FrameError):
-        frame.evidence_at("a", "nope")
+    for world in ("nope", True, -1, 3):
+        with pytest.raises(FrameError, match="nope" if world == "nope" else repr(world)):
+            frame.evidence_at("a", world)
+        with pytest.raises(FrameError):
+            frame.minimal_evidence_at("a", world)
 
 
 def test_minimal_evidence_is_singleton_on_random_frames():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks
+from limitknow.frame import AgentSpec, Frame, FrameError, Topology, generate_topology, submasks
 from limitknow.hierarchy import (
     INFINITE,
     DecisionMethod,
@@ -117,6 +117,30 @@ def test_greedy_rank_equals_oracle():
         oracle = oracle_all_ranks(topo)
         for s in submasks(topo.universe):
             assert open_rank(topo, s).rank == oracle.get(s, INFINITE)
+
+
+def test_open_rank_memoizes_every_derivative():
+    """One query memoizes its set and every hull derivative on its walk, each
+    with the oracle's rank, a witness chain that evaluates to it, and the
+    result a query on an empty memo gives."""
+    rng = random.Random(14)
+    for _ in range(25):
+        topo = generate_topology(random_basis(rng, rng.randint(1, 5)))
+        oracle = oracle_all_ranks(topo)
+        for s in submasks(topo.universe):
+            topo._rank_memo.clear()
+            open_rank(topo, s)
+            memo = dict(topo._rank_memo)
+            cur, hulls = s, []
+            while cur and topo.hull(cur) not in hulls:
+                assert cur in memo
+                hulls.append(topo.hull(cur))
+                cur = hulls[-1] & ~cur
+            for key, value in memo.items():
+                assert value.rank == oracle.get(key, INFINITE)
+                if not value.is_infinite:
+                    assert DescendingOpenChain(topo, value.witness).evaluate() == key
+                assert open_rank(Topology(topo.universe, topo.neighborhoods), key) == value
 
 
 def test_closed_rank_is_open_rank_of_complement():
