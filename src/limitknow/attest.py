@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .frame import Frame, _is_int, _is_names, load_frame_file
+from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file
 from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
@@ -36,6 +36,8 @@ class ProtocolError(ValueError):
 
 ATTEST = "yes"
 DEFER = "defer"
+
+MAX_STEPS = 10_000  # a simulation's step cap; it builds one verdict per step and agent
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,7 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> Attesta
             f"target is not decidable for agent {agent!r}: "
             f"needs a chain of {rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
-    padded = rank.witness + (0,) * (spec.tolerance + 1 - len(rank.witness))
-    chain = DescendingOpenChain(topo, padded)
-    method = method_from_chain(chain, spec.basis)
+    method = method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
     return AttestationStrategy(
         agent,
         {
@@ -175,8 +175,8 @@ def synthesize(
 
     With an explicit success target the set must be a non-empty subset of the
     proposition that every agent can decide within tolerance; each agent's
-    strategy is read off a witness chain for it (padded with empty sets so
-    chain lengths are uniform). Without one, the common-knowledge set is
+    strategy is read off a shortest witness chain for it, whatever the
+    agent's tolerance. Without one, the common-knowledge set is
     chosen when feasible, otherwise its subsets are tried in decreasing size
     (a search capped like ``lewis_common``'s).
     """
@@ -286,7 +286,9 @@ def simulate(
     agents emit seeded random verdicts. The aggregator attests at a step iff
     strictly more than half of that step's outputs attest; ties are defers
     (safety over liveness). Limits are the final outputs, which honest
-    streams realize because they end at minimal evidence.
+    streams realize because they end at minimal evidence. A ``step_cap``
+    fixes the horizon; it must cover the streams, and past ``MAX_STEPS`` it
+    is a ``ResourceLimitError``.
     """
     _check_protocol_shape(frame, protocol)
     w = frame.position(world)
@@ -303,6 +305,8 @@ def simulate(
 
     horizon = max(len(s.chain) for s in streams.values())
     if step_cap is not None:
+        if step_cap > MAX_STEPS:
+            raise ResourceLimitError(f"step cap {step_cap} exceeds {MAX_STEPS} steps")
         if step_cap < horizon:
             raise ProtocolError(
                 f"step cap {step_cap} cannot realize streams of length {horizon}"

@@ -3,8 +3,8 @@ queries, protocol synthesis, simulation, and the soundness battery.
 
 Exit codes: 0 success (or property holds), 1 a checked property fails
 (invalid formula, infeasible target, law failure), 2 input error, 3 resource
-limit (a capped search, such as the witness enumeration of L and target-free
-synth, would exceed its cap on valid input).
+limit (valid input would exceed a cap: the witness enumeration of L and
+target-free synth, or a simulation's step cap).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .logic import (
@@ -143,6 +144,12 @@ ALL_LAW_NAMES = tuple(AXIOMS) + tuple(DERIVED) + RULE_NAMES
 # ---------------------------------------------------------------------------
 # random instantiation
 
+_KINDS = ("not", "and", "or", "imp", "iff", "R", "S", "I", "B", "G", "C")
+# Given as running sums so that no draw sums the weights again; the draws are
+# those ``weights=`` makes with the same weights.
+_CUM_WEIGHTS = tuple(accumulate((10, 12, 12, 10, 6, 8, 8, 6, 6, 3, 3)))
+_INJECTED = tuple(f"_m{k}" for k in range(4))
+
 
 def _random_formula(
     rng: random.Random, pool: Sequence[Formula], agents: Sequence[str], depth: int
@@ -156,10 +163,7 @@ def _random_formula(
             return BOT
         return pool[leaf]
     sub = lambda: _random_formula(rng, pool, agents, depth - 1)
-    kind = rng.choices(
-        ["not", "and", "or", "imp", "iff", "R", "S", "I", "B", "G", "C"],
-        weights=[10, 12, 12, 10, 6, 8, 8, 6, 6, 3, 3],
-    )[0]
+    kind = rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS)[0]
     if kind == "not":
         return Not(sub())
     if kind == "and":
@@ -184,15 +188,12 @@ def _random_formula(
     return Common(sub())
 
 
-def _trial_setup(
-    model: Model, rng: random.Random
-) -> tuple[Model, list[Formula], list[str]]:
+def _trial_setup(model: Model, rng: random.Random) -> Model:
+    """The model with the injected propositions ``_m0``-``_m3`` valued at
+    fresh random world sets."""
     universe = model.frame.universe
-    injected = {f"_m{k}": rng.randrange(universe + 1) for k in range(4)}
-    trial_model = model.with_valuation({**model.valuation, **injected})
-    pool = [Prop(p) for p in trial_model.valuation]
-    agents = [a.name for a in model.frame.agents]
-    return trial_model, pool, agents
+    injected = {p: rng.randrange(universe + 1) for p in _INJECTED}
+    return model.with_valuation({**model.valuation, **injected})
 
 
 def _metavariable(
@@ -305,12 +306,16 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     laws are run in.
     """
     results: list[LawResult] = []
+    # Every trial model binds the same names in the same order: the model's
+    # own, then those of the injected ones it does not already bind.
+    pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
+    agents = [a.name for a in model.frame.agents]
 
     for name, build in {**AXIOMS, **DERIVED}.items():
         failures: list[LawFailure] = []
         for k in range(trials):
             rng = random.Random(f"{seed}:{name}:{k}")
-            trial_model, pool, agents = _trial_setup(model, rng)
+            trial_model = _trial_setup(model, rng)
             i = rng.choice(agents)
             fs = [_metavariable(rng, pool, agents) for _ in range(3)]
             inst = build(i, fs)
@@ -324,7 +329,7 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
         informative = 0
         for k in range(trials):
             rng = random.Random(f"{seed}:{name}:{k}")
-            trial_model, pool, agents = _trial_setup(model, rng)
+            trial_model = _trial_setup(model, rng)
             premises, conclusion, bound_model = _rule_instance(
                 name, model, trial_model, rng, pool, agents, k
             )

@@ -435,57 +435,78 @@ class Model:
         return cls(frame, valuation)
 
 
+class _Evaluator:
+    """One ``evaluate`` call: the model's pieces and a memo of the extension
+    of every node evaluated so far, keyed on ``id(node)``. The nodes stay
+    alive for the whole call, so their ids are stable; keying on the nodes
+    would hash whole subtrees, since a frozen dataclass's hash recurses and
+    is not cached."""
+
+    __slots__ = ("valuation", "ctx", "universe", "agent_names", "memo")
+
+    def __init__(self, model: Model):
+        self.valuation = model.valuation
+        self.ctx = model.context
+        self.universe = model.frame.universe
+        self.agent_names = {a.name for a in model.frame.agents}
+        self.memo: dict[int, int] = {}
+
+    def go(self, f: Formula) -> int:
+        key = id(f)
+        out = self.memo.get(key)
+        if out is None:
+            rule = _RULES.get(type(f))
+            if rule is None:
+                raise TypeError(f"not a formula: {f!r}")
+            out = self.memo[key] = rule(self, f)
+        return out
+
+    def agent(self, name: str) -> str:
+        if name not in self.agent_names:
+            raise EvalError(f"unknown agent {name!r}")
+        return name
+
+
+def _prop(ev: _Evaluator, f: Prop) -> int:
+    try:
+        return ev.valuation[f.name]
+    except KeyError:
+        raise EvalError(f"unbound proposition {f.name!r}") from None
+
+
+# One rule per node type. Children are evaluated left to right and a
+# modality checks its agent before them: that order decides which error a
+# formula with several unbound names raises.
+_RULES = {
+    Prop: _prop,
+    Top: lambda ev, f: ev.universe,
+    Bot: lambda ev, f: 0,
+    Not: lambda ev, f: ev.universe & ~ev.go(f.body),
+    And: lambda ev, f: ev.go(f.left) & ev.go(f.right),
+    Or: lambda ev, f: ev.go(f.left) | ev.go(f.right),
+    Imp: lambda ev, f: (ev.universe & ~ev.go(f.left)) | ev.go(f.right),
+    Iff: lambda ev, f: ev.universe & ~(ev.go(f.left) ^ ev.go(f.right)),
+    Reason: lambda ev, f: ev.ctx.reason(ev.agent(f.agent), ev.go(f.body)),
+    Indicates: lambda ev, f: ev.ctx.indicates(
+        ev.agent(f.agent), ev.go(f.witness), ev.go(f.body)
+    ),
+    BelievesVia: lambda ev, f: ev.ctx.believes_via(
+        ev.agent(f.agent), ev.go(f.witness), ev.go(f.body)
+    ),
+    TrueReason: lambda ev, f: ev.ctx.true_reason(ev.agent(f.agent), ev.go(f.body)),
+    Generates: lambda ev, f: ev.ctx.generates(ev.go(f.witness), ev.go(f.body)),
+    Common: lambda ev, f: ev.ctx.common(ev.go(f.body)),
+}
+
+
 def evaluate(model: Model, f: Formula) -> int:
     """The extension of a formula: the mask of worlds where it holds.
 
     Propositions must be bound in the valuation and agents must exist in the
     frame; anything unbound is an error rather than an implicit empty set.
+    A subformula shared by several parents is evaluated once per call.
     """
-    ctx = model.context
-    universe = model.frame.universe
-    agent_names = {a.name for a in model.frame.agents}
-
-    def agent_of(name: str) -> str:
-        if name not in agent_names:
-            raise EvalError(f"unknown agent {name!r}")
-        return name
-
-    def go(f: Formula) -> int:
-        if isinstance(f, Prop):
-            try:
-                return model.valuation[f.name]
-            except KeyError:
-                raise EvalError(f"unbound proposition {f.name!r}") from None
-        if isinstance(f, Top):
-            return universe
-        if isinstance(f, Bot):
-            return 0
-        if isinstance(f, Not):
-            return universe & ~go(f.body)
-        if isinstance(f, And):
-            return go(f.left) & go(f.right)
-        if isinstance(f, Or):
-            return go(f.left) | go(f.right)
-        if isinstance(f, Imp):
-            return (universe & ~go(f.left)) | go(f.right)
-        if isinstance(f, Iff):
-            left, right = go(f.left), go(f.right)
-            return universe & ~(left ^ right)
-        if isinstance(f, Reason):
-            return ctx.reason(agent_of(f.agent), go(f.body))
-        if isinstance(f, Indicates):
-            return ctx.indicates(agent_of(f.agent), go(f.witness), go(f.body))
-        if isinstance(f, BelievesVia):
-            return ctx.believes_via(agent_of(f.agent), go(f.witness), go(f.body))
-        if isinstance(f, TrueReason):
-            return ctx.true_reason(agent_of(f.agent), go(f.body))
-        if isinstance(f, Generates):
-            return ctx.generates(go(f.witness), go(f.body))
-        if isinstance(f, Common):
-            return ctx.common(go(f.body))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f)
+    return _Evaluator(model).go(f)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Shared test helpers: random valid frames, exhaustive basis enumeration,
-JSON document edits, and independent brute-force oracles for ranks,
-switching counts, limit verdicts, common knowledge and witness searches."""
+"""Shared test helpers: random valid frames, random formulas that share
+subtrees, exhaustive basis enumeration, JSON document edits, and independent
+brute-force oracles for ranks, switching counts, limit verdicts, common
+knowledge, witness searches and formula evaluation."""
 
 from __future__ import annotations
 
@@ -23,6 +24,27 @@ from limitknow.hierarchy import (
     Verdict,
     limit_yes_set,
     max_switches,
+)
+from limitknow.logic import (
+    BOT,
+    TOP,
+    And,
+    BelievesVia,
+    Bot,
+    Common,
+    EvalError,
+    Formula,
+    Generates,
+    Iff,
+    Imp,
+    Indicates,
+    Model,
+    Not,
+    Or,
+    Prop,
+    Reason,
+    Top,
+    TrueReason,
 )
 from limitknow.operators import OperatorContext
 
@@ -80,6 +102,34 @@ def random_frame(
             basis = tuple(sorted(set(basis) | {(1 << n) - 1}))
         agents.append(AgentSpec(f"a{k}", basis, rng.randint(0, max_tolerance)))
     return Frame(worlds, agents)
+
+
+_UNARY = (Not, Common)
+_BINARY = (And, Or, Imp, Iff, Generates)
+_MODAL = (Reason, TrueReason)
+_MODAL_WITNESS = (Indicates, BelievesVia)
+
+
+def random_shared_formula(
+    rng: random.Random, props: list[str], agents: list[str], nodes: int = 12
+) -> Formula:
+    """A random formula built bottom-up from ``nodes`` constructors whose
+    children are drawn from every node built so far, so subtrees are shared
+    by several parents (the same objects, not equal copies)."""
+    built: list[Formula] = [TOP, BOT] + [Prop(p) for p in props]
+    pick = lambda: rng.choice(built)
+    for _ in range(nodes):
+        kind = rng.randrange(4)
+        if kind == 0:
+            node = rng.choice(_UNARY)(pick())
+        elif kind == 1:
+            node = rng.choice(_BINARY)(pick(), pick())
+        elif kind == 2:
+            node = rng.choice(_MODAL)(rng.choice(agents), pick())
+        else:
+            node = rng.choice(_MODAL_WITNESS)(rng.choice(agents), pick(), pick())
+        built.append(node)
+    return built[-1]
 
 
 def all_valid_bases(n_worlds: int, max_elements: int | None = None) -> list[tuple[int, ...]]:
@@ -239,3 +289,49 @@ def common_via_interior(ctx: OperatorContext, target: int) -> int:
         if o & ~target == 0:
             out |= o
     return out
+
+
+def oracle_evaluate(model: Model, f: Formula) -> int:
+    """The extension of a formula by plain recursion over the tree, with no
+    memo: every occurrence of a shared subtree is evaluated again. Children
+    are evaluated left to right and a modality's agent is checked first."""
+    ctx, universe = model.context, model.frame.universe
+    agents = {a.name for a in model.frame.agents}
+    go = lambda g: oracle_evaluate(model, g)
+
+    def agent(name: str) -> str:
+        if name not in agents:
+            raise EvalError(f"unknown agent {name!r}")
+        return name
+
+    if isinstance(f, Prop):
+        if f.name not in model.valuation:
+            raise EvalError(f"unbound proposition {f.name!r}")
+        return model.valuation[f.name]
+    if isinstance(f, Top):
+        return universe
+    if isinstance(f, Bot):
+        return 0
+    if isinstance(f, Not):
+        return universe & ~go(f.body)
+    if isinstance(f, And):
+        return go(f.left) & go(f.right)
+    if isinstance(f, Or):
+        return go(f.left) | go(f.right)
+    if isinstance(f, Imp):
+        return (universe & ~go(f.left)) | go(f.right)
+    if isinstance(f, Iff):
+        return universe & ~(go(f.left) ^ go(f.right))
+    if isinstance(f, Reason):
+        return ctx.reason(agent(f.agent), go(f.body))
+    if isinstance(f, TrueReason):
+        return ctx.true_reason(agent(f.agent), go(f.body))
+    if isinstance(f, Indicates):
+        return ctx.indicates(agent(f.agent), go(f.witness), go(f.body))
+    if isinstance(f, BelievesVia):
+        return ctx.believes_via(agent(f.agent), go(f.witness), go(f.body))
+    if isinstance(f, Generates):
+        return ctx.generates(go(f.witness), go(f.body))
+    if isinstance(f, Common):
+        return ctx.common(go(f.body))
+    raise TypeError(f"not a formula: {f!r}")

@@ -1,10 +1,12 @@
 """Attestation protocols: verification, synthesis, streams, and simulation."""
 
 import json
+import os
 import random
 
 import pytest
 
+from limitknow import attest
 from limitknow.attest import (
     ATTEST,
     DEFER,
@@ -19,7 +21,7 @@ from limitknow.attest import (
     synthesize,
     verify_protocol,
 )
-from limitknow.frame import AgentSpec, Frame, submasks
+from limitknow.frame import AgentSpec, Frame, load_frame_file, submasks
 from limitknow.hierarchy import limit_yes_set, open_rank
 from limitknow.operators import OperatorContext
 from randgen import random_frame
@@ -133,6 +135,27 @@ def test_synthesize_falls_back_below_threshold():
     protocol = synthesize(frame, 0b101)
     report = verify_protocol(frame, protocol, 0b101)
     assert report.solves and report.success_set == 0b100
+
+
+def test_synthesized_strategies_do_not_depend_on_slack_tolerance(fixtures_dir, monkeypatch):
+    frame, _ = load_frame_file(os.path.join(fixtures_dir, "model3.json"))
+    low = frame.with_tolerances({"a": 1})
+    high = frame.with_tolerances({"a": 10**6})
+    chain_lengths = []
+    real = attest.method_from_chain
+    monkeypatch.setattr(
+        attest,
+        "method_from_chain",
+        lambda chain, basis: chain_lengths.append(len(chain)) or real(chain, basis),
+    )
+    topo = frame.topology("a")
+    feasible = [v for v in submasks(frame.universe) if v and open_rank(topo, v).rank <= 2]
+    assert len(feasible) == 6
+    for success in feasible:
+        expected = synthesize(low, frame.universe, success).strategies
+        assert synthesize(high, frame.universe, success).strategies == expected
+    # each chain is a shortest witness, never padded out to tolerance + 1 opens
+    assert max(chain_lengths) == 2
 
 
 def test_synthesize_input_validation():

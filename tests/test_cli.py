@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from limitknow.attest import MAX_STEPS
 from limitknow.cli import main
 from randgen import with_field
 
@@ -280,3 +281,14 @@ def test_unreadable_inputs_are_one_error_line(capsys, tmp_path):
     scenario.write_text(json.dumps(with_field(SCENARIO, ("frame",), "model\0.json")))
     code, out, err = run(capsys, "simulate", "-s", str(scenario))
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+def test_step_cap_past_the_limit_is_a_resource_limit(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    for step_cap, expected in ((MAX_STEPS, 0), (MAX_STEPS + 1, 3), (10**6, 3)):
+        scenario.write_text(json.dumps(dict(SCENARIO, step_cap=step_cap)))
+        code, out, err = run(capsys, "simulate", "-s", str(scenario))
+        assert code == expected
+        if expected == 3:
+            assert out == ""
+            assert err == f"error: resource limit: step cap {step_cap} exceeds {MAX_STEPS} steps\n"

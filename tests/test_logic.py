@@ -14,6 +14,7 @@ from limitknow.logic import (
     BelievesVia,
     Common,
     EvalError,
+    Formula,
     Generates,
     Iff,
     Imp,
@@ -30,7 +31,7 @@ from limitknow.logic import (
     parse,
     print_formula,
 )
-from randgen import random_frame
+from randgen import oracle_evaluate, random_frame, random_shared_formula
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -206,6 +207,70 @@ def test_unbound_names_are_errors(chain_model):
         evaluate(chain_model, parse("mystery"))
     with pytest.raises(EvalError):
         evaluate(chain_model, parse("S[ghost] p"))
+    p = Prop("p")  # and inside a subtree shared by several parents
+    for bad, message in (
+        (Not(Prop("missing")), "unbound proposition 'missing'"),
+        (Reason("ghost", p), "unknown agent 'ghost'"),
+    ):
+        for f in (And(Or(p, bad), Not(bad)), Iff(bad, And(bad, p)), Common(And(p, bad))):
+            with pytest.raises(EvalError, match=message):
+                evaluate(chain_model, f)
+
+
+def _outcome(evaluator, model, f):
+    try:
+        return evaluator(model, f)
+    except EvalError as exc:
+        return str(exc)
+
+
+def _tree_size(f) -> int:
+    return 1 + sum(_tree_size(c) for c in vars(f).values() if isinstance(c, Formula))
+
+
+def _distinct_nodes(f, seen=None) -> int:
+    seen = set() if seen is None else seen
+    if id(f) not in seen:
+        seen.add(id(f))
+        for c in vars(f).values():
+            if isinstance(c, Formula):
+                _distinct_nodes(c, seen)
+    return len(seen)
+
+
+def test_evaluate_matches_plain_recursion_on_shared_subtrees():
+    rng = random.Random(61)
+    shared = 0
+    for _ in range(120):
+        frame = random_frame(rng, max_worlds=5)
+        model = Model(frame, {p: rng.randint(0, frame.universe) for p in ("p", "q")})
+        agents = [a.name for a in frame.agents]
+        for _ in range(5):
+            f = random_shared_formula(rng, ["p", "q"], agents, nodes=rng.randint(1, 14))
+            assert evaluate(model, f) == oracle_evaluate(model, f)
+            shared += _tree_size(f) > _distinct_nodes(f)
+    assert shared >= 150  # of 600 formulas
+
+
+def test_errors_inside_shared_subtrees_match_plain_recursion():
+    model_rng = random.Random(62)
+    raised = 0
+    for _ in range(80):
+        frame = random_frame(model_rng, max_worlds=4)
+        model = Model(frame, {"p": model_rng.randint(0, frame.universe)})
+        agents = [a.name for a in frame.agents] + ["ghost"]
+        for _ in range(5):
+            f = random_shared_formula(model_rng, ["p", "missing"], agents)
+            expected = _outcome(oracle_evaluate, model, f)
+            assert _outcome(evaluate, model, f) == expected
+            raised += isinstance(expected, str)
+    assert raised >= 100
+
+
+def test_non_formulas_are_type_errors(chain_model):
+    for f in ("p", And(Prop("p"), 3), Not(None)):
+        with pytest.raises(TypeError, match="not a formula"):
+            evaluate(chain_model, f)
 
 
 def test_monotone_replacement_for_s_and_c():
