@@ -105,6 +105,14 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     least member, and any member below all of them is their intersection), so
     the pairwise search for witnesses runs only at worlds failing that test.
     """
+    return _validate(elements, universe)[0]
+
+
+def _validate(elements: Sequence[int], universe: int) -> tuple[BasisReport, tuple[int, ...]]:
+    """``validate_basis``'s report plus, per world position, the intersection
+    of the elements containing that world (0 where none does). For a valid
+    basis that is each world's minimal neighborhood, which directedness makes
+    an element itself."""
     found: list[BasisViolation] = []
     seen: set[int] = set()
     for e in elements:
@@ -131,7 +139,8 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
                     found.append(
                         BasisViolation("not-directed", element=e1, other=e2, world=w)
                     )
-    return BasisReport(not found, tuple(found))
+    nbhd = tuple(0 if m == -1 else m for m in meets)
+    return BasisReport(not found, tuple(found)), nbhd
 
 
 def subspace_basis(basis: Sequence[int], evidence: int) -> tuple[int, ...]:
@@ -201,14 +210,6 @@ class Topology:
         return tuple(sorted(s for s in submasks(self.universe) if self.is_open(s)))
 
 
-def _basis_topology(basis: Sequence[int], universe: int) -> Topology:
-    """The topology of a basis already known to be valid over ``universe``:
-    each world's minimal neighborhood is the intersection of the elements
-    containing it, which directedness makes an element itself."""
-    nbhd = tuple(0 if m == -1 else m for m in _meets(basis, universe))
-    return Topology(universe, nbhd)
-
-
 def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topology:
     """Close a valid evidence basis under arbitrary unions (plus the empty set).
 
@@ -218,12 +219,12 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
         universe = 0
         for e in basis:
             universe |= e
-    report = validate_basis(basis, universe)
+    report, nbhd = _validate(basis, universe)
     if not report.ok:
         raise FrameError(
             "invalid basis: " + "; ".join(v.describe() for v in report.violations)
         )
-    return _basis_topology(basis, universe)
+    return Topology(universe, nbhd)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,8 @@ class Frame:
     """A world table plus, per agent, an evidence basis and tolerance.
 
     Bases are validated at construction; duplicate elements are rejected
-    rather than merged. Per-agent topologies are built once and cached.
+    rather than merged. Each agent's topology is built at construction from
+    the minimal neighborhoods that validating its basis computes.
     """
 
     def __init__(self, worlds: Sequence[str], agents: Sequence[AgentSpec]):
@@ -266,16 +268,17 @@ class Frame:
         self.worlds: tuple[str, ...] = worlds
         self.universe: int = (1 << len(worlds)) - 1
         self.agents: tuple[AgentSpec, ...] = tuple(agents)
-        self._by_name: dict[str, AgentSpec] = {a.name: a for a in agents}
+        self.agents_by_name: dict[str, AgentSpec] = {a.name: a for a in agents}
         self._index: dict[str, int] = {w: i for i, w in enumerate(worlds)}
         self._topologies: dict[str, Topology] = {}
 
         for a in agents:
             _check_tolerance(a)
-            report = validate_basis(a.basis, self.universe)
+            report, nbhd = _validate(a.basis, self.universe)
             if not report.ok:
                 detail = "; ".join(v.describe(worlds) for v in report.violations)
                 raise FrameError(f"agent {a.name}: invalid basis: {detail}")
+            self._topologies[a.name] = Topology(self.universe, nbhd)
 
     # -- world-set conversions ------------------------------------------
 
@@ -300,16 +303,15 @@ class Frame:
 
     def agent(self, name: str) -> AgentSpec:
         try:
-            return self._by_name[name]
+            return self.agents_by_name[name]
         except KeyError:
             raise FrameError(f"unknown agent {name!r}") from None
 
     def topology(self, agent: str) -> Topology:
-        topo = self._topologies.get(agent)
-        if topo is None:
-            topo = _basis_topology(self.agent(agent).basis, self.universe)
-            self._topologies[agent] = topo
-        return topo
+        try:
+            return self._topologies[agent]
+        except KeyError:
+            raise FrameError(f"unknown agent {agent!r}") from None
 
     def subspace(self, agent: str, evidence: int) -> Topology:
         """Subspace topology over a basis element, generated by the restricted
@@ -339,7 +341,7 @@ class Frame:
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but re-assigned tolerances.
-        The bases are not validated again, and topology caches are shared
+        The bases are not validated again, and the topologies are shared
         (tolerances do not affect topologies)."""
         agents = tuple(
             AgentSpec(a.name, a.basis, tolerances.get(a.name, a.tolerance))
@@ -349,7 +351,7 @@ class Frame:
             _check_tolerance(a)
         out = copy.copy(self)
         out.agents = agents
-        out._by_name = {a.name: a for a in agents}
+        out.agents_by_name = {a.name: a for a in agents}
         return out
 
     def __repr__(self) -> str:

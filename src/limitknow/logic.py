@@ -436,7 +436,8 @@ class Model:
 
 
 class _Evaluator:
-    """One ``evaluate`` call: the model's pieces and a memo of the extension
+    """One ``evaluate`` call: the model's pieces (the frame's own name-to-agent
+    map serves as the set of agent names) and a memo of the extension
     of every node evaluated so far, keyed on ``id(node)``. The nodes stay
     alive for the whole call, so their ids are stable; keying on the nodes
     would hash whole subtrees, since a frozen dataclass's hash recurses and
@@ -448,7 +449,7 @@ class _Evaluator:
         self.valuation = model.valuation
         self.ctx = model.context
         self.universe = model.frame.universe
-        self.agent_names = {a.name for a in model.frame.agents}
+        self.agent_names = model.frame.agents_by_name
         self.memo: dict[int, int] = {}
 
     def go(self, f: Formula) -> int:
@@ -520,4 +521,6 @@ def check(model: Model, f: Formula) -> CheckResult:
     worlds where the formula fails."""
     ext = evaluate(model, f)
     missing = model.frame.universe & ~ext
-    return CheckResult(missing == 0, model.frame.names(missing))
+    if not missing:
+        return CheckResult(True, ())
+    return CheckResult(False, model.frame.names(missing))

@@ -1,9 +1,12 @@
 """Basis validation, topology generation, subspaces, hulls, and model files."""
 
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
+from limitknow import frame as frame_module
 from limitknow.frame import (
     AgentSpec,
     Frame,
@@ -238,3 +241,33 @@ def test_with_tolerances_shares_topologies():
     bumped = frame.with_tolerances({"a": 2})
     assert bumped.agent("a").tolerance == 2
     assert bumped.topology("a") is topo
+
+
+def test_topology_reuses_the_neighborhoods_validation_computed(monkeypatch):
+    calls = []
+    original = frame_module._meets
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    rng = random.Random(41)
+    for _ in range(25):
+        built = random_frame(rng)  # randgen validates its bases as it draws them
+        monkeypatch.setattr(frame_module, "_meets", counting)
+        frame = Frame(built.worlds, built.agents)
+        assert len(calls) == len(frame.agents)  # one pass per agent
+        calls.clear()
+        bumped = frame.with_tolerances({a.name: a.tolerance + 1 for a in frame.agents})
+        for a in frame.agents:
+            topo = frame.topology(a.name)
+            assert bumped.topology(a.name) is topo
+            least = tuple(
+                reduce(and_, (e for e in a.basis if (e >> w) & 1))
+                for w in range(len(frame.worlds))
+            )
+            assert topo.neighborhoods == least
+        assert calls == []
+        monkeypatch.undo()
+    with pytest.raises(FrameError, match="unknown agent 'nobody'"):
+        frame.topology("nobody")

@@ -6,8 +6,27 @@ import os
 import random
 
 from limitknow import laws
-from limitknow.laws import ALL_LAW_NAMES, AXIOMS, law_battery
-from limitknow.logic import Model, Prop, check, print_formula
+from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
+from limitknow.logic import (
+    And,
+    BelievesVia,
+    Bot,
+    Common,
+    Formula,
+    Generates,
+    Iff,
+    Imp,
+    Indicates,
+    Model,
+    Not,
+    Or,
+    Prop,
+    Reason,
+    Top,
+    TrueReason,
+    check,
+    print_formula,
+)
 from randgen import random_frame
 
 
@@ -76,3 +95,61 @@ def test_battery_draws_are_pinned(fixtures_dir, monkeypatch):
         law_battery(model, trials=6, seed=seed)
     assert len(records) == PINNED_RECORDS
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_schema_instances_share_repeated_subformulas():
+    # With distinct metavariables, two equal non-leaf nodes can only be a
+    # subformula the schema builds twice; evaluate's memo is keyed on node
+    # identity, so it would compute that subformula twice.
+    metavariables = [Prop("p"), Prop("q"), Prop("r")]
+    for name, build in {**AXIOMS, **DERIVED}.items():
+        nodes = {}
+        stack = [build("a", metavariables)]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(c for c in vars(node).values() if isinstance(c, Formula))
+        inner = [n for n in nodes.values() if not isinstance(n, (Prop, Top, Bot))]
+        assert len(set(inner)) == len(inner), name
+
+
+_KIND_TYPES = {
+    "not": Not, "and": And, "or": Or, "imp": Imp, "iff": Iff, "R": Reason,
+    "S": TrueReason, "I": Indicates, "B": BelievesVia, "G": Generates, "C": Common,
+}
+
+
+def test_kind_draw_matches_choices():
+    # At depth 1 a formula that is not a leaf shows its kind at the top; the
+    # same state must draw that kind through Random.choices. Compared on
+    # 2,000 states that reach the kind draw.
+    pool = [Prop("p"), Prop("q")]
+    seen = []
+    rng = random.Random()
+    k = 0
+    while len(seen) < 2000:
+        rng.seed(f"kinds:{k}")
+        k += 1
+        state = rng.getstate()
+        drawn = laws._random_formula(rng, pool, ["a", "b"], 1)
+        rng.setstate(state)
+        if rng.random() < 0.45:
+            continue
+        kind = rng.choices(laws._KINDS, cum_weights=laws._CUM_WEIGHTS)[0]
+        assert type(drawn) is _KIND_TYPES[kind], k
+        seen.append(kind)
+    assert set(seen) == set(laws._KINDS)
+
+
+def test_reseeding_matches_a_fresh_generator():
+    used = random.Random(99)
+    for k in range(20):
+        used.gauss(0, 1)  # leaves a second normal deviate in gauss_next
+        used.seed(f"0:ax_R:{k}")
+        fresh = random.Random(f"0:ax_R:{k}")
+        for _ in range(25):
+            assert used.random() == fresh.random()
+            assert used.randrange(1000) == fresh.randrange(1000)
+            assert used.choice("abcdefg") == fresh.choice("abcdefg")
+            assert used.gauss(0, 1) == fresh.gauss(0, 1)
