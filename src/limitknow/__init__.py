@@ -13,7 +13,6 @@ from .frame import (
     generate_topology,
     load_frame,
     load_frame_file,
-    subspace_basis,
     validate_basis,
 )
 from .hierarchy import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file
@@ -27,6 +27,7 @@ from .hierarchy import (
     method_from_chain,
     open_rank,
 )
+from .logic import Model, world_set
 from .operators import OperatorContext
 
 
@@ -255,19 +256,7 @@ class SimulationReport:
     faults: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "world": self.world,
-            "traces": {a: list(t) for a, t in self.traces.items()},
-            "limits": dict(self.limits),
-            "aggregator_trace": list(self.aggregator_trace),
-            "aggregator_limit": self.aggregator_limit,
-            "shame": [
-                {"agent": s.agent, "world": s.world, "cause": s.cause}
-                for s in self.shame
-            ],
-            "faults": list(self.faults),
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def simulate(
@@ -370,26 +359,12 @@ class Scenario:
     step_cap: int | None
 
 
-def _parse_world_set(frame: Frame, valuation: dict[str, int], spec) -> int:
-    """A world set given either as a list of names, a comma string of names,
-    or an ``@formula`` evaluated against the valuation."""
-    if _is_names(spec):
-        return frame.mask(spec)
-    if isinstance(spec, str) and spec.startswith("@"):
-        from .logic import Model, evaluate, parse
-
-        return evaluate(Model(frame, valuation), parse(spec[1:]))
-    if isinstance(spec, str):
-        return frame.mask(n.strip() for n in spec.split(",") if n.strip())
-    raise ProtocolError(f"cannot read world set from {spec!r}")
-
-
 def load_scenario(path: str) -> Scenario:
     """Load a simulation scenario file::
 
         { "schema": 1,
           "frame": "model.json",
-          "target": "x,z" | "@formula" | ["x","z"],
+          "target": "x,z" | "@formula" | "formula" | ["x","z"],
           "protocol": {"type": "synthesized", "success_target": "x,z"?}
                     | {"type": "explicit",
                        "strategies": {"a": [{"evidence": ["x"], "verdict": "yes"}]}},
@@ -398,7 +373,8 @@ def load_scenario(path: str) -> Scenario:
           "seed": 7,
           "step_cap": 12? }
 
-    The frame path is relative to the scenario file.
+    The frame path is relative to the scenario file. ``target`` and
+    ``success_target`` are read by ``logic.world_set``, as the CLI's flags are.
     """
     try:
         with open(path) as fh:
@@ -426,12 +402,11 @@ def load_scenario(path: str) -> Scenario:
         if not os.path.isabs(frame_path):
             frame_path = os.path.join(os.path.dirname(os.path.abspath(path)), frame_path)
         frame, valuation = load_frame_file(frame_path)
-        target = _parse_world_set(frame, valuation, data["target"])
+        model = Model(frame, valuation)
+        target = world_set(model, data["target"])
         if proto_spec.get("type") == "synthesized":
             chosen = proto_spec.get("success_target")
-            success = (
-                None if chosen is None else _parse_world_set(frame, valuation, chosen)
-            )
+            success = None if chosen is None else world_set(model, chosen)
             protocol = synthesize(frame, target, success)
         elif proto_spec.get("type") == "explicit":
             table = proto_spec["strategies"]

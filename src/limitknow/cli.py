@@ -12,33 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .attest import ProtocolError, load_scenario, run_scenario, synthesize, verify_protocol
 from .frame import FrameError, ResourceLimitError
 from .hierarchy import closed_rank, open_rank
 from .laws import law_battery
-from .logic import EvalError, Model, ParseError, check, evaluate, parse
+from .logic import EvalError, Model, ParseError, check, evaluate, parse, world_set
 
 OK, PROPERTY_FAILED, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
-
-
-def _world_set(model: Model, spec: str) -> int:
-    """Resolve a world-set flag: ``@formula`` forces formula evaluation;
-    otherwise comma-separated world names, falling back to a formula when
-    some name is not a world."""
-    if spec.startswith("@"):
-        return evaluate(model, parse(spec[1:]))
-    names = [n.strip() for n in spec.split(",") if n.strip()]
-    worlds = set(model.frame.worlds)
-    if names and all(n in worlds for n in names):
-        return model.frame.mask(names)
-    try:
-        return evaluate(model, parse(spec))
-    except (ParseError, EvalError):
-        unknown = [n for n in names if n not in worlds]
-        raise FrameError(
-            f"not a world list (unknown: {unknown}) and not an evaluable formula: {spec!r}"
-        ) from None
 
 
 def _names(model: Model, mask: int) -> list[str]:
@@ -82,7 +64,7 @@ def _cmd_eval(args) -> int:
 def _cmd_rank(args) -> int:
     model = Model.from_file(args.model)
     topo = model.frame.topology(args.agent)
-    s = _world_set(model, args.set)
+    s = world_set(model, args.set)
     open_r = open_rank(topo, s)
     closed_r = closed_rank(topo, s)
 
@@ -131,8 +113,8 @@ def _cmd_ops(args) -> int:
         raise FrameError(f"operator {op} does not take --agent")
     if op in _BINARY_OPS and not args.witness:
         raise FrameError(f"operator {op} needs --witness")
-    p = _world_set(model, args.set)
-    w = _world_set(model, args.witness) if args.witness else None
+    p = world_set(model, args.set)
+    w = world_set(model, args.witness) if args.witness else None
     if op == "R":
         out = ctx.reason(args.agent, p)
     elif op == "S":
@@ -154,8 +136,8 @@ def _cmd_ops(args) -> int:
 
 def _cmd_synth(args) -> int:
     model = Model.from_file(args.model)
-    target_prop = _world_set(model, args.prop)
-    success = _world_set(model, args.target) if args.target else None
+    target_prop = world_set(model, args.prop)
+    success = world_set(model, args.target) if args.target else None
     try:
         protocol = synthesize(model.frame, target_prop, success)
     except ProtocolError as exc:
@@ -218,24 +200,7 @@ def _cmd_laws(args) -> int:
     lines.append("all laws hold" if report.ok else f"{report.total_failures} failures")
     _emit(
         args,
-        {
-            "ok": report.ok,
-            "results": [
-                {
-                    "name": r.name,
-                    "trials": r.trials,
-                    "informative": r.informative,
-                    "failures": [
-                        {
-                            "instantiation": f.instantiation,
-                            "counterexamples": list(f.counterexamples),
-                        }
-                        for f in r.failures
-                    ],
-                }
-                for r in report.results
-            ],
-        },
+        {"ok": report.ok, "results": [asdict(r) for r in report.results]},
         lines,
     )
     return OK if report.ok else PROPERTY_FAILED

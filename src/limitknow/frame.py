@@ -83,6 +83,10 @@ class BasisViolation:
 class BasisReport:
     ok: bool
     violations: tuple[BasisViolation, ...]
+    # Per world position, the intersection of the elements containing that
+    # world (0 where none does). For a valid basis that is each world's
+    # minimal neighborhood, which directedness makes an element itself.
+    neighborhoods: tuple[int, ...]
 
 
 def _meets(elements: Sequence[int], universe: int) -> list[int]:
@@ -97,7 +101,8 @@ def _meets(elements: Sequence[int], universe: int) -> list[int]:
 
 def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     """Check the two basis conditions (cover, local directedness) plus the
-    ingestion rules (non-empty, within universe, no duplicates).
+    ingestion rules (non-empty, within universe, no duplicates), and report
+    each world's least evidence.
 
     Violations are data, not faults: the report lists every failed condition
     with a witness. The elements at a world are directed there exactly when
@@ -105,14 +110,6 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     least member, and any member below all of them is their intersection), so
     the pairwise search for witnesses runs only at worlds failing that test.
     """
-    return _validate(elements, universe)[0]
-
-
-def _validate(elements: Sequence[int], universe: int) -> tuple[BasisReport, tuple[int, ...]]:
-    """``validate_basis``'s report plus, per world position, the intersection
-    of the elements containing that world (0 where none does). For a valid
-    basis that is each world's minimal neighborhood, which directedness makes
-    an element itself."""
     found: list[BasisViolation] = []
     seen: set[int] = set()
     for e in elements:
@@ -140,18 +137,7 @@ def _validate(elements: Sequence[int], universe: int) -> tuple[BasisReport, tupl
                         BasisViolation("not-directed", element=e1, other=e2, world=w)
                     )
     nbhd = tuple(0 if m == -1 else m for m in meets)
-    return BasisReport(not found, tuple(found)), nbhd
-
-
-def subspace_basis(basis: Sequence[int], evidence: int) -> tuple[int, ...]:
-    """Restrict a basis to the elements contained in ``evidence``.
-
-    ``evidence`` must itself be a basis element; the result is then a valid
-    basis over ``evidence`` (cover follows from directedness).
-    """
-    if evidence not in basis:
-        raise FrameError("subspace root is not a basis element")
-    return tuple(e for e in basis if e & ~evidence == 0)
+    return BasisReport(not found, tuple(found), nbhd)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +205,12 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
         universe = 0
         for e in basis:
             universe |= e
-    report, nbhd = _validate(basis, universe)
+    report = validate_basis(basis, universe)
     if not report.ok:
         raise FrameError(
             "invalid basis: " + "; ".join(v.describe() for v in report.violations)
         )
-    return Topology(universe, nbhd)
+    return Topology(universe, report.neighborhoods)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +260,11 @@ class Frame:
 
         for a in agents:
             _check_tolerance(a)
-            report, nbhd = _validate(a.basis, self.universe)
+            report = validate_basis(a.basis, self.universe)
             if not report.ok:
                 detail = "; ".join(v.describe(worlds) for v in report.violations)
                 raise FrameError(f"agent {a.name}: invalid basis: {detail}")
-            self._topologies[a.name] = Topology(self.universe, nbhd)
+            self._topologies[a.name] = Topology(self.universe, report.neighborhoods)
 
     # -- world-set conversions ------------------------------------------
 
@@ -314,9 +300,13 @@ class Frame:
             raise FrameError(f"unknown agent {agent!r}") from None
 
     def subspace(self, agent: str, evidence: int) -> Topology:
-        """Subspace topology over a basis element, generated by the restricted
-        basis; a test oracle that no operator calls."""
-        return generate_topology(subspace_basis(self.agent(agent).basis, evidence), evidence)
+        """Subspace topology over a basis element, generated by the elements
+        inside it (cover follows from directedness); a test oracle that no
+        operator calls."""
+        basis = self.agent(agent).basis
+        if evidence not in basis:
+            raise FrameError("subspace root is not a basis element")
+        return generate_topology(tuple(e for e in basis if e & ~evidence == 0), evidence)
 
     # -- evidence queries --------------------------------------------------
 

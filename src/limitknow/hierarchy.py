@@ -176,9 +176,6 @@ class DecisionMethod:
 
     verdicts: Mapping[int, Verdict]
 
-    def verdict(self, evidence: int) -> Verdict:
-        return self.verdicts[evidence]
-
 
 def check_method(method: DecisionMethod, basis: Sequence[int]) -> None:
     if set(method.verdicts) != set(basis):
@@ -291,10 +288,7 @@ def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> Decis
 
 
 def chain_from_method(
-    method: DecisionMethod,
-    basis: Sequence[int],
-    n: int,
-    topology: Topology | None = None,
+    method: DecisionMethod, basis: Sequence[int], n: int
 ) -> DescendingOpenChain:
     """Build a witness chain of n+1 opens for a method with at most n switches
     after saying Yes, by layering the evidence sets where the verdict
@@ -302,8 +296,6 @@ def chain_from_method(
     """
     if max_switches(method, basis, Verdict.YES).switches > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    if topology is None:
-        topology = generate_topology(basis)
 
     layer = [e for e in basis if method.verdicts[e] is Verdict.YES]
     opens = []
@@ -319,4 +311,4 @@ def chain_from_method(
             if method.verdicts[e2] is want
             and any(e2 & ~e == 0 for e in layer)
         ]
-    return DescendingOpenChain(topology, tuple(opens))
+    return DescendingOpenChain(generate_topology(basis), tuple(opens))

@@ -140,11 +140,6 @@ DERIVED: dict[str, Schema] = {
     ),
 }
 
-RULE_NAMES = ("rule_R", "rule_I", "rule_G", "rule_C")
-
-ALL_LAW_NAMES = tuple(AXIOMS) + tuple(DERIVED) + RULE_NAMES
-
-
 # ---------------------------------------------------------------------------
 # random instantiation
 
@@ -224,78 +219,82 @@ def _conj_over_agents(agents: Sequence[str], make: Callable[[str], Formula]) -> 
 
 
 # ---------------------------------------------------------------------------
-# rule checks
+# laws
+#
+# A law turns one trial (the trial model, the seeded generator, the pool of
+# atoms, the agent names, the trial index) into premises, a conclusion and
+# the model to check them on. A schema is a law with no premises. Rules build
+# one variant in three with provably valid premises (a valid formula for the
+# premise-only rules, a semantically constructed fixed point for the rules
+# with side conditions) so every rule is exercised non-vacuously; the rest
+# are random and usually vacuous.
+
+Instance = tuple[list[Formula], Formula, Model]
+Law = Callable[[Model, random.Random, Sequence[Formula], Sequence[str], int], Instance]
 
 
-def _rule_instance(
-    name: str,
-    model: Model,
-    trial_model: Model,
-    rng: random.Random,
-    pool: Sequence[Formula],
-    agents: Sequence[str],
-    k: int,
-) -> tuple[list[Formula], Formula, Model]:
-    """Premises and conclusion for one rule trial.
+def _schema_law(build: Schema) -> Law:
+    def law(model, rng, pool, agents, k):
+        i = rng.choice(agents)
+        fs = [_metavariable(rng, pool, agents) for _ in range(3)]
+        return [], build(i, fs), model
 
-    One variant in three is built to have provably valid premises (a valid
-    formula for the premise-only rules, a semantically constructed fixed
-    point for the rules with side conditions) so every rule is exercised
-    non-vacuously; the rest are random and usually vacuous.
-    """
+    return law
+
+
+def _premise_candidate(rng, pool, agents, variant: int) -> Formula:
+    if variant == 0:
+        return TOP
+    if variant == 1:
+        g = _metavariable(rng, pool, agents)
+        return Imp(g, g)  # a guaranteed-valid premise
+    return _metavariable(rng, pool, agents)
+
+
+def _rule_R(model, rng, pool, agents, k) -> Instance:
+    f = _premise_candidate(rng, pool, agents, k % 3)
+    i = rng.choice(agents)
+    return [f], Reason(i, f), model
+
+
+def _rule_I(model, rng, pool, agents, k) -> Instance:
+    f2 = _premise_candidate(rng, pool, agents, k % 3)
+    i = rng.choice(agents)
+    return [f2], Indicates(i, _metavariable(rng, pool, agents), f2), model
+
+
+def _rule_G(model, rng, pool, agents, k) -> Instance:
     mv = lambda: _metavariable(rng, pool, agents)
-    universe = model.frame.universe
-
-    def premise_candidate(variant: int) -> Formula:
-        if variant == 0:
-            return TOP
-        if variant == 1:
-            g = mv()
-            return Imp(g, g)  # a guaranteed-valid premise
-        return mv()
-
-    if name == "rule_R":
-        f = premise_candidate(k % 3)
-        i = rng.choice(agents)
-        return [f], Reason(i, f), trial_model
-
-    if name == "rule_I":
-        f2 = premise_candidate(k % 3)
-        i = rng.choice(agents)
-        return [f2], Indicates(i, mv(), f2), trial_model
-
-    if name == "rule_G":
-        variant = k % 3
-        if variant == 0:
-            # A generated-knowledge extension satisfies both premises exactly.
-            w_mask = rng.randrange(universe + 1)
-            p_mask = rng.randrange(universe + 1)
-            ctx = trial_model.context
-            g_mask = ctx.generates(w_mask, p_mask)
-            bound = trial_model.with_valuation(
-                {**trial_model.valuation, "_w": w_mask, "_p": p_mask, "_g": g_mask}
-            )
-            f1, f2, f3 = Prop("_w"), Prop("_p"), Prop("_g")
-            trial_model = bound
-        elif variant == 1:
-            f1, f2, f3 = mv(), mv(), BOT
-        else:
-            f1, f2, f3 = mv(), mv(), mv()
-        premises = [
-            Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f3))),
-            Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f2))),
-        ]
-        return premises, Imp(f3, Generates(f1, f2)), trial_model
-
     variant = k % 3
     if variant == 0:
+        # A generated-knowledge extension satisfies both premises exactly.
+        universe = model.frame.universe
+        w_mask = rng.randrange(universe + 1)
         p_mask = rng.randrange(universe + 1)
-        c_mask = trial_model.context.common(p_mask)
-        bound = trial_model.with_valuation(
-            {**trial_model.valuation, "_p": p_mask, "_c": c_mask}
+        g_mask = model.context.generates(w_mask, p_mask)
+        model = model.with_valuation(
+            {**model.valuation, "_w": w_mask, "_p": p_mask, "_g": g_mask}
         )
+        f1, f2, f3 = Prop("_w"), Prop("_p"), Prop("_g")
+    elif variant == 1:
+        f1, f2, f3 = mv(), mv(), BOT
+    else:
+        f1, f2, f3 = mv(), mv(), mv()
+    premises = [
+        Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f3))),
+        Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f2))),
+    ]
+    return premises, Imp(f3, Generates(f1, f2)), model
+
+
+def _rule_C(model, rng, pool, agents, k) -> Instance:
+    mv = lambda: _metavariable(rng, pool, agents)
+    variant = k % 3
+    if variant == 0:
+        p_mask = rng.randrange(model.frame.universe + 1)
+        c_mask = model.context.common(p_mask)
+        model = model.with_valuation({**model.valuation, "_p": p_mask, "_c": c_mask})
         f1, f2 = Prop("_c"), Prop("_p")
-        trial_model = bound
     elif variant == 1:
         f1, f2 = BOT, mv()
     else:
@@ -304,7 +303,21 @@ def _rule_instance(
         Imp(f1, _conj_over_agents(agents, lambda a: TrueReason(a, f1))),
         Imp(f1, f2),
     ]
-    return premises, Imp(f1, Common(f2)), trial_model
+    return premises, Imp(f1, Common(f2)), model
+
+
+RULES: dict[str, Law] = {
+    "rule_R": _rule_R,
+    "rule_I": _rule_I,
+    "rule_G": _rule_G,
+    "rule_C": _rule_C,
+}
+LAWS: dict[str, Law] = {
+    **{name: _schema_law(build) for name, build in {**AXIOMS, **DERIVED}.items()},
+    **RULES,
+}
+RULE_NAMES = tuple(RULES)
+ALL_LAW_NAMES = tuple(LAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +328,8 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     """Check every axiom schema, inference rule, and derived rule on random
     instantiations over the model. Per-trial seeds are derived from the law
     name and trial index, so reports are reproducible regardless of the order
-    laws are run in.
+    laws are run in. A trial whose premises fail is not informative and
+    checks no conclusion.
     """
     results: list[LawResult] = []
     # One generator, reseeded per trial: ``seed`` sets the same state (and
@@ -326,31 +340,20 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
     agents = [a.name for a in model.frame.agents]
 
-    for name, build in {**AXIOMS, **DERIVED}.items():
+    for name, law in LAWS.items():
         failures: list[LawFailure] = []
-        for k in range(trials):
-            rng.seed(f"{seed}:{name}:{k}")
-            trial_model = _trial_setup(model, rng)
-            i = rng.choice(agents)
-            fs = [_metavariable(rng, pool, agents) for _ in range(3)]
-            inst = build(i, fs)
-            res = check(trial_model, inst)
-            if not res.valid:
-                failures.append(LawFailure(print_formula(inst), res.counterexamples))
-        results.append(LawResult(name, trials, trials, tuple(failures)))
-
-    for name in RULE_NAMES:
-        failures = []
         informative = 0
         for k in range(trials):
             rng.seed(f"{seed}:{name}:{k}")
-            trial_model = _trial_setup(model, rng)
-            premises, conclusion, bound_model = _rule_instance(
-                name, model, trial_model, rng, pool, agents, k
+            premises, conclusion, trial_model = law(
+                _trial_setup(model, rng), rng, pool, agents, k
             )
-            if all(check(bound_model, p).valid for p in premises):
+            for p in premises:
+                if not check(trial_model, p).valid:
+                    break
+            else:
                 informative += 1
-                res = check(bound_model, conclusion)
+                res = check(trial_model, conclusion)
                 if not res.valid:
                     failures.append(
                         LawFailure(print_formula(conclusion), res.counterexamples)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .frame import Frame, FrameError
+from .frame import Frame, FrameError, _is_names, load_frame, load_frame_file
 from .operators import OperatorContext
 
 
@@ -422,17 +422,11 @@ class Model:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Model":
-        from .frame import load_frame
-
-        frame, valuation = load_frame(data)
-        return cls(frame, valuation)
+        return cls(*load_frame(data))
 
     @classmethod
     def from_file(cls, path: str) -> "Model":
-        from .frame import load_frame_file
-
-        frame, valuation = load_frame_file(path)
-        return cls(frame, valuation)
+        return cls(*load_frame_file(path))
 
 
 class _Evaluator:
@@ -524,3 +518,26 @@ def check(model: Model, f: Formula) -> CheckResult:
     if not missing:
         return CheckResult(True, ())
     return CheckResult(False, model.frame.names(missing))
+
+
+def world_set(model: Model, spec) -> int:
+    """Read a world set, as CLI flags and scenario files give it: a list of
+    world names; ``@formula``, evaluated; a comma string of names when all
+    of them are worlds; otherwise the string is read as a formula."""
+    if _is_names(spec):
+        return model.frame.mask(spec)
+    if not isinstance(spec, str):
+        raise FrameError(f"cannot read a world set from {spec!r:.40}")
+    if spec.startswith("@"):
+        return evaluate(model, parse(spec[1:]))
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    worlds = set(model.frame.worlds)
+    if names and all(n in worlds for n in names):
+        return model.frame.mask(names)
+    try:
+        return evaluate(model, parse(spec))
+    except (ParseError, EvalError):
+        unknown = [n for n in names if n not in worlds]
+        raise FrameError(
+            f"not a world list (unknown: {unknown}) and not an evaluable formula: {spec!r}"
+        ) from None

@@ -86,6 +86,15 @@ def random_basis(rng: random.Random, n_worlds: int, max_seeds: int = 4) -> tuple
     return basis
 
 
+def subspace_basis(basis: tuple[int, ...], evidence: int) -> tuple[int, ...]:
+    """Restrict a basis to the elements contained in ``evidence``, which must
+    itself be a basis element; the result is then a valid basis over
+    ``evidence`` (cover follows from directedness)."""
+    if evidence not in basis:
+        raise FrameError("subspace root is not a basis element")
+    return tuple(e for e in basis if e & ~evidence == 0)
+
+
 def random_frame(
     rng: random.Random,
     max_worlds: int = 6,

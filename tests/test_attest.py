@@ -377,6 +377,25 @@ def test_scenario_round_trip(tmp_path, fixtures_dir):
     assert payload["schema"] == 1 and payload["limits"]["a"] == "yes"
 
 
+def test_scenario_target_reads_a_bare_formula(tmp_path, fixtures_dir):
+    # "p" names no world, so it reads as the formula p, exactly as "@p" does.
+    path = tmp_path / "scenario.json"
+    reports = []
+    for target in ("p", "@p"):
+        scenario = {
+            "frame": str(fixtures_dir) + "/model3.json",
+            "target": target,
+            "protocol": {"type": "synthesized", "success_target": "z"},
+            "world": "x",
+            "seed": 3,
+        }
+        path.write_text(json.dumps(scenario))
+        loaded = load_scenario(str(path))
+        assert loaded.target == 0b101
+        reports.append(run_scenario(loaded))
+    assert reports[0] == reports[1]
+
+
 def test_scenario_explicit_protocol_and_errors(tmp_path, fixtures_dir):
     scenario = {
         "frame": str(fixtures_dir) + "/model3.json",

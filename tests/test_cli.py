@@ -7,6 +7,8 @@ import pytest
 
 from limitknow.attest import MAX_STEPS
 from limitknow.cli import main
+from limitknow.logic import Model
+from limitknow.operators import OperatorContext
 from randgen import with_field
 
 MODEL = os.path.join(os.path.dirname(__file__), "fixtures", "model3.json")
@@ -74,12 +76,34 @@ def test_rank_infinite_is_reported(capsys, tmp_path):
     assert payload["open_witness"] is None
 
 
-def test_ops_agrees_with_eval(capsys):
-    code, by_ops, _ = run_json(capsys, "ops", "-m", MODEL, "-a", "a", "--op", "S", "-p", "x,z")
+@pytest.mark.parametrize(
+    "op, flags, formula",
+    [
+        ("R", ["-a", "a"], "R[a] p"),
+        ("S", ["-a", "a"], "S[a] p"),
+        ("I", ["-a", "a", "-w", "z"], "I[a @ R[a] p] p"),
+        ("B", ["-a", "a", "-w", "z"], "B[a @ R[a] p] p"),
+        ("G", ["-w", "z"], "G[R[a] p] p"),
+        ("C", [], "C p"),
+    ],
+    ids=["R", "S", "I", "B", "G", "C"],
+)
+def test_ops_agrees_with_eval(capsys, op, flags, formula):
+    # In the model, p is {x,z} and R[a] p is {z}.
+    code, by_ops, _ = run_json(capsys, "ops", "-m", MODEL, "--op", op, "-p", "x,z", *flags)
     assert code == 0
-    code, by_eval, _ = run_json(capsys, "eval", "-m", MODEL, "-f", "S[a] p")
+    code, by_eval, _ = run_json(capsys, "eval", "-m", MODEL, "-f", formula)
     assert code == 0
     assert by_ops["result"] == by_eval["extension"]
+
+
+def test_ops_lewis_common_agrees_with_the_operator(capsys):
+    model = Model.from_file(MODEL)
+    for spec in ("x,z", "y,z", "z", "x,y,z"):
+        code, payload, _ = run_json(capsys, "ops", "-m", MODEL, "--op", "L", "-p", spec)
+        assert code == 0
+        expected = model.context.lewis_common(model.frame.mask(spec.split(",")))
+        assert payload["result"] == list(model.frame.names(expected))
 
 
 def test_ops_formula_operand_and_witness(capsys):
@@ -138,6 +162,23 @@ def test_laws_clean_run_exits_zero(capsys):
     assert code == 0 and payload["ok"] is True
     names = [r["name"] for r in payload["results"]]
     assert "ax_S4" in names and "rule_G" in names
+
+
+def test_laws_failure_exits_one_with_the_failing_instances(capsys, monkeypatch):
+    monkeypatch.setattr(OperatorContext, "true_reason", lambda self, agent, p: self.frame.universe)
+    code, payload, _ = run_json(capsys, "laws", "-m", MODEL, "--trials", "4")
+    assert code == 1 and payload["ok"] is False
+    failing = [r for r in payload["results"] if r["failures"]]
+    assert [r["name"] for r in failing] == ["ax_S2"]
+    assert failing[0]["failures"][0] == {
+        "instantiation": "S[a] _m3 -> _m3",
+        "counterexamples": ["x", "y"],
+    }
+    code, out, _ = run(capsys, "laws", "-m", MODEL, "--trials", "4")
+    assert code == 1
+    assert "ax_S2                  trials=4    informative=4    3 FAILURES\n" in out
+    assert "    S[a] _m3 -> _m3  fails at x, y\n" in out
+    assert out.endswith("\n3 failures\n")
 
 
 def test_json_payloads_are_schema_stable(capsys):
@@ -262,6 +303,13 @@ EXPLICIT = {"type": "explicit", "strategies": {"a": [{"evidence": ["z"], "verdic
         (("world",), ["z"]),
         (("target",), [["z"]]),
         (("frame",), 5),
+        (("target",), ""),
+        (("target",), "x,ghost"),
+        (("protocol",), dict(EXPLICIT, strategies={"a": [
+            {"evidence": ["x", "y", "z"], "verdict": "defer"},
+            {"evidence": ["y", "z"], "verdict": "defer"},
+            {"evidence": ["z"], "verdict": "maybe"},
+        ]})),
     ],
 )
 def test_malformed_scenario_is_one_error_line(capsys, tmp_path, path, value):

@@ -4,6 +4,8 @@ verdicts, plus the large frames that only the closed forms can handle."""
 
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -147,7 +149,9 @@ def test_gives_reason_matches_subspace_loop():
 
 def pairwise_validate(elements, universe):
     """The definition: every pair of elements at a world has an element at
-    that world inside their intersection."""
+    that world inside their intersection; each world's least evidence is the
+    intersection of every element at it (0 at an uncovered world or a
+    position outside the universe)."""
     found = []
     seen = set()
     for e in elements:
@@ -158,11 +162,13 @@ def pairwise_validate(elements, universe):
         if e in seen:
             found.append(BasisViolation("duplicate-element", element=e))
         seen.add(e)
+    least = [0] * universe.bit_length()
     for w in bits(universe):
         at_w = [e for e in elements if (e >> w) & 1]
         if not at_w:
             found.append(BasisViolation("uncovered-world", world=w))
             continue
+        least[w] = reduce(and_, at_w)
         for i, e1 in enumerate(at_w):
             for e2 in at_w[i + 1 :]:
                 meet = e1 & e2
@@ -170,7 +176,7 @@ def pairwise_validate(elements, universe):
                     found.append(
                         BasisViolation("not-directed", element=e1, other=e2, world=w)
                     )
-    return BasisReport(not found, tuple(found))
+    return BasisReport(not found, tuple(found), tuple(least))
 
 
 def test_validate_basis_matches_pairwise_on_every_small_family():

@@ -16,10 +16,9 @@ from limitknow.frame import (
     generate_topology,
     load_frame,
     submasks,
-    subspace_basis,
     validate_basis,
 )
-from randgen import random_basis, random_frame
+from randgen import random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
 V = 0b010  # world v
@@ -190,6 +189,16 @@ def test_frame_rejects_bad_inputs():
         Frame(["x"], [AgentSpec("a", (1,), -1)])
     with pytest.raises(FrameError):  # duplicate agent names
         Frame(["x"], [AgentSpec("a", (1,), 0), AgentSpec("a", (1,), 0)])
+
+
+def test_frame_errors_name_the_empty_element_and_the_uncovered_world():
+    with pytest.raises(FrameError, match="agent a: invalid basis: basis element is empty"):
+        Frame(["u", "v"], [AgentSpec("a", (0, U | V), 0)])
+    with pytest.raises(FrameError, match="agent a: invalid basis: world v is in no basis element"):
+        Frame(["u", "v"], [AgentSpec("a", (U,), 0)])
+    frame = Frame(["u", "v"], [AgentSpec("a", (U | V, U), 0)])
+    with pytest.raises(FrameError, match="subspace root is not a basis element"):
+        frame.subspace("a", V)
 
 
 def test_load_frame_roundtrip_and_errors():

@@ -455,7 +455,7 @@ def test_chain_method_round_trips():
             verdicts = {e: rng.choice((YES, NO)) for e in basis}
             method = DecisionMethod(verdicts)
             bound = max_switches(method, basis, YES).switches
-            chain = chain_from_method(method, basis, bound, topo)
+            chain = chain_from_method(method, basis, bound)
             assert chain.evaluate() == limit_yes_set(method, basis)
             assert len(chain.sets) == bound + 1
 

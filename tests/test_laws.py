@@ -27,6 +27,7 @@ from limitknow.logic import (
     check,
     print_formula,
 )
+from limitknow.operators import OperatorContext
 from randgen import random_frame
 
 
@@ -61,6 +62,17 @@ def test_rules_are_exercised_non_vacuously(chain_model):
     by_name = {r.name: r for r in report.results}
     for rule in ("rule_R", "rule_I", "rule_G", "rule_C"):
         assert by_name[rule].informative >= 3
+
+
+def test_battery_reports_failures_of_a_broken_operator(chain_model, monkeypatch):
+    # S that holds everywhere breaks truthfulness (ax_S2) and nothing else
+    # the battery draws on this model at 4 trials.
+    monkeypatch.setattr(OperatorContext, "true_reason", lambda self, agent, p: self.frame.universe)
+    report = law_battery(chain_model, trials=4)
+    failing = [r for r in report.results if not r.ok]
+    assert [r.name for r in failing] == ["ax_S2"]
+    assert not report.ok and report.total_failures == len(failing[0].failures) == 3
+    assert failing[0].failures[0] == laws.LawFailure("S[a] _m3 -> _m3", ("x", "y"))
 
 
 def test_indication_reflexivity_instance(chain_model):

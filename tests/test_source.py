@@ -1,9 +1,12 @@
 """Source-level guards on the library itself."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import limitknow
+import limitknow.cli  # the tracer patches modules found in sys.modules
 
 
 def test_library_has_no_assert_statements():
@@ -13,3 +16,38 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+BENCH_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MODEL = Path(__file__).resolve().parent / "fixtures" / "model3.json"
+
+
+def load_tracing():
+    """bench/tracing.py as a module, compiled from its text so that nothing
+    is written next to it."""
+    module = types.ModuleType("tracing")
+    module.__file__ = str(BENCH_TRACING)
+    exec(compile(BENCH_TRACING.read_text(), str(BENCH_TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_tracer_target_resolves():
+    tracing = load_tracing()
+    for _, module, attr in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner) or isinstance(owner, property), (module, attr)
+
+
+def test_tracer_sees_frame_validation():
+    # The tracer wraps validate_basis by name in every limitknow module; a
+    # frame that validated through another function would read 0 calls.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        limitknow.frame.load_frame_file(str(MODEL))
+    finally:
+        tracer.uninstall()
+    assert tracer.summary(1, 0.0)["frame.validate_basis_calls"] >= 1
