@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file
@@ -188,10 +188,7 @@ def synthesize(
     elif success_target & ~target_prop:
         raise ProtocolError("success target must be a subset of the proposition")
     return AttestationProtocol(
-        tuple(
-            _strategy_for_success_set(frame, a.name, success_target)
-            for a in frame.agents
-        )
+        tuple([_strategy_for_success_set(frame, a.name, success_target) for a in frame.agents])
     )
 
 
@@ -256,7 +253,13 @@ class SimulationReport:
     faults: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {"schema": 1, **asdict(self)}
+        return {
+            "schema": 1,
+            **vars(self),
+            "traces": dict(self.traces),
+            "limits": dict(self.limits),
+            "shame": [dict(vars(e)) for e in self.shame],
+        }
 
 
 def simulate(
@@ -306,21 +309,21 @@ def simulate(
     for name in agent_names:
         if name in fault_set:
             rng = random.Random(f"{seed}:{name}")
-            traces[name] = tuple(rng.choice((ATTEST, DEFER)) for _ in range(horizon))
+            traces[name] = tuple([rng.choice((ATTEST, DEFER)) for _ in range(horizon)])
         else:
             strategy = protocol.strategy(name)
             chain = streams[name].chain
-            traces[name] = tuple(
+            traces[name] = tuple([
                 strategy.verdicts[chain[min(t, len(chain) - 1)]] for t in range(horizon)
-            )
+            ])
 
     majority = len(agent_names) / 2
-    aggregator = tuple(
+    aggregator = tuple([
         ATTEST
         if sum(traces[n][t] == ATTEST for n in agent_names) > majority
         else DEFER
         for t in range(horizon)
-    )
+    ])
 
     limits = {name: traces[name][-1] for name in agent_names}
     honest = [n for n in agent_names if n not in fault_set]

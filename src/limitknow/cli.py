@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from functools import cache
 
 from .attest import ProtocolError, load_scenario, run_scenario, synthesize, verify_protocol
 from .frame import FrameError, ResourceLimitError
@@ -111,10 +111,10 @@ def _cmd_ops(args) -> int:
         raise FrameError(f"operator {op} needs --agent")
     if op not in _AGENT_OPS and args.agent:
         raise FrameError(f"operator {op} does not take --agent")
-    if op in _BINARY_OPS and not args.witness:
+    if op in _BINARY_OPS and args.witness is None:
         raise FrameError(f"operator {op} needs --witness")
     p = world_set(model, args.set)
-    w = world_set(model, args.witness) if args.witness else None
+    w = None if args.witness is None else world_set(model, args.witness)
     if op == "R":
         out = ctx.reason(args.agent, p)
     elif op == "S":
@@ -137,7 +137,7 @@ def _cmd_ops(args) -> int:
 def _cmd_synth(args) -> int:
     model = Model.from_file(args.model)
     target_prop = world_set(model, args.prop)
-    success = world_set(model, args.target) if args.target else None
+    success = None if args.target is None else world_set(model, args.target)
     try:
         protocol = synthesize(model.frame, target_prop, success)
     except ProtocolError as exc:
@@ -198,11 +198,10 @@ def _cmd_laws(args) -> int:
         for f in r.failures[:5]:
             lines.append(f"    {f.instantiation}  fails at {', '.join(f.counterexamples)}")
     lines.append("all laws hold" if report.ok else f"{report.total_failures} failures")
-    _emit(
-        args,
-        {"ok": report.ok, "results": [asdict(r) for r in report.results]},
-        lines,
-    )
+    results = [
+        {**vars(r), "failures": [dict(vars(f)) for f in r.failures]} for r in report.results
+    ]
+    _emit(args, {"ok": report.ok, "results": results}, lines)
     return OK if report.ok else PROPERTY_FAILED
 
 
@@ -210,7 +209,9 @@ def _cmd_laws(args) -> int:
 # argument wiring
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="limitknow",
         description="finite-frame engine for inductive knowledge operators",
@@ -267,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (FrameError, ParseError, EvalError, ProtocolError) as exc:

@@ -136,7 +136,7 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
                     found.append(
                         BasisViolation("not-directed", element=e1, other=e2, world=w)
                     )
-    nbhd = tuple(0 if m == -1 else m for m in meets)
+    nbhd = tuple([0 if m == -1 else m for m in meets])
     return BasisReport(not found, tuple(found), nbhd)
 
 
@@ -283,7 +283,7 @@ class Frame:
     def names(self, mask: int) -> tuple[str, ...]:
         if mask & ~self.universe:
             raise FrameError("world set has members outside this frame")
-        return tuple(self.worlds[i] for i in bits(mask))
+        return tuple([self.worlds[i] for i in bits(mask)])
 
     # -- agents and topologies -------------------------------------------
 
@@ -306,7 +306,7 @@ class Frame:
         basis = self.agent(agent).basis
         if evidence not in basis:
             raise FrameError("subspace root is not a basis element")
-        return generate_topology(tuple(e for e in basis if e & ~evidence == 0), evidence)
+        return generate_topology(tuple([e for e in basis if e & ~evidence == 0]), evidence)
 
     # -- evidence queries --------------------------------------------------
 
@@ -321,7 +321,7 @@ class Frame:
     def evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
         """All basis elements of ``agent`` containing the world."""
         w = self.position(world)
-        return tuple(e for e in self.agent(agent).basis if (e >> w) & 1)
+        return tuple([e for e in self.agent(agent).basis if (e >> w) & 1])
 
     def minimal_evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
         """The inclusion-minimal elements of ``evidence_at``: the single least
@@ -333,10 +333,10 @@ class Frame:
         """A frame with the same worlds and bases but re-assigned tolerances.
         The bases are not validated again, and the topologies are shared
         (tolerances do not affect topologies)."""
-        agents = tuple(
+        agents = tuple([
             AgentSpec(a.name, a.basis, tolerances.get(a.name, a.tolerance))
             for a in self.agents
-        )
+        ])
         for a in agents:
             _check_tolerance(a)
         out = copy.copy(self)
@@ -407,7 +407,7 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
         name, tolerance, basis = spec["name"], spec["tolerance"], spec["basis"]
         if not isinstance(name, str) or not _is_int(tolerance) or not isinstance(basis, list):
             raise FrameError(f"agent {name!r}: needs a string name, integer tolerance, basis list")
-        basis = tuple(to_mask(e, f"basis of agent {name!r}") for e in basis)
+        basis = tuple([to_mask(e, f"basis of agent {name!r}") for e in basis])
         agents.append(AgentSpec(name, basis, tolerance))
 
     masks = {str(p): to_mask(ws, f"valuation of {p!r}") for p, ws in valuation.items()}

@@ -21,6 +21,7 @@ from .logic import (
     And,
     BelievesVia,
     Common,
+    EvalError,
     Formula,
     Generates,
     Iff,
@@ -150,7 +151,7 @@ _KINDS = ("not", "and", "or", "imp", "iff", "R", "S", "I", "B", "G", "C")
 _CUM_WEIGHTS = tuple(accumulate((10, 12, 12, 10, 6, 8, 8, 6, 6, 3, 3)))
 _TOTAL_WEIGHT = float(_CUM_WEIGHTS[-1])
 _LAST_KIND = len(_KINDS) - 1
-_INJECTED = tuple(f"_m{k}" for k in range(4))
+_INJECTED = ("_m0", "_m1", "_m2", "_m3")
 
 
 def _random_formula(
@@ -331,6 +332,8 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     laws are run in. A trial whose premises fail is not informative and
     checks no conclusion.
     """
+    if trials < 1:
+        raise EvalError(f"the battery needs at least one trial, not {trials}")
     results: list[LawResult] = []
     # One generator, reseeded per trial: ``seed`` sets the same state (and
     # clears ``gauss_next``) as a fresh ``random.Random`` with that seed.

@@ -41,7 +41,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """An unbound proposition or agent encountered during evaluation."""
+    """An unbound proposition or agent, or a battery of fewer than one trial."""
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,11 @@ class OperatorContext:
         key = (agent, w_set)
         ev = self._supporting.get(key)
         if ev is None:
-            ev = tuple(
+            ev = tuple([
                 e
                 for e in self.frame.agent(agent).basis
                 if gives_reason(self.frame, agent, w_set, e)
-            )
+            ])
             self._supporting[key] = ev
         return ev
 
@@ -144,7 +144,7 @@ class OperatorContext:
                 n = base.neighborhoods[w]
                 classes[n] = classes.get(n, 0) | (1 << w)
             topo = Topology(
-                base.universe, tuple(classes[n] if n else 0 for n in base.neighborhoods)
+                base.universe, tuple([classes[n] if n else 0 for n in base.neighborhoods])
             )
             self._skula[agent] = topo
         return topo

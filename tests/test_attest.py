@@ -3,6 +3,7 @@
 import json
 import os
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -289,6 +290,9 @@ def test_simulate_shame_events():
     causes = {(s.agent, s.cause) for s in report.shame}
     assert ("a", "false-yes") in causes
     assert ("a", "disagreement") in causes
+    # The payload reads as asdict's would, without asdict's tuple copies.
+    expected = {"schema": 1, **asdict(report)}
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_simulate_honest_limits_equal_sigma():

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from limitknow.attest import MAX_STEPS
-from limitknow.cli import main
+from limitknow.cli import build_parser, main
 from limitknow.logic import Model
 from limitknow.operators import OperatorContext
 from randgen import with_field
@@ -340,3 +340,61 @@ def test_step_cap_past_the_limit_is_a_resource_limit(capsys, tmp_path):
         if expected == 3:
             assert out == ""
             assert err == f"error: resource limit: step cap {step_cap} exceeds {MAX_STEPS} steps\n"
+
+
+EMPTY_SET = "error: not a world list (unknown: []) and not an evaluable formula: ''\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "-m", MODEL, "-p", "p", "--target", ""],
+        ["ops", "-m", MODEL, "-a", "a", "--op", "I", "-p", "x", "-w", ""],
+        ["ops", "-m", MODEL, "-a", "a", "--op", "R", "-p", "x", "-w", ""],
+        ["ops", "-m", MODEL, "--op", "C", "-p", ""],
+        ["rank", "-m", MODEL, "-a", "a", "-s", ""],
+    ],
+)
+def test_an_empty_set_flag_is_an_input_error(capsys, argv):
+    # A set flag that is given is read as a world set, even when empty.
+    assert run(capsys, *argv) == (2, "", EMPTY_SET)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_laws_needs_at_least_one_trial(capsys, trials):
+    code, out, err = run(capsys, "laws", "-m", MODEL, "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: the battery needs at least one trial, not {trials}\n"
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_share_no_state_through_the_parser(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    check = ["check", "-m", MODEL, "-f", "S[a] p -> p"]
+    usage_error = ["check", "-m", MODEL]  # -f is required
+    calls = [
+        check,
+        usage_error,
+        ["laws", "-m", MODEL, "--trials", "3", "--json"],
+        ["simulate", "-s", str(scenario), "--json"],
+        check,
+    ]
+
+    def call(argv):
+        if argv is not usage_error:
+            return run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    first = [call(argv) for argv in calls]
+    again = [call(argv) for argv in calls]
+    assert first == again
+    assert first[0] == first[-1] == (0, "valid\n", "")
+    code, out, err = first[1]
+    assert (code, out) == (2, "") and "required: -f/--formula" in err
+    assert [code for code, _, _ in first[2:4]] == [0, 0]

@@ -5,6 +5,8 @@ import json
 import os
 import random
 
+import pytest
+
 from limitknow import laws
 from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
 from limitknow.logic import (
@@ -12,6 +14,7 @@ from limitknow.logic import (
     BelievesVia,
     Bot,
     Common,
+    EvalError,
     Formula,
     Generates,
     Iff,
@@ -165,3 +168,9 @@ def test_reseeding_matches_a_fresh_generator():
             assert used.randrange(1000) == fresh.randrange(1000)
             assert used.choice("abcdefg") == fresh.choice("abcdefg")
             assert used.gauss(0, 1) == fresh.gauss(0, 1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_the_battery_needs_at_least_one_trial(chain_model, trials):
+    with pytest.raises(EvalError, match="at least one trial"):
+        law_battery(chain_model, trials=trials)

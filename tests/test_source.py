@@ -18,6 +18,33 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def parks_tuples(node):
+    """``tuple(<generator expression>)`` written inline, or any use of
+    ``dataclasses.asdict``, which copies fields and tuples that way. Other
+    unsized arguments (``tuple(map(...))``, a generator function's result)
+    resize the same way but are not flagged."""
+    if isinstance(node, ast.Call):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp)
+        )
+    if isinstance(node, ast.alias):
+        return node.name == "asdict"
+    return getattr(node, "id", getattr(node, "attr", None)) == "asdict"
+
+
+def test_library_has_no_inline_generator_tuple_or_asdict():
+    # CPython 3.11 builds tuple(<generator>) by resizing, so it never reuses a
+    # free-listed tuple of its size but frees onto that list: each call parks one.
+    found = []
+    for path in sorted(Path(limitknow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if parks_tuples(n)]
+    assert found == []
+
+
 BENCH_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 MODEL = Path(__file__).resolve().parent / "fixtures" / "model3.json"
 
