@@ -11,13 +11,12 @@ majority-vote aggregator.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file
+from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
 from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
@@ -379,14 +378,7 @@ def load_scenario(path: str) -> Scenario:
     The frame path is relative to the scenario file. ``target`` and
     ``success_target`` are read by ``logic.world_set``, as the CLI's flags are.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"scenario {path} is not valid JSON: {exc}") from None
-    except (OSError, ValueError) as exc:  # also undecodable bytes or a NUL in the path
-        raise ProtocolError(f"cannot read scenario {path}: {exc}") from None
-
+    data = read_json(path, "scenario", ProtocolError)
     if not isinstance(data, dict):
         raise ProtocolError(f"scenario {path} must be a JSON object")
     faults, seed, step_cap = data.get("faults", []), data.get("seed", 0), data.get("step_cap")

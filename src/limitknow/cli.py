@@ -18,7 +18,7 @@ from .attest import ProtocolError, load_scenario, run_scenario, synthesize, veri
 from .frame import FrameError, ResourceLimitError
 from .hierarchy import closed_rank, open_rank
 from .laws import law_battery
-from .logic import EvalError, Model, ParseError, check, evaluate, parse, world_set
+from .logic import MODALITIES, EvalError, Model, ParseError, check, evaluate, parse, world_set
 
 OK, PROPERTY_FAILED, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
 
@@ -98,37 +98,38 @@ def _cmd_rank(args) -> int:
     return OK
 
 
-_UNARY_OPS = {"R", "S", "C", "L"}
-_BINARY_OPS = {"I", "B", "G"}
-_AGENT_OPS = {"R", "S", "I", "B"}
+# Each ``--op`` by symbol: the ``OperatorContext`` method it calls, with the
+# agent, the witness and the operand its node class takes, in that order. L,
+# the Lewis variant of C, has no node and takes what C takes.
+_OPS = {
+    "R": "reason",
+    "S": "true_reason",
+    "I": "indicates",
+    "B": "believes_via",
+    "G": "generates",
+    "C": "common",
+    "L": "lewis_common",
+}
 
 
 def _cmd_ops(args) -> int:
     model = Model.from_file(args.model)
-    ctx = model.context
     op = args.op
-    if op in _AGENT_OPS and not args.agent:
+    fields = MODALITIES["C" if op == "L" else op].__match_args__
+    takes_agent, takes_witness = "agent" in fields, "witness" in fields
+    if takes_agent and args.agent is None:
         raise FrameError(f"operator {op} needs --agent")
-    if op not in _AGENT_OPS and args.agent:
+    if not takes_agent and args.agent is not None:
         raise FrameError(f"operator {op} does not take --agent")
-    if op in _BINARY_OPS and args.witness is None:
+    if takes_witness and args.witness is None:
         raise FrameError(f"operator {op} needs --witness")
     p = world_set(model, args.set)
     w = None if args.witness is None else world_set(model, args.witness)
-    if op == "R":
-        out = ctx.reason(args.agent, p)
-    elif op == "S":
-        out = ctx.true_reason(args.agent, p)
-    elif op == "I":
-        out = ctx.indicates(args.agent, w, p)
-    elif op == "B":
-        out = ctx.believes_via(args.agent, w, p)
-    elif op == "G":
-        out = ctx.generates(w, p)
-    elif op == "C":
-        out = ctx.common(p)
-    else:
-        out = ctx.lewis_common(p)
+    if not takes_witness and w is not None:
+        raise FrameError(f"operator {op} does not take --witness")
+    # Past the checks, the given flags are the ones the operator takes.
+    operands = [x for x in (args.agent, w, p) if x is not None]
+    out = getattr(model.context, _OPS[op])(*operands)
     names = _names(model, out)
     _emit(args, {"op": op, "result": names}, ["{" + ", ".join(names) + "}"])
     return OK
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ops", help="apply one epistemic operator")
     common(p)
     p.add_argument("-a", "--agent")
-    p.add_argument("--op", required=True, choices=sorted(_UNARY_OPS | _BINARY_OPS))
+    p.add_argument("--op", required=True, choices=sorted(_OPS))
     p.add_argument("-p", "--set", required=True, help="operand worlds or @formula")
     p.add_argument("-w", "--witness", help="witness worlds or @formula (I/B/G)")
     p.set_defaults(run=_cmd_ops)

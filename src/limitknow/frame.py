@@ -416,12 +416,17 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
     return Frame(world_list, agents), masks
 
 
-def load_frame_file(path: str) -> tuple[Frame, dict[str, int]]:
+def read_json(path: str, what: str, error: type[ValueError] = FrameError):
+    """The JSON value in a file. A file that cannot be read or is not JSON
+    raises ``error``, naming the file as ``what``."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise FrameError(f"model file {path} is not valid JSON: {exc}") from None
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
     except (OSError, ValueError) as exc:  # also undecodable bytes or a NUL in the path
-        raise FrameError(f"cannot read model file {path}: {exc}") from None
-    return load_frame(data)
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_frame_file(path: str) -> tuple[Frame, dict[str, int]]:
+    return load_frame(read_json(path, "model file"))

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from .logic import (
     BOT,
+    MODALITIES,
     TOP,
     And,
     BelievesVia,
@@ -144,13 +145,14 @@ DERIVED: dict[str, Schema] = {
 # ---------------------------------------------------------------------------
 # random instantiation
 
-_KINDS = ("not", "and", "or", "imp", "iff", "R", "S", "I", "B", "G", "C")
+_KINDS = (Not, And, Or, Imp, Iff, Reason, TrueReason, Indicates, BelievesVia, Generates, Common)
 # Given as running sums so that no draw sums the weights again. A kind is
 # drawn as ``Random.choices(_KINDS, cum_weights=_CUM_WEIGHTS)`` draws it: one
 # ``random()`` scaled by the float total, bisected over all but the last sum.
 _CUM_WEIGHTS = tuple(accumulate((10, 12, 12, 10, 6, 8, 8, 6, 6, 3, 3)))
 _TOTAL_WEIGHT = float(_CUM_WEIGHTS[-1])
 _LAST_KIND = len(_KINDS) - 1
+_MODAL = set(MODALITIES.values())
 _INJECTED = ("_m0", "_m1", "_m2", "_m3")
 
 
@@ -169,28 +171,11 @@ def _random_formula(
         return pool[leaf]
     kind = _KINDS[bisect(_CUM_WEIGHTS, rng.random() * _TOTAL_WEIGHT, 0, _LAST_KIND)]
     sub = (rng, pool, agents, depth - 1)  # the arguments of each child draw
-    if kind == "not":
-        return Not(_random_formula(*sub))
-    if kind == "and":
-        return And(_random_formula(*sub), _random_formula(*sub))
-    if kind == "or":
-        return Or(_random_formula(*sub), _random_formula(*sub))
-    if kind == "imp":
-        return Imp(_random_formula(*sub), _random_formula(*sub))
-    if kind == "iff":
-        return Iff(_random_formula(*sub), _random_formula(*sub))
-    agent = rng.choice(agents)
-    if kind == "R":
-        return Reason(agent, _random_formula(*sub))
-    if kind == "S":
-        return TrueReason(agent, _random_formula(*sub))
-    if kind == "I":
-        return Indicates(agent, _random_formula(*sub), _random_formula(*sub))
-    if kind == "B":
-        return BelievesVia(agent, _random_formula(*sub), _random_formula(*sub))
-    if kind == "G":
-        return Generates(_random_formula(*sub), _random_formula(*sub))
-    return Common(_random_formula(*sub))
+    agent = rng.choice(agents) if kind in _MODAL else None
+    args = []  # the node's fields in order: the agent, then a child per formula
+    for field in kind.__match_args__:
+        args.append(agent if field == "agent" else _random_formula(*sub))
+    return kind(*args)
 
 
 def _trial_setup(model: Model, rng: random.Random) -> Model:

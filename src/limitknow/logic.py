@@ -14,7 +14,8 @@ Concrete grammar (whitespace-insensitive)::
 
 ``R``/``S``/``I``/``B``/``G`` act as modalities only when followed by ``[``;
 ``C`` acts as one when followed by anything that can start a unary formula.
-Otherwise they parse as plain proposition names.
+Otherwise they parse as plain proposition names. The tables ``INFIX`` and
+``MODALITIES`` hold these connectives and modalities for every reader.
 
 A formula may nest at most ``MAX_DEPTH`` levels deep, counting each operator,
 modality and pair of parentheses as one level and an atom alone as one;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping
 
 from .frame import Frame, FrameError, _is_names, load_frame, load_frame_file
@@ -148,6 +149,28 @@ class Common(Formula):
 TOP = Top()
 BOT = Bot()
 
+# The concrete syntax of every operator, read by the parser, the printer, the
+# CLI's ``ops`` and the law battery's formula generator.
+#
+# The binary connectives, loosest first: (symbol, node class, groups to the
+# right). A connective's index is its binding level.
+INFIX = (("<->", Iff, False), ("->", Imp, True), ("|", Or, False), ("&", And, False))
+_UNARY = len(INFIX)  # the binding level of a prefix operator or an atom
+
+# The modalities by symbol. A modality takes what its node's fields name, in
+# order: an optional agent, an optional witness formula, then the body.
+MODALITIES = {
+    "R": Reason,
+    "S": TrueReason,
+    "I": Indicates,
+    "B": BelievesVia,
+    "G": Generates,
+    "C": Common,
+}
+
+_INFIX_OF = {cls: (level, symbol, right) for level, (symbol, cls, right) in enumerate(INFIX)}
+_SYMBOL_OF = {cls: symbol for symbol, cls in MODALITIES.items()}
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -186,9 +209,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 MAX_DEPTH = 100  # the parser, printer and evaluator recurse once per level
 
-_MODAL_BRACKET = {"R", "S", "I", "B", "G"}
-_UNARY_STARTERS = {"~", "("}
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -217,7 +237,7 @@ class _Parser:
         return tok.text
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
@@ -225,39 +245,21 @@ class _Parser:
             raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek().text == "<->":
+    def binary(self, level: int) -> Formula:
+        # One call per binding level reads all of that level's operands and
+        # folds them, so a long chain costs a loop rather than a frame per
+        # connective.
+        symbol, cls, right = INFIX[level]
+        inner = level + 1
+        parts = []
+        while True:
+            parts.append(self.binary(inner) if inner < _UNARY else self.unary())
+            if self.peek().text != symbol:
+                break
             self.next()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        parts = [self.disj()]
-        while self.peek().text == "->":
-            self.next()
-            parts.append(self.disj())
-        f = parts.pop()
-        while parts:
-            f = Imp(parts.pop(), f)
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def _starts_unary(self, tok: _Token) -> bool:
-        return tok.kind == "name" or tok.text in _UNARY_STARTERS
+        if right:
+            return reduce(lambda acc, f: cls(f, acc), reversed(parts))
+        return reduce(cls, parts)
 
     def unary(self) -> Formula:
         # Every nested construct recurses through here; bounding the calls in
@@ -274,36 +276,36 @@ class _Parser:
         if tok.text == "~":
             self.next()
             return Not(self.unary())
-        if tok.kind == "name":
+        cls = MODALITIES.get(tok.text)
+        if cls is not None:
+            # The fields before the body go in brackets, separated by "@". A
+            # modality that has some acts as one when a bracket follows, any
+            # other when a unary formula follows; otherwise its symbol is a
+            # proposition name.
+            bracketed = cls.__match_args__[:-1]
             nxt = self.tokens[self.i + 1]
-            if tok.text in _MODAL_BRACKET and nxt.text == "[":
+            if bracketed:
+                acts = nxt.text == "["
+            else:
+                acts = nxt.kind == "name" or nxt.text in ("~", "(")
+            if acts:
                 self.next()
-                self.next()
-                if tok.text in ("R", "S"):
-                    agent = self.expect_name()
+                args = []
+                if bracketed:
+                    self.next()
+                    for field in bracketed:
+                        if args:
+                            self.expect("@")
+                        args.append(self.expect_name() if field == "agent" else self.binary(0))
                     self.expect("]")
-                    body = self.unary()
-                    return Reason(agent, body) if tok.text == "R" else TrueReason(agent, body)
-                if tok.text in ("I", "B"):
-                    agent = self.expect_name()
-                    self.expect("@")
-                    witness = self.iff()
-                    self.expect("]")
-                    body = self.unary()
-                    cls = Indicates if tok.text == "I" else BelievesVia
-                    return cls(agent, witness, body)
-                witness = self.iff()
-                self.expect("]")
-                return Generates(witness, self.unary())
-            if tok.text == "C" and self._starts_unary(nxt):
-                self.next()
-                return Common(self.unary())
+                args.append(self.unary())
+                return cls(*args)
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.next()
         if tok.text == "(":
-            f = self.iff()
+            f = self.binary(0)
             self.expect(")")
             return f
         if tok.kind == "name":
@@ -333,64 +335,36 @@ def _depth(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 # printing
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = range(5)
-
 
 def print_formula(f: Formula) -> str:
     """Render with the fewest parentheses that still round-trip."""
-    return _print(f, _LEVEL_IFF)
+    return _print(f, 0)
 
 
 def _print(f: Formula, level: int) -> str:
-    if isinstance(f, Prop):
+    cls = type(f)
+    if cls is Prop:
         return f.name
-    if isinstance(f, Top):
+    if cls is Top:
         return "top"
-    if isinstance(f, Bot):
+    if cls is Bot:
         return "bot"
-    if isinstance(f, Not):
-        return "~" + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, And):
-        return _wrap(
-            _print(f.left, _LEVEL_AND) + " & " + _print(f.right, _LEVEL_UNARY),
-            level,
-            _LEVEL_AND,
-        )
-    if isinstance(f, Or):
-        return _wrap(
-            _print(f.left, _LEVEL_OR) + " | " + _print(f.right, _LEVEL_AND),
-            level,
-            _LEVEL_OR,
-        )
-    if isinstance(f, Imp):
-        return _wrap(
-            _print(f.left, _LEVEL_OR) + " -> " + _print(f.right, _LEVEL_IMP),
-            level,
-            _LEVEL_IMP,
-        )
-    if isinstance(f, Iff):
-        return _wrap(
-            _print(f.left, _LEVEL_IFF) + " <-> " + _print(f.right, _LEVEL_IMP),
-            level,
-            _LEVEL_IFF,
-        )
-    if isinstance(f, Reason):
-        return f"R[{f.agent}] " + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, TrueReason):
-        return f"S[{f.agent}] " + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, Indicates):
-        return f"I[{f.agent} @ {_print(f.witness, _LEVEL_IFF)}] " + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, BelievesVia):
-        return f"B[{f.agent} @ {_print(f.witness, _LEVEL_IFF)}] " + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, Generates):
-        return f"G[{_print(f.witness, _LEVEL_IFF)}] " + _print(f.body, _LEVEL_UNARY)
-    if isinstance(f, Common):
-        return "C " + _print(f.body, _LEVEL_UNARY)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(text: str, level: int, own: int) -> str:
-    return f"({text})" if own < level else text
+    if cls is Not:
+        return "~" + _print(f.body, _UNARY)
+    if cls in _INFIX_OF:
+        # The operand on the grouping side binds at the connective's own
+        # level, the other one level tighter.
+        own, symbol, right = _INFIX_OF[cls]
+        left_level, right_level = (own + 1, own) if right else (own, own + 1)
+        text = f"{_print(f.left, left_level)} {symbol} {_print(f.right, right_level)}"
+        return f"({text})" if own < level else text
+    if cls not in _SYMBOL_OF:
+        raise TypeError(f"not a formula: {f!r}")
+    inside = []
+    for field in cls.__match_args__[:-1]:
+        inside.append(f.agent if field == "agent" else _print(getattr(f, field), 0))
+    bracket = f"[{' @ '.join(inside)}]" if inside else ""
+    return f"{_SYMBOL_OF[cls]}{bracket} {_print(f.body, _UNARY)}"
 
 
 # ---------------------------------------------------------------------------

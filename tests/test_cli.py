@@ -124,6 +124,28 @@ def test_ops_flag_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("op", ["C", "G", "L"])
+def test_ops_rejects_an_empty_agent_it_does_not_take(capsys, op):
+    witness = ["-w", "z"] if op == "G" else []
+    code, out, err = run(capsys, "ops", "-m", MODEL, "--op", op, "-a", "", "-p", "x", *witness)
+    assert (code, out, err) == (2, "", f"error: operator {op} does not take --agent\n")
+
+
+def test_ops_reads_an_empty_agent_as_an_agent_name(capsys):
+    code, out, err = run(capsys, "ops", "-m", MODEL, "--op", "R", "-a", "", "-p", "x")
+    assert (code, out, err) == (2, "", "error: unknown agent ''\n")
+
+
+@pytest.mark.parametrize(
+    "op, flags",
+    [("R", ["-a", "a"]), ("S", ["-a", "a"]), ("C", []), ("L", [])],
+    ids=["R", "S", "C", "L"],
+)
+def test_ops_rejects_a_witness_it_does_not_take(capsys, op, flags):
+    code, out, err = run(capsys, "ops", "-m", MODEL, "--op", op, "-p", "x", "-w", "x", *flags)
+    assert (code, out, err) == (2, "", f"error: operator {op} does not take --witness\n")
+
+
 def test_synth_infeasible_names_the_rank(capsys):
     code, out, _ = run(capsys, "synth", "-m", MODEL, "-p", "p", "--target", "x,z")
     assert code == 1
@@ -245,6 +267,19 @@ def test_too_deep_formula_is_one_error_line(capsys, formula):
     assert err.startswith("error: formula nests deeper than") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("op", ["->", "&", "|", "<->"])
+def test_a_long_chain_is_one_depth_error(capsys, op):
+    formula = f" {op} ".join(["p"] * 5000)
+    code, out, err = run(capsys, "check", "-m", MODEL, "-f", formula)
+    assert (code, out) == (2, "")
+    assert err == "error: formula nests deeper than 100 levels (at position 0)\n"
+
+
+def test_an_implication_inside_99_parentheses_evaluates(capsys):
+    code, payload, _ = run_json(capsys, "eval", "-m", MODEL, "-f", "(" * 99 + "p -> q" + ")" * 99)
+    assert code == 0 and payload["extension"] == ["y"]
+
+
 with open(MODEL) as fh:
     MODEL3 = json.load(fh)
 
@@ -329,6 +364,24 @@ def test_unreadable_inputs_are_one_error_line(capsys, tmp_path):
     scenario.write_text(json.dumps(with_field(SCENARIO, ("frame",), "model\0.json")))
     code, out, err = run(capsys, "simulate", "-s", str(scenario))
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+def test_unreadable_files_are_named_by_kind(capsys, tmp_path):
+    missing, broken = str(tmp_path / "missing.json"), tmp_path / "broken.json"
+    broken.write_text("{")
+    try:
+        open(missing)
+    except OSError as exc:
+        not_found = str(exc)
+    try:
+        json.loads("{")
+    except json.JSONDecodeError as exc:
+        not_json = str(exc)
+    for argv, what in ((["eval", "-f", "top", "-m"], "model file"), (["simulate", "-s"], "scenario")):
+        expected = f"error: cannot read {what} {missing}: {not_found}\n"
+        assert run(capsys, *argv, missing) == (2, "", expected)
+        expected = f"error: {what} {broken} is not valid JSON: {not_json}\n"
+        assert run(capsys, *argv, str(broken)) == (2, "", expected)
 
 
 def test_step_cap_past_the_limit_is_a_resource_limit(capsys, tmp_path):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import limitknow
 import limitknow.cli  # the tracer patches modules found in sys.modules
+from limitknow import cli, laws, logic
+from limitknow.operators import OperatorContext
 
 
 def test_library_has_no_assert_statements():
@@ -43,6 +45,19 @@ def test_library_has_no_inline_generator_tuple_or_asdict():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if parks_tuples(n)]
     assert found == []
+
+
+def test_the_syntax_tables_name_every_operator():
+    # A connective or modality added to one table and missed in another would
+    # parse but not evaluate, evaluate but never be drawn, or lack an ``ops``.
+    infix = {cls for _, cls, _ in logic.INFIX}
+    modal = set(logic.MODALITIES.values())
+    assert set(logic._RULES) == {logic.Prop, logic.Top, logic.Bot, logic.Not} | infix | modal
+    assert sorted(laws._KINDS, key=str) == sorted({logic.Not} | infix | modal, key=str)
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    op_choices = next(a.choices for a in commands.choices["ops"]._actions if a.dest == "op")
+    assert set(cli._OPS) == set(op_choices) == set(logic.MODALITIES) | {"L"}
+    assert all(callable(getattr(OperatorContext, m)) for m in cli._OPS.values())
 
 
 BENCH_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
