@@ -61,7 +61,7 @@ sigma = limit_verdicts(method, frame.agent("observer").basis)
 print("limit verdict per world:", {frame.worlds[w]: v.value for w, v in sigma.items()})
 print(
     "mind changes after first saying yes:",
-    max_switches(method, frame.agent("observer").basis, Verdict.YES).switches,
+    max_switches(method, frame.agent("observer").basis, Verdict.YES),
 )
 print()
 

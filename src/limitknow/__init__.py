@@ -20,14 +20,10 @@ from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
     RankResult,
-    SwitchCount,
     Verdict,
     chain_from_method,
     closed_rank,
     gives_reason,
-    gives_reason_against,
-    is_k_closed,
-    is_k_open,
     limit_verdicts,
     limit_yes_set,
     max_switches,

@@ -128,7 +128,7 @@ def verify_protocol(
         strategy = protocol.strategy(spec.name)
         method = strategy.induced_method()
         limit_yes[spec.name] = limit_yes_set(method, spec.basis)
-        count = max_switches(method, spec.basis, Verdict.YES).switches
+        count = max_switches(method, spec.basis, Verdict.YES)
         bounds[spec.name] = SwitchBoundCheck(count, spec.tolerance)
 
     sets = list(limit_yes.values())
@@ -224,7 +224,7 @@ def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> Evidenc
     world, from a random start down to the unique minimal element."""
     w = frame.position(world)
     at_w = sorted(frame.evidence_at(agent, w), key=lambda e: (e.bit_count(), e))
-    least = frame.minimal_evidence_at(agent, w)[0]
+    least = frame.topology(agent).neighborhoods[w]
     rng = random.Random(f"{seed}")
     cur = rng.choice(at_w)
     chain = [cur]
@@ -382,9 +382,11 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(data, dict):
         raise ProtocolError(f"scenario {path} must be a JSON object")
     faults, seed, step_cap = data.get("faults", []), data.get("seed", 0), data.get("step_cap")
+    schema = data.get("schema", 1)
     try:
         frame_path, world, proto_spec = data["frame"], data["world"], data["protocol"]
         for ok, what in (
+            (_is_int(schema) and schema == 1, "'schema' must be 1"),
             (isinstance(frame_path, str), "'frame' must be a path"),
             (isinstance(world, str), "'world' must be a world name"),
             (_is_names(faults), "'faults' must be a list of agent names"),
@@ -414,9 +416,15 @@ def load_scenario(path: str) -> Scenario:
                 raise ProtocolError("malformed scenario: 'strategies' rows need 'evidence' lists")
             strategies = []
             for agent, rows in table.items():
-                verdicts = {
-                    frame.mask(row["evidence"]): row["verdict"] for row in rows
-                }
+                verdicts: dict[int, str] = {}
+                for row in rows:
+                    e = frame.mask(row["evidence"])
+                    if e in verdicts:
+                        raise ProtocolError(
+                            f"malformed scenario: strategy for {agent!r} lists "
+                            f"evidence {list(frame.names(e))} twice"
+                        )
+                    verdicts[e] = row["verdict"]
                 strategies.append(AttestationStrategy(agent, verdicts))
             protocol = AttestationProtocol(tuple(strategies))
             _check_protocol_shape(frame, protocol)

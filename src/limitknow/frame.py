@@ -323,12 +323,6 @@ class Frame:
         w = self.position(world)
         return tuple([e for e in self.agent(agent).basis if (e >> w) & 1])
 
-    def minimal_evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
-        """The inclusion-minimal elements of ``evidence_at``: the single least
-        element, which is the world's minimal neighborhood (a valid finite
-        basis is directed, so the elements at a world meet in one of them)."""
-        return (self.topology(agent).neighborhoods[self.position(world)],)
-
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but re-assigned tolerances.
         The bases are not validated again, and the topologies are shared

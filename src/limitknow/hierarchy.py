@@ -119,18 +119,6 @@ def closed_rank(topology: Topology, s: int) -> RankResult:
     return open_rank(topology, topology.universe & ~s)
 
 
-def is_k_open(topology: Topology, s: int, k: int | float) -> bool:
-    if k < 0:
-        return False
-    return open_rank(topology, s).rank <= k
-
-
-def is_k_closed(topology: Topology, s: int, k: int | float) -> bool:
-    if k < 0:
-        return False
-    return closed_rank(topology, s).rank <= k
-
-
 # ---------------------------------------------------------------------------
 # evidence-relative belief predicates
 
@@ -157,13 +145,9 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     if evidence not in spec.basis:
         raise FrameError(f"not a basis element of agent {agent!r}")
     topo = frame.topology(agent)
+    topo.check_subset(w_set)
     closed = open_rank(topo, evidence & ~w_set).rank
     return closed <= spec.tolerance and open_rank(topo, w_set & evidence).rank > closed
-
-
-def gives_reason_against(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
-    """Dual predicate: evidence gives reason simpliciter to disbelieve."""
-    return gives_reason(frame, agent, frame.universe & ~w_set, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +198,12 @@ def limit_yes_set(method: DecisionMethod, basis: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SwitchCount:
-    """Longest alternation count, plus whether the start verdict occurs at all
-    (an absent start verdict also yields count 0)."""
-
-    switches: int
-    start_occurs: bool
-
-
-def max_switches(
-    method: DecisionMethod, basis: Sequence[int], start: Verdict
-) -> SwitchCount:
+def max_switches(method: DecisionMethod, basis: Sequence[int], start: Verdict) -> int:
     """Largest t for which a t-switching sequence with the given start verdict
     exists: a descending evidence sequence whose verdicts alternate starting
-    from ``start``. Computed by longest-path dynamic programming over the
-    strict-containment order (alternation forces strict descent).
+    from ``start``. Returned as an int, 0 when no evidence answers ``start``.
+    Computed by longest-path dynamic programming over the strict-containment
+    order (alternation forces strict descent).
     """
     check_method(method, basis)
     order = sorted(basis, key=lambda e: (e.bit_count(), e))
@@ -243,10 +217,7 @@ def max_switches(
             if method.verdicts[e2] is want:
                 longest = max(longest, 1 + best[e2])
         best[e] = longest
-    starts = [best[e] for e in basis if method.verdicts[e] is start]
-    if not starts:
-        return SwitchCount(0, False)
-    return SwitchCount(max(starts), True)
+    return max([best[e] for e in basis if method.verdicts[e] is start], default=0)
 
 
 def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
@@ -294,7 +265,7 @@ def chain_from_method(
     after saying Yes, by layering the evidence sets where the verdict
     alternates. The chain's nested difference recovers the limit-Yes set.
     """
-    if max_switches(method, basis, Verdict.YES).switches > n:
+    if max_switches(method, basis, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
 
     layer = [e for e in basis if method.verdicts[e] is Verdict.YES]

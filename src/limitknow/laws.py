@@ -302,7 +302,6 @@ LAWS: dict[str, Law] = {
     **{name: _schema_law(build) for name, build in {**AXIOMS, **DERIVED}.items()},
     **RULES,
 }
-RULE_NAMES = tuple(RULES)
 ALL_LAW_NAMES = tuple(LAWS)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping
 
-from .frame import Frame, FrameError, _is_names, load_frame, load_frame_file
+from .frame import Frame, FrameError, _is_names, load_frame_file
 from .operators import OperatorContext
 
 
@@ -393,10 +393,6 @@ class Model:
         out = Model(self.frame, valuation)
         out.__dict__["context"] = self.context
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Model":
-        return cls(*load_frame(data))
 
     @classmethod
     def from_file(cls, path: str) -> "Model":

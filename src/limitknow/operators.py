@@ -68,6 +68,7 @@ class OperatorContext:
     def indicates(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the witness indicates the target to the agent: every
         supporting evidence confines the witness inside the target."""
+        self.frame.topology(agent).check_subset(target)
         bad = 0
         for e in self.supporting_evidence(agent, witness):
             if witness & e & ~target:

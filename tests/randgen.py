@@ -243,7 +243,7 @@ def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
         if limit_yes_set(method, spec.basis) != w_set:
             continue
         start = method.verdicts[universe]
-        best = min(best, max_switches(method, spec.basis, start).switches)
+        best = min(best, max_switches(method, spec.basis, start))
     return best
 
 

@@ -224,7 +224,7 @@ def test_stream_limits_match_sigma():
         for a in frame.agents:
             w = rng.randrange(len(frame.worlds))
             stream = generate_stream(frame, a.name, w, seed=rng.random())
-            assert stream.chain[-1] == frame.minimal_evidence_at(a.name, w)[0]
+            assert stream.chain[-1] == frame.topology(a.name).neighborhoods[w]
 
 
 # ---------------------------------------------------------------------------
@@ -428,4 +428,10 @@ def test_scenario_explicit_protocol_and_errors(tmp_path, fixtures_dir):
 
     path.write_text(json.dumps({**scenario, "protocol": {"type": "nonsense"}}))
     with pytest.raises(ProtocolError):
+        load_scenario(str(path))
+
+    rows = [*scenario["protocol"]["strategies"]["a"], {"evidence": ["z", "y"], "verdict": "yes"}]
+    twice = {"type": "explicit", "strategies": {"a": rows}}
+    path.write_text(json.dumps({**scenario, "protocol": twice}))
+    with pytest.raises(ProtocolError, match=r"strategy for 'a' lists evidence \['y', 'z'\] twice"):
         load_scenario(str(path))

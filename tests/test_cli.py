@@ -345,6 +345,13 @@ EXPLICIT = {"type": "explicit", "strategies": {"a": [{"evidence": ["z"], "verdic
             {"evidence": ["y", "z"], "verdict": "defer"},
             {"evidence": ["z"], "verdict": "maybe"},
         ]})),
+        (("protocol",), dict(EXPLICIT, strategies={"a": [
+            {"evidence": ["x", "y", "z"], "verdict": "defer"},
+            {"evidence": ["y", "z"], "verdict": "defer"},
+            {"evidence": ["z"], "verdict": "yes"},
+            {"evidence": ["z"], "verdict": "defer"},
+        ]})),
+        (("schema",), 2),
     ],
 )
 def test_malformed_scenario_is_one_error_line(capsys, tmp_path, path, value):

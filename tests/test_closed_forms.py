@@ -15,10 +15,10 @@ from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, bits,
 from limitknow.hierarchy import (
     DecisionMethod,
     Verdict,
+    closed_rank,
     gives_reason,
-    is_k_closed,
-    is_k_open,
     limit_verdicts,
+    open_rank,
 )
 from limitknow.operators import OperatorContext
 from randgen import (
@@ -126,7 +126,7 @@ def subspace_gives_reason(frame, agent, w_set, evidence):
     sub = frame.subspace(agent, evidence)
     part = w_set & evidence
     return any(
-        is_k_closed(sub, part, k) and not is_k_open(sub, part, k)
+        closed_rank(sub, part).rank <= k < open_rank(sub, part).rank
         for k in range(frame.agent(agent).tolerance + 1)
     )
 

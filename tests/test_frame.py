@@ -152,16 +152,16 @@ def test_evidence_at_and_minimal():
         [AgentSpec("a", (0b111, 0b110, 0b100), 1)],
     )
     assert frame.evidence_at("a", "z") == (0b111, 0b110, 0b100)
-    assert frame.minimal_evidence_at("a", "z") == (0b100,)
+    assert frame.topology("a").neighborhoods[frame.position("z")] == 0b100
     assert frame.evidence_at("a", "x") == (0b111,)
-    assert frame.minimal_evidence_at("a", "x") == (0b111,)
+    assert frame.topology("a").neighborhoods[frame.position("x")] == 0b111
     sierpinski = Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0)])
-    assert sierpinski.minimal_evidence_at("a", "u") == (U,)
+    assert sierpinski.topology("a").neighborhoods[sierpinski.position("u")] == U
     for world in ("nope", True, -1, 3):
         with pytest.raises(FrameError, match="nope" if world == "nope" else repr(world)):
             frame.evidence_at("a", world)
         with pytest.raises(FrameError):
-            frame.minimal_evidence_at("a", world)
+            frame.position(world)
 
 
 def test_minimal_evidence_is_singleton_on_random_frames():
@@ -173,7 +173,7 @@ def test_minimal_evidence_is_singleton_on_random_frames():
                 at_w = frame.evidence_at(a.name, w)
                 scan = tuple(e for e in at_w if not any(o != e and o & ~e == 0 for o in at_w))
                 assert len(scan) == 1
-                assert frame.minimal_evidence_at(a.name, w) == scan
+                assert scan == (frame.topology(a.name).neighborhoods[w],)
 
 
 def test_frame_rejects_bad_inputs():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from limitknow import laws
+from limitknow.frame import load_frame
 from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
 from limitknow.logic import (
     Bot,
@@ -86,7 +87,7 @@ PINNED_DIGEST = "d65d2c11486d988920b1e37ce3ab3b10f46380a81f3574abca5603dbf996fd9
 
 def test_battery_draws_are_pinned(fixtures_dir, monkeypatch):
     with open(os.path.join(fixtures_dir, "model3.json")) as fh:
-        model = Model.from_dict(json.load(fh))
+        model = Model(*load_frame(json.load(fh)))
     records = []
 
     def recording_check(m, f):

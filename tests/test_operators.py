@@ -7,7 +7,8 @@ import pytest
 
 from limitknow.frame import AgentSpec, Frame, FrameError, submasks
 from limitknow.hierarchy import open_rank
-from limitknow import operators
+from limitknow import cli, operators
+from limitknow.logic import MODALITIES
 from limitknow.operators import OperatorContext
 from randgen import common_via_interior, random_frame
 
@@ -77,6 +78,20 @@ def test_indicates_and_believes_chain_fixture():
 def test_unknown_agent_is_an_error():
     with pytest.raises(FrameError):
         chain_ctx(1).reason("nobody", 0b1)
+
+
+def test_every_operator_rejects_an_operand_outside_the_universe():
+    # Each set operand of each ``ops`` operator, the others in the universe.
+    ctx = chain_ctx(1)
+    for op, method in cli._OPS.items():
+        fields = MODALITIES["C" if op == "L" else op].__match_args__
+        sets = [f for f in fields if f != "agent"]
+        for bad in sets:
+            for outside in (-1, 0b1000):
+                operands = ["a"] if "agent" in fields else []
+                operands += [outside if f == bad else 0b110 for f in sets]
+                with pytest.raises(FrameError, match="members outside this universe"):
+                    getattr(ctx, method)(*operands)
 
 
 def test_true_reason_examples():

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import re
 import types
+from functools import reduce
 from pathlib import Path
 
 import limitknow
@@ -58,6 +60,38 @@ def test_the_syntax_tables_name_every_operator():
     op_choices = next(a.choices for a in commands.choices["ops"]._actions if a.dest == "op")
     assert set(cli._OPS) == set(op_choices) == set(logic.MODALITIES) | {"L"}
     assert all(callable(getattr(OperatorContext, m)) for m in cli._OPS.values())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_names():
+    """The backticked dotted names in the README (a call's arguments dropped)
+    that start at the package, at one of its modules or at an exported class,
+    each written from the package down."""
+    modules = {p.stem for p in Path(limitknow.__file__).parent.glob("*.py")}
+    classes = {n for n, v in vars(limitknow).items() if isinstance(v, type)}
+    names = set()
+    for name in re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`", README.read_text()):
+        head = name.split(".")[0]
+        if head == "limitknow":
+            names.add(name)
+        elif head in modules | classes:
+            names.add(f"limitknow.{name}")
+    return names
+
+
+def test_readme_names_resolve():
+    names = readme_names()
+    assert {"limitknow.logic.world_set", "limitknow.laws.RULES"} <= names
+    assert "limitknow.OperatorContext.witness_candidates" in names
+    missing = []
+    for name in sorted(names):
+        try:
+            reduce(getattr, name.split(".")[1:], limitknow)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
 
 
 BENCH_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
