@@ -21,7 +21,7 @@ from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
     Verdict,
-    limit_yes_set,
+    _rank_within,
     max_switches,
     method_from_chain,
     open_rank,
@@ -64,6 +64,14 @@ class AttestationProtocol:
             if s.owner == agent:
                 return s
         raise ProtocolError(f"protocol has no strategy for agent {agent!r}")
+
+
+def _check_in_frame(frame: Frame, *sets: int) -> None:
+    """The operators' check: a world set with members outside the frame is a
+    ``FrameError``."""
+    topology = frame.topology(frame.agents[0].name)
+    for s in sets:
+        topology.check_subset(s)
 
 
 def _check_protocol_shape(frame: Frame, protocol: AttestationProtocol) -> None:
@@ -120,14 +128,24 @@ def verify_protocol(
     frame: Frame, protocol: AttestationProtocol, target: int
 ) -> VerifyReport:
     """Check validity, agreement, nontriviality, and the per-agent switch
-    bounds. Violations are report data, not errors."""
+    bounds. Violations are report data, not errors; a target with members
+    outside the frame is a ``FrameError``.
+
+    Each agent's limit-attest set holds the worlds whose least evidence
+    ``N(w)`` the strategy attests on, read off the agent's topology."""
     _check_protocol_shape(frame, protocol)
+    _check_in_frame(frame, target)
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
         strategy = protocol.strategy(spec.name)
+        verdicts = strategy.verdicts
+        yes = 0
+        for w, least in enumerate(frame.topology(spec.name).neighborhoods):
+            if verdicts[least] == ATTEST:
+                yes |= 1 << w
+        limit_yes[spec.name] = yes
         method = strategy.induced_method()
-        limit_yes[spec.name] = limit_yes_set(method, spec.basis)
         count = max_switches(method, spec.basis, Verdict.YES)
         bounds[spec.name] = SwitchBoundCheck(count, spec.tolerance)
 
@@ -152,11 +170,11 @@ def verify_protocol(
 def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> AttestationStrategy:
     spec = frame.agent(agent)
     topo = frame.topology(agent)
-    rank = open_rank(topo, success)
-    if rank.rank > spec.tolerance + 1:
+    rank = _rank_within(topo, success, spec.tolerance + 1)
+    if rank is None:
         raise ProtocolError(
-            f"target is not decidable for agent {agent!r}: "
-            f"needs a chain of {rank.rank} opens, tolerance allows {spec.tolerance + 1}"
+            f"target is not decidable for agent {agent!r}: needs a chain of "
+            f"{open_rank(topo, success).rank} opens, tolerance allows {spec.tolerance + 1}"
         )
     method = method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
     return AttestationStrategy(
@@ -178,8 +196,10 @@ def synthesize(
     strategy is read off a shortest witness chain for it, whatever the
     agent's tolerance. Without one, the common-knowledge set is
     chosen when feasible, otherwise its subsets are tried in decreasing size
-    (a search capped like ``lewis_common``'s).
+    (a search capped like ``lewis_common``'s). Either set with members
+    outside the frame is a ``FrameError``.
     """
+    _check_in_frame(frame, target_prop, success_target or 0)
     if success_target is None:
         success_target = _select_target(OperatorContext(frame), target_prop)
     elif success_target == 0:

@@ -91,26 +91,36 @@ def open_rank(topology: Topology, s: int) -> RankResult:
     sequence is non-increasing, so a repeated hull before the derivative
     empties means no finite chain exists.
     """
+    return _rank_within(topology, s, INFINITE)
+
+
+def _rank_within(topology: Topology, s: int, bound: int | float) -> RankResult | None:
+    """``open_rank(topology, s)`` when that rank is at most ``bound``, else
+    None. The loop stops after ``bound`` hulls: a non-empty derivative left
+    then needs another one. Only exact ranks enter the memo."""
     topology.check_subset(s)
     memo = topology._rank_memo
     trail: list[tuple[int, int]] = []  # (derivative, its hull), not yet memoized
     cur = s
     while (rest := memo.get(cur)) is None:
-        hull = topology.hull(cur)
         if cur == 0:
-            memo[0] = RankResult(0, ())
-        elif trail and hull == trail[-1][1]:
-            memo[cur] = RankResult(INFINITE, None)
-        else:
-            trail.append((cur, hull))
-            cur = hull & ~cur
+            rest = memo[0] = RankResult(0, ())
+            break
+        if len(trail) >= bound:
+            return None
+        hull = topology.hull(cur)
+        if trail and hull == trail[-1][1]:
+            rest = memo[cur] = RankResult(INFINITE, None)
+            break
+        trail.append((cur, hull))
+        cur = hull & ~cur
 
     while trail:  # each derivative's rank is one more than the next one's
         derivative, hull = trail.pop()
         if not rest.is_infinite:
             rest = RankResult(rest.rank + 1, (hull,) + rest.witness)
         memo[derivative] = rest
-    return rest
+    return rest if rest.rank <= bound else None
 
 
 def closed_rank(topology: Topology, s: int) -> RankResult:
@@ -139,15 +149,22 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     rank exceeds c (take k = c). Both ranks are taken in the agent's own
     topology: the evidence is open, so the subspace over it has the same
     minimal neighborhoods at its worlds, hence the same hulls and ranks for
-    its subsets, and one rank memo serves every piece of evidence.
+    its subsets, and one rank memo serves every piece of evidence. Neither
+    rank matters past the tolerance, so each rank test stops after at most
+    that many hulls.
     """
     spec = frame.agent(agent)
     if evidence not in spec.basis:
         raise FrameError(f"not a basis element of agent {agent!r}")
     topo = frame.topology(agent)
     topo.check_subset(w_set)
-    closed = open_rank(topo, evidence & ~w_set).rank
-    return closed <= spec.tolerance and open_rank(topo, w_set & evidence).rank > closed
+    return _supports(topo, spec.tolerance, w_set, evidence)
+
+
+def _supports(topology: Topology, tolerance: int, w_set: int, evidence: int) -> bool:
+    """``gives_reason`` for a checked operand and basis element."""
+    closed = _rank_within(topology, evidence & ~w_set, tolerance)
+    return closed is not None and _rank_within(topology, w_set & evidence, closed.rank) is None
 
 
 # ---------------------------------------------------------------------------

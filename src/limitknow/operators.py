@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .frame import Frame, FrameError, ResourceLimitError, Topology, bits, submasks
-from .hierarchy import INFINITE, gives_reason, open_rank
+from .hierarchy import INFINITE, _rank_within, _supports, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
@@ -43,15 +43,14 @@ class OperatorContext:
 
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
-        the set."""
+        the set, each by ``gives_reason``'s test."""
         key = (agent, w_set)
         ev = self._supporting.get(key)
         if ev is None:
-            ev = tuple([
-                e
-                for e in self.frame.agent(agent).basis
-                if gives_reason(self.frame, agent, w_set, e)
-            ])
+            spec = self.frame.agent(agent)
+            topo = self.frame.topology(agent)
+            topo.check_subset(w_set)
+            ev = tuple([e for e in spec.basis if _supports(topo, spec.tolerance, w_set, e)])
             self._supporting[key] = ev
         return ev
 
@@ -181,7 +180,7 @@ class OperatorContext:
         """Can every agent decide the set within tolerance: is its open rank
         at most the agent's tolerance + 1?"""
         return all(
-            open_rank(self.frame.topology(a.name), v).rank <= a.tolerance + 1
+            _rank_within(self.frame.topology(a.name), v, a.tolerance + 1) is not None
             for a in self.frame.agents
         )
 

@@ -11,10 +11,12 @@ import pytest
 
 from limitknow import frame as frame_module
 from limitknow.attest import ProtocolError, synthesize, verify_protocol
-from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, bits, submasks
+from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, Topology, bits, submasks
 from limitknow.hierarchy import (
+    INFINITE,
     DecisionMethod,
     Verdict,
+    _rank_within,
     closed_rank,
     gives_reason,
     limit_verdicts,
@@ -141,6 +143,90 @@ def test_gives_reason_matches_subspace_loop():
                     assert gives_reason(frame, a.name, w_set, e) == subspace_gives_reason(
                         frame, a.name, w_set, e
                     )
+
+
+# ---------------------------------------------------------------------------
+# tolerance tests that stop at the bound
+
+
+def fresh(topology):
+    """The same topology with an empty rank memo."""
+    return Topology(topology.universe, topology.neighborhoods)
+
+
+def test_bounded_rank_is_open_rank_within_the_bound():
+    # Every bound from 0 to the height + 1, each over a cold memo that the
+    # queries then warm in a random order; non-T0 frames give infinite ranks.
+    rng = random.Random(36)
+    infinite = cut = 0
+    for _ in range(60):
+        frame = random_frame(rng, max_worlds=6)
+        for a in frame.agents:
+            exact = fresh(frame.topology(a.name))
+            ranks = {s: open_rank(exact, s) for s in submasks(frame.universe)}
+            height = max(r.rank for r in ranks.values() if not r.is_infinite)
+            infinite += any(r.is_infinite for r in ranks.values())
+            for bound in range(height + 2):
+                topo = fresh(exact)
+                order = list(ranks)
+                rng.shuffle(order)
+                for s in order:
+                    got = _rank_within(topo, s, bound)
+                    assert got == (ranks[s] if ranks[s].rank <= bound else None)
+                    cut += got is None
+                assert all(topo._rank_memo[s] == ranks[s] for s in topo._rank_memo)
+    assert infinite > 20 and cut > 1000
+
+
+def test_supporting_evidence_is_the_evidence_gives_reason_accepts():
+    rng = random.Random(37)
+    for _ in range(40):
+        base = random_frame(rng, max_worlds=6)
+        for tolerance in range(4):
+            frame = base.with_tolerances({a.name: tolerance for a in base.agents})
+            ctx = OperatorContext(frame)
+            for a in frame.agents:
+                for w_set in submasks(frame.universe):
+                    assert ctx.supporting_evidence(a.name, w_set) == tuple(
+                        e for e in a.basis if gives_reason(frame, a.name, w_set, e)
+                    )
+
+
+def test_feasible_is_rank_within_tolerance_plus_one():
+    rng = random.Random(38)
+    for _ in range(60):
+        frame = random_frame(rng, max_worlds=6)
+        ranks = [(oracle_all_ranks(frame.topology(a.name)), a.tolerance) for a in frame.agents]
+        ctx = OperatorContext(frame)
+        for v in submasks(frame.universe):
+            expected = all(r.get(v, INFINITE) <= t + 1 for r, t in ranks)
+            assert ctx.feasible(v) == expected
+
+
+def test_tolerance_tests_stop_at_the_bound(monkeypatch):
+    # Tolerance 0: evidence supports a set it lies inside, which takes no
+    # hull; feasibility stops after tolerance + 1 hulls per agent.
+    hulls = []
+    original = Topology.hull
+
+    def counting(self, s):
+        hulls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(Topology, "hull", counting)
+    frame = chain_frame(32, tolerance=0)
+    ctx = OperatorContext(frame)
+    alternating = int("01" * 16, 2)  # rank 32 for a, 31 for b
+    for p in (frame.universe & ~0b111, 0b111, alternating):
+        for a in frame.agents:
+            inside = 0
+            for e in a.basis:
+                if e & ~p == 0:
+                    inside |= e
+            assert ctx.reason(a.name, p) == inside
+    assert hulls == []
+    assert not ctx.feasible(alternating)
+    assert len(hulls) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from limitknow.frame import AgentSpec, Frame, FrameError, submasks
 from limitknow.hierarchy import open_rank
 from limitknow import cli, operators
+from limitknow.attest import synthesize, verify_protocol
 from limitknow.logic import MODALITIES
 from limitknow.operators import OperatorContext
 from randgen import common_via_interior, random_frame
@@ -92,6 +93,22 @@ def test_every_operator_rejects_an_operand_outside_the_universe():
                 operands += [outside if f == bad else 0b110 for f in sets]
                 with pytest.raises(FrameError, match="members outside this universe"):
                     getattr(ctx, method)(*operands)
+
+
+def test_synthesis_and_verification_reject_a_set_outside_the_universe():
+    # The proposition or success target, the other one in the universe.
+    frame = chain_ctx(1, agents=("a", "b")).frame
+    protocol = synthesize(frame, 0b110, 0b100)
+    assert verify_protocol(frame, protocol, 0b110).solves
+    for outside in (-1, 0b1000):
+        for call in (
+            lambda: synthesize(frame, outside),
+            lambda: synthesize(frame, outside, 0b100),
+            lambda: synthesize(frame, 0b111, outside),
+            lambda: verify_protocol(frame, protocol, outside),
+        ):
+            with pytest.raises(FrameError, match="members outside this universe"):
+                call()
 
 
 def test_true_reason_examples():

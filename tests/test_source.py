@@ -9,7 +9,7 @@ from pathlib import Path
 
 import limitknow
 import limitknow.cli  # the tracer patches modules found in sys.modules
-from limitknow import cli, laws, logic
+from limitknow import cli, hierarchy, laws, logic
 from limitknow.operators import OperatorContext
 
 
@@ -47,6 +47,14 @@ def test_library_has_no_inline_generator_tuple_or_asdict():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if parks_tuples(n)]
     assert found == []
+
+
+def test_hierarchy_has_one_hull_derivative_loop():
+    # Exact ranks and the tolerance tests that stop at a bound share one loop,
+    # so the repeated-hull rule for infinite ranks has one copy.
+    tree = ast.parse(Path(hierarchy.__file__).read_text())
+    hulls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "hull"]
+    assert len(hulls) == 1
 
 
 def test_the_syntax_tables_name_every_operator():
