@@ -52,6 +52,7 @@ from .attest import (
     ProtocolError,
     Scenario,
     SimulationReport,
+    choose_success_set,
     generate_stream,
     load_scenario,
     run_scenario,

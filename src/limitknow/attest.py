@@ -66,14 +66,6 @@ class AttestationProtocol:
         raise ProtocolError(f"protocol has no strategy for agent {agent!r}")
 
 
-def _check_in_frame(frame: Frame, *sets: int) -> None:
-    """The operators' check: a world set with members outside the frame is a
-    ``FrameError``."""
-    topology = frame.topology(frame.agents[0].name)
-    for s in sets:
-        topology.check_subset(s)
-
-
 def _check_protocol_shape(frame: Frame, protocol: AttestationProtocol) -> None:
     names = [s.owner for s in protocol.strategies]
     expected = [a.name for a in frame.agents]
@@ -134,7 +126,7 @@ def verify_protocol(
     Each agent's limit-attest set holds the worlds whose least evidence
     ``N(w)`` the strategy attests on, read off the agent's topology."""
     _check_protocol_shape(frame, protocol)
-    _check_in_frame(frame, target)
+    frame.check_subset(target)
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
@@ -186,32 +178,22 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> Attesta
     )
 
 
-def synthesize(
-    frame: Frame, target_prop: int, success_target: int | None = None
-) -> AttestationProtocol:
-    """Build a protocol solving coordinated attack for ``target_prop``.
-
-    With an explicit success target the set must be a non-empty subset of the
-    proposition that every agent can decide within tolerance; each agent's
-    strategy is read off a shortest witness chain for it, whatever the
-    agent's tolerance. Without one, the common-knowledge set is
-    chosen when feasible, otherwise its subsets are tried in decreasing size
-    (a search capped like ``lewis_common``'s). Either set with members
-    outside the frame is a ``FrameError``.
-    """
-    _check_in_frame(frame, target_prop, success_target or 0)
-    if success_target is None:
-        success_target = _select_target(OperatorContext(frame), target_prop)
-    elif success_target == 0:
-        raise ProtocolError("success target must be non-empty")
-    elif success_target & ~target_prop:
-        raise ProtocolError("success target must be a subset of the proposition")
-    return AttestationProtocol(
-        tuple([_strategy_for_success_set(frame, a.name, success_target) for a in frame.agents])
-    )
-
-
-def _select_target(ctx: OperatorContext, target_prop: int) -> int:
+def choose_success_set(frame: Frame, target_prop: int, success_target: int | None = None) -> int:
+    """The success set ``synthesize`` builds its protocol for, given the same
+    arguments. An explicit success target must be a non-empty subset of the
+    proposition. Without one, the common-knowledge set is chosen when
+    feasible, otherwise its subsets are tried in decreasing size (a search
+    capped like ``lewis_common``'s). Either set with members outside the
+    frame is a ``FrameError``."""
+    frame.check_subset(target_prop)
+    if success_target is not None:
+        frame.check_subset(success_target)
+        if success_target == 0:
+            raise ProtocolError("success target must be non-empty")
+        if success_target & ~target_prop:
+            raise ProtocolError("success target must be a subset of the proposition")
+        return success_target
+    ctx = OperatorContext(frame)
     common = ctx.common(target_prop)
     if common == 0:
         raise ProtocolError(
@@ -223,6 +205,20 @@ def _select_target(ctx: OperatorContext, target_prop: int) -> int:
         if v and ctx.feasible(v):
             return v
     raise ProtocolError("no non-empty feasible success set exists at these tolerances")
+
+
+def synthesize(
+    frame: Frame, target_prop: int, success_target: int | None = None
+) -> AttestationProtocol:
+    """Build a protocol solving coordinated attack for ``target_prop`` on the
+    success set that ``choose_success_set`` picks from the same arguments.
+    Each strategy is read off a shortest witness chain for that set, so its
+    limit-attest set is the chosen set and needs no verification. A set that
+    some agent cannot decide within tolerance is a ``ProtocolError``."""
+    success = choose_success_set(frame, target_prop, success_target)
+    return AttestationProtocol(
+        tuple([_strategy_for_success_set(frame, a.name, success) for a in frame.agents])
+    )
 
 
 # ---------------------------------------------------------------------------

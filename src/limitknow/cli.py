@@ -14,7 +14,7 @@ import json
 import sys
 from functools import cache
 
-from .attest import ProtocolError, load_scenario, run_scenario, synthesize, verify_protocol
+from .attest import ProtocolError, choose_success_set, load_scenario, run_scenario, synthesize
 from .frame import FrameError, ResourceLimitError
 from .hierarchy import closed_rank, open_rank
 from .laws import law_battery
@@ -140,11 +140,11 @@ def _cmd_synth(args) -> int:
     target_prop = world_set(model, args.prop)
     success = None if args.target is None else world_set(model, args.target)
     try:
+        success = choose_success_set(model.frame, target_prop, success)
         protocol = synthesize(model.frame, target_prop, success)
     except ProtocolError as exc:
         _emit(args, {"feasible": False, "error": str(exc)}, [f"infeasible: {exc}"])
         return PROPERTY_FAILED
-    report = verify_protocol(model.frame, protocol, target_prop)
     tables = {
         s.owner: [
             {"evidence": _names(model, e), "verdict": v}
@@ -157,13 +157,13 @@ def _cmd_synth(args) -> int:
         lines.append(f"agent {owner}:")
         for row in rows:
             lines.append(f"  {{{', '.join(row['evidence'])}}} -> {row['verdict']}")
-    lines.append(f"success set: {{{', '.join(_names(model, report.success_set))}}}")
+    lines.append(f"success set: {{{', '.join(_names(model, success))}}}")
     _emit(
         args,
         {
             "feasible": True,
             "strategies": tables,
-            "success_set": _names(model, report.success_set),
+            "success_set": _names(model, success),
         },
         lines,
     )

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
+
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a proposition name in a formula
 
 
 class FrameError(ValueError):
@@ -59,7 +63,7 @@ class BasisViolation:
 
     def describe(self, world_names: Sequence[str] | None = None) -> str:
         def nm(mask: int) -> str:
-            if world_names is None:
+            if world_names is None or mask >> len(world_names):  # past the last name
                 return bin(mask)
             return "{" + ",".join(world_names[i] for i in bits(mask)) + "}"
 
@@ -105,11 +109,14 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     each world's least evidence.
 
     Violations are data, not faults: the report lists every failed condition
-    with a witness. The elements at a world are directed there exactly when
+    with a witness. A negative universe or element is no set at all, and a
+    ``FrameError``. The elements at a world are directed there exactly when
     their intersection is itself an element (a finite directed family has a
     least member, and any member below all of them is their intersection), so
     the pairwise search for witnesses runs only at worlds failing that test.
     """
+    if universe < 0 or min(elements, default=0) < 0:
+        raise FrameError("a universe or basis element is a negative mask")
     found: list[BasisViolation] = []
     seen: set[int] = set()
     for e in elements:
@@ -280,9 +287,10 @@ class Frame:
             out |= 1 << self.index(name)
         return out
 
+    check_subset = Topology.check_subset  # the one in-frame check, on the frame's universe
+
     def names(self, mask: int) -> tuple[str, ...]:
-        if mask & ~self.universe:
-            raise FrameError("world set has members outside this frame")
+        self.check_subset(mask)
         return tuple([self.worlds[i] for i in bits(mask)])
 
     # -- agents and topologies -------------------------------------------
@@ -366,7 +374,8 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
 
     Each field must have its JSON type: a string is never read as a list of
     its characters, nor ``true`` or ``1.7`` as tolerance 1. Unknown world
-    names anywhere are a load error listing the offenders.
+    names are a load error listing the offenders, as is a valuation name
+    no formula can refer to (``top``, ``bot``, ``"p q"``).
     """
     if not isinstance(data, dict) or not {"worlds", "agents"} <= data.keys():
         raise FrameError("model file must be an object defining 'worlds' and 'agents'")
@@ -404,6 +413,9 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
         basis = tuple([to_mask(e, f"basis of agent {name!r}") for e in basis])
         agents.append(AgentSpec(name, basis, tolerance))
 
+    for p in valuation:
+        if p in ("top", "bot") or not _NAME.fullmatch(str(p)):
+            raise FrameError(f"valuation name {p!r} is not one a formula can refer to")
     masks = {str(p): to_mask(ws, f"valuation of {p!r}") for p, ws in valuation.items()}
     if unknown:
         raise FrameError("unknown world names: " + ", ".join(unknown))

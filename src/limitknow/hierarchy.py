@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, _meets, generate_topology
+from .frame import Frame, FrameError, Topology, generate_topology
 
 INFINITE = float("inf")
 
@@ -188,28 +188,18 @@ def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Ve
 
     A world settles on the verdict of its least evidence ``N(w)``, the
     intersection of the evidence containing it: every stream there ends at
-    ``N(w)``. A basis whose evidence at some world has no least element (it
-    is not directed there) has no such limit, which is a ``FrameError``.
+    ``N(w)``. The validator computes ``N(w)``, so a basis it rejects is a
+    ``FrameError``.
     """
     check_method(method, basis)
-    universe = 0
-    for e in basis:
-        universe |= e
-    out: dict[int, Verdict] = {}
-    for w, least in enumerate(_meets(basis, universe)):
-        if least == -1:
-            continue
-        if least not in method.verdicts:
-            raise FrameError(f"evidence at world {w} has no least element")
-        out[w] = method.verdicts[least]
-    return out
+    neighborhoods = generate_topology(basis).neighborhoods
+    return {w: method.verdicts[least] for w, least in enumerate(neighborhoods) if least}
 
 
 def limit_yes_set(method: DecisionMethod, basis: Sequence[int]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    sigma = limit_verdicts(method, basis)
     out = 0
-    for w, v in sigma.items():
+    for w, v in limit_verdicts(method, basis).items():
         if v is Verdict.YES:
             out |= 1 << w
     return out

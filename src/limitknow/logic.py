@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping
 
-from .frame import Frame, FrameError, _is_names, load_frame_file
+from .frame import _NAME, Frame, FrameError, _is_names, load_frame_file
 from .operators import OperatorContext
 
 
@@ -176,7 +176,7 @@ _SYMBOL_OF = {cls: symbol for symbol, cls in MODALITIES.items()}
 # parsing
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[~&|()\[\]@]))"
+    rf"\s*(?:(?P<name>{_NAME.pattern})|(?P<op><->|->|[~&|()\[\]@]))"
 )
 
 

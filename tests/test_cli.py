@@ -160,6 +160,33 @@ def test_synth_feasible_prints_tables(capsys):
     assert {"evidence": ["z"], "verdict": "yes"} in rows
 
 
+SYNTH_Z = "agent a:\n  {z} -> yes\n  {y, z} -> defer\n  {x, y, z} -> defer\nsuccess set: {z}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, code, out",
+    [
+        (["--target", "z"], 0, SYNTH_Z),
+        ([], 0, SYNTH_Z),  # common knowledge {x, z} needs 3 opens; synthesis falls back
+        (
+            ["--target", "x,z"],
+            1,
+            "infeasible: target is not decidable for agent 'a': "
+            "needs a chain of 3 opens, tolerance allows 2\n",
+        ),
+    ],
+    ids=["target", "no-target", "infeasible"],
+)
+def test_synth_prints_the_chosen_success_set_without_verifying(capsys, monkeypatch, flags, code, out):
+    # verify_protocol looks max_switches up in attest's globals, so any
+    # re-verification of the synthesized protocol fails here.
+    def refuse(*args):
+        raise AssertionError("synth verified its own protocol")
+
+    monkeypatch.setattr("limitknow.attest.max_switches", refuse)
+    assert run(capsys, "synth", "-m", MODEL, "-p", "p", *flags) == (code, out, "")
+
+
 def test_simulate_scenario(capsys, tmp_path):
     scenario = {
         "frame": MODEL,
@@ -300,6 +327,11 @@ with open(MODEL) as fh:
         (("agents", 0, "tolerance"), 1.7),
         (("agents", 0, "basis"), "xyz"),
         (("agents", 0, "basis", 1), "yz"),
+        (("valuation", "top"), ["y"]),  # no formula can name these propositions
+        (("valuation", "bot"), []),
+        (("valuation", "p q"), ["x"]),
+        (("valuation", ""), ["x"]),
+        (("valuation", "2p"), ["x"]),
     ],
 )
 def test_malformed_model_is_one_error_line(capsys, tmp_path, path, value):

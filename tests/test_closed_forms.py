@@ -10,7 +10,7 @@ from operator import and_
 import pytest
 
 from limitknow import frame as frame_module
-from limitknow.attest import ProtocolError, synthesize, verify_protocol
+from limitknow.attest import ProtocolError, choose_success_set, synthesize, verify_protocol
 from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, Topology, bits, submasks
 from limitknow.hierarchy import (
     INFINITE,
@@ -113,9 +113,12 @@ def test_witness_searches_match_feasible_subset_oracles():
         for target in submasks(frame.universe):
             assert ctx.lewis_common(target) == oracle_lewis_common(feasible, target)
             try:
-                chosen = verify_protocol(frame, synthesize(frame, target), target).success_set
+                chosen = choose_success_set(frame, target)
             except ProtocolError:
                 chosen = None
+            else:  # the protocol built for the chosen set succeeds exactly there
+                protocol = synthesize(frame, target)
+                assert verify_protocol(frame, protocol, target).success_set == chosen
             assert chosen == oracle_synth_success(feasible, target)
             common = ctx.common(target)
             searched += bool(common) and not ctx.feasible(common)
@@ -311,10 +314,15 @@ def test_limit_verdicts_match_settling_definition_on_every_small_basis():
     assert methods == 1358  # every method on all 77 valid bases
 
 
-def test_limit_verdicts_reject_evidence_without_a_least_element():
-    # world 1 lies in both elements, whose meet {1} is not evidence
-    basis = (0b011, 0b110)
-    method = DecisionMethod({0b011: Verdict.YES, 0b110: Verdict.NO})
+@pytest.mark.parametrize(
+    "basis",
+    [(0b011, 0b110), (0b0, 0b1), (0b1, 0b1), (-1,)],
+    # world 1 lies in both elements, whose meet {1} is not evidence; then
+    # bases a frame rejects for other reasons
+    ids=["not-directed", "empty-element", "duplicate-element", "negative-element"],
+)
+def test_limit_verdicts_reject_evidence_without_a_least_element(basis):
+    method = DecisionMethod({e: Verdict.YES if e & 1 else Verdict.NO for e in basis})
     with pytest.raises(frame_module.FrameError):
         limit_verdicts(method, basis)
 

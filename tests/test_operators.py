@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from limitknow.frame import AgentSpec, Frame, FrameError, submasks
+from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks, validate_basis
 from limitknow.hierarchy import open_rank
 from limitknow import cli, operators
 from limitknow.attest import synthesize, verify_protocol
@@ -93,6 +93,23 @@ def test_every_operator_rejects_an_operand_outside_the_universe():
                 operands += [outside if f == bad else 0b110 for f in sets]
                 with pytest.raises(FrameError, match="members outside this universe"):
                     getattr(ctx, method)(*operands)
+
+
+def test_a_negative_mask_is_a_frame_error():
+    # A negative int has infinitely many set bits: no world set, universe or evidence.
+    for call in (
+        lambda: generate_topology((-1,)),
+        lambda: validate_basis((0b1,), -1),
+        lambda: Frame(["x"], [AgentSpec("a", (0b1, -2), 0)]),
+    ):
+        with pytest.raises(FrameError, match="negative mask"):
+            call()
+
+
+def test_a_basis_element_outside_the_frame_is_a_frame_error():
+    # The violation names the element in binary: it has no world name past z.
+    with pytest.raises(FrameError, match="element 0b1000 is not a subset of the universe"):
+        Frame(["x", "y", "z"], [AgentSpec("a", (0b111, 0b1000), 0)])
 
 
 def test_synthesis_and_verification_reject_a_set_outside_the_universe():
