@@ -300,6 +300,8 @@ def simulate(
     _check_protocol_shape(frame, protocol)
     w = frame.position(world)
     world_name = frame.worlds[w]
+    if isinstance(faults, str):
+        raise ProtocolError("faults must be a sequence of agent names, not a string")
     fault_set = set(faults)
     agent_names = [a.name for a in frame.agents]
     if fault_set - set(agent_names):

@@ -2,8 +2,10 @@
 
 World sets are plain ints used as bit vectors over a frame's world table
 (bit k set = world at index k is a member). Every structure here is immutable
-after construction; topologies are cached on the frame and are safe to share
-between threads.
+after construction except a topology's rank memo, which only gains entries, each
+a pure function of the topology and its key. So frames sharing a topology
+(``with_tolerances``) share its memo safely, and threads racing on one rank at
+worst compute it twice and store equal results.
 """
 
 from __future__ import annotations
@@ -234,6 +236,8 @@ class AgentSpec:
 
 
 def _check_tolerance(agent: AgentSpec) -> None:
+    if not _is_int(agent.tolerance):
+        raise FrameError(f"agent {agent.name}: tolerance must be an integer")
     if agent.tolerance < 0:
         raise FrameError(f"agent {agent.name}: tolerance must be >= 0")
 
@@ -247,6 +251,8 @@ class Frame:
     """
 
     def __init__(self, worlds: Sequence[str], agents: Sequence[AgentSpec]):
+        if isinstance(worlds, str):
+            raise FrameError("worlds must be a sequence of names, not a string")
         worlds = tuple(worlds)
         if not worlds:
             raise FrameError("frame needs at least one world")
@@ -335,6 +341,8 @@ class Frame:
         """A frame with the same worlds and bases but re-assigned tolerances.
         The bases are not validated again, and the topologies are shared
         (tolerances do not affect topologies)."""
+        for name in tolerances:
+            self.agent(name)  # an unknown name is a FrameError, not ignored
         agents = tuple([
             AgentSpec(a.name, a.basis, tolerances.get(a.name, a.tolerance))
             for a in self.agents

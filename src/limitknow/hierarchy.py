@@ -268,25 +268,14 @@ def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> Decis
 def chain_from_method(
     method: DecisionMethod, basis: Sequence[int], n: int
 ) -> DescendingOpenChain:
-    """Build a witness chain of n+1 opens for a method with at most n switches
-    after saying Yes, by layering the evidence sets where the verdict
-    alternates. The chain's nested difference recovers the limit-Yes set.
+    """A witness chain of n+1 opens for a method with at most n switches
+    after saying Yes: the greedy ``open_rank`` witness of the method's
+    limit-Yes set, padded with empty opens. Its nested difference is that
+    set, and the witness has at most n+1 opens (the set's rank) because the
+    method switches at most n times after saying Yes.
     """
     if max_switches(method, basis, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-
-    layer = [e for e in basis if method.verdicts[e] is Verdict.YES]
-    opens = []
-    for k in range(n + 1):
-        union = 0
-        for e in layer:
-            union |= e
-        opens.append(union)
-        want = Verdict.NO if (k + 1) % 2 == 1 else Verdict.YES
-        layer = [
-            e2
-            for e2 in basis
-            if method.verdicts[e2] is want
-            and any(e2 & ~e == 0 for e in layer)
-        ]
-    return DescendingOpenChain(generate_topology(basis), tuple(opens))
+    topology = generate_topology(basis)
+    witness = open_rank(topology, limit_yes_set(method, basis)).witness
+    return DescendingOpenChain(topology, witness + (0,) * (n + 1 - len(witness)))

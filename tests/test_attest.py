@@ -22,7 +22,7 @@ from limitknow.attest import (
     synthesize,
     verify_protocol,
 )
-from limitknow.frame import AgentSpec, Frame, load_frame_file, submasks
+from limitknow.frame import AgentSpec, Frame, FrameError, load_frame_file, submasks
 from limitknow.hierarchy import limit_yes_set, open_rank
 from limitknow.operators import OperatorContext
 from randgen import random_frame
@@ -340,6 +340,40 @@ def test_simulate_validates_inputs():
     }
     with pytest.raises(ProtocolError):
         simulate(frame, protocol, "z", long_streams, [], 0, seed=0, step_cap=1)
+
+
+def _simulate_with_string_faults():
+    frame = chain_frame()
+    protocol = constant_protocol(frame, DEFER)
+    simulate(frame, protocol, "x", make_streams(frame, "x"), "ab", 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Frame("xyz", [AgentSpec("a", (0b111,), 0)]), FrameError),
+        (_simulate_with_string_faults, ProtocolError),
+        (lambda: Frame(["x"], [AgentSpec("a", (1,), "1")]), FrameError),
+        (lambda: Frame(["x"], [AgentSpec("a", (1,), True)]), FrameError),
+        (lambda: Frame(["x"], [AgentSpec("a", (1,), 1.5)]), FrameError),
+        (lambda: chain_frame().with_tolerances({"a": "2"}), FrameError),
+        (lambda: chain_frame().with_tolerances({"typo": 3}), FrameError),
+    ],
+    ids=[
+        "string-worlds",
+        "string-faults",
+        "string-tolerance",
+        "bool-tolerance",
+        "float-tolerance",
+        "string-tolerance-update",
+        "unknown-agent-update",
+    ],
+)
+def test_entry_points_never_misread_a_string_or_a_non_integer(call, error):
+    """A string is not read as a list of its characters, a tolerance must be
+    an integer, and a tolerance update must name agents of the frame."""
+    with pytest.raises(error):
+        call()
 
 
 def test_step_cap_extends_the_horizon():

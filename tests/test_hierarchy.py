@@ -22,7 +22,13 @@ from limitknow.hierarchy import (
     nested_difference,
     open_rank,
 )
-from randgen import all_methods, oracle_all_ranks, oracle_min_switches, random_basis
+from randgen import (
+    all_methods,
+    all_valid_bases,
+    oracle_all_ranks,
+    oracle_min_switches,
+    random_basis,
+)
 
 YES, NO = Verdict.YES, Verdict.NO
 
@@ -449,6 +455,25 @@ def test_chain_method_round_trips():
             chain = chain_from_method(method, basis, bound)
             assert chain.evaluate() == limit_yes_set(method, basis)
             assert len(chain.sets) == bound + 1
+
+
+def test_chain_from_method_contract_on_every_small_basis():
+    # Every method of every valid basis of up to 3 worlds, at its own switch
+    # bound, above it, and one below it.
+    methods = 0
+    for n_worlds in (1, 2, 3):
+        for basis in all_valid_bases(n_worlds):
+            for method in all_methods(basis):
+                bound = max_switches(method, basis, YES)
+                limit = limit_yes_set(method, basis)
+                for n in range(bound, bound + 3):
+                    chain = chain_from_method(method, basis, n)
+                    assert len(chain) == n + 1
+                    assert chain.evaluate() == limit
+                with pytest.raises(FrameError, match=f"exceeds {bound - 1} switches"):
+                    chain_from_method(method, basis, bound - 1)
+                methods += 1
+    assert methods == 1358
 
 
 def test_switch_bound_matches_rank_bound():

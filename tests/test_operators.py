@@ -1,6 +1,7 @@
 """The epistemic operators: pointwise examples, Kuratowski laws, fixed-point
 characterizations, and tolerance invariance."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from limitknow import cli, operators
 from limitknow.attest import synthesize, verify_protocol
 from limitknow.logic import MODALITIES
 from limitknow.operators import OperatorContext
-from randgen import common_via_interior, random_frame
+from randgen import all_valid_bases, common_via_interior, random_frame
 
 CHAIN = ("chain", (0b111, 0b110, 0b100))
 
@@ -271,6 +272,64 @@ def test_common_is_tolerance_invariant_for_inductive_agents():
         for _ in range(5):
             tol = {a.name: rng.randint(1, 3) for a in frame.agents}
             assert OperatorContext(frame.with_tolerances(tol)).common(target) == reference
+
+
+def test_true_reason_is_some_true_witness_believed_via():
+    # S's closed form against its definition: the worlds where some true
+    # witness W gives the agent reason to believe the target via W. B depends
+    # on tolerance and the Skula interior does not, so this is the invariance
+    # theorem checked from the definition, on every basis of up to 3 worlds.
+    checks = 0
+    for n in (1, 2, 3):
+        for basis in all_valid_bases(n):
+            base = Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, 0)])
+            for tolerance in range(5):
+                ctx = OperatorContext(base.with_tolerances({"a": tolerance}))
+                for target in submasks(base.universe):
+                    expected = 0
+                    for witness in submasks(base.universe):
+                        expected |= witness & ctx.believes_via("a", witness, target)
+                    assert ctx.true_reason("a", target) == expected
+                    checks += 1
+    assert checks == 2950
+
+
+def _common_and_generates_over_tolerances(frames):
+    """Per (frame, witness, target): whether G changes across the tolerance
+    vectors {1,2,3}^2; C must not change for any target."""
+    vectors = list(itertools.product((1, 2, 3), repeat=2))
+    changes = []
+    for frame in frames:
+        ctxs = [OperatorContext(frame.with_tolerances(dict(zip("ab", v)))) for v in vectors]
+        for target in submasks(frame.universe):
+            assert len({ctx.common(target) for ctx in ctxs}) == 1
+            for witness in submasks(frame.universe):
+                changes.append(len({ctx.generates(witness, target) for ctx in ctxs}) > 1)
+    return changes
+
+
+def _two_agent_frame(n, basis_a, basis_b):
+    names = [f"w{i}" for i in range(n)]
+    return Frame(names, [AgentSpec("a", basis_a, 1), AgentSpec("b", basis_b, 1)])
+
+
+def test_common_is_invariant_and_generates_is_sensitive_on_two_agent_frames():
+    # Tolerance vectors {1,2,3}^2 cover [1, height]^2 on up to 3 worlds.
+    # Exhaustive up to 2 worlds: G never changes there.
+    small = [
+        _two_agent_frame(n, a, b)
+        for n in (1, 2)
+        for a, b in itertools.product(all_valid_bases(n), repeat=2)
+    ]
+    changes = _common_and_generates_over_tolerances(small)
+    assert (len(small), len(changes), sum(changes)) == (26, 404, 0)
+
+    # A seeded sample of the 5,041 two-agent 3-world frames: G changes for
+    # some witness and target (2,052 of all 322,624 triples do).
+    pairs = list(itertools.product(all_valid_bases(3), repeat=2))
+    sample = [_two_agent_frame(3, a, b) for a, b in random.Random(13).sample(pairs, 100)]
+    changes = _common_and_generates_over_tolerances(sample)
+    assert (len(changes), sum(changes)) == (6400, 74)
 
 
 def test_lewis_common_examples():
