@@ -2,10 +2,7 @@
 
 World sets are plain ints used as bit vectors over a frame's world table
 (bit k set = world at index k is a member). Every structure here is immutable
-after construction except a topology's rank memo, which only gains entries, each
-a pure function of the topology and its key. So frames sharing a topology
-(``with_tolerances``) share its memo safely, and threads racing on one rank at
-worst compute it twice and store equal results.
+after construction.
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -117,6 +114,8 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     least member, and any member below all of them is their intersection), so
     the pairwise search for witnesses runs only at worlds failing that test.
     """
+    if not _is_int(universe) or not all([_is_int(e) for e in elements]):
+        raise FrameError("a universe or basis element is not an integer mask")
     if universe < 0 or min(elements, default=0) < 0:
         raise FrameError("a universe or basis element is a negative mask")
     found: list[BasisViolation] = []
@@ -155,7 +154,7 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
 _ENUMERATION_LIMIT = 20  # open-set materialization is 2^|universe|
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Topology:
     """A finite topology given by the minimal open neighborhood of each world.
 
@@ -165,7 +164,6 @@ class Topology:
 
     universe: int
     neighborhoods: tuple[int, ...]  # indexed by world position; 0 off-universe
-    _rank_memo: dict = field(default_factory=dict, repr=False)
 
     def check_subset(self, s: int) -> None:
         if s & ~self.universe:
@@ -213,7 +211,8 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
     if universe is None:
         universe = 0
         for e in basis:
-            universe |= e
+            if _is_int(e):  # validation rejects any other element
+                universe |= e
     report = validate_basis(basis, universe)
     if not report.ok:
         raise FrameError(
@@ -256,13 +255,18 @@ class Frame:
         worlds = tuple(worlds)
         if not worlds:
             raise FrameError("frame needs at least one world")
-        if len(set(worlds)) != len(worlds) or any(not w for w in worlds):
-            raise FrameError("world names must be unique and non-empty")
+        if any(not isinstance(w, str) or not w for w in worlds) or len(set(worlds)) != len(worlds):
+            raise FrameError("world names must be unique and non-empty strings")
         if not agents:
             raise FrameError("frame needs at least one agent")
+        for a in agents:
+            if not isinstance(a, AgentSpec):
+                raise FrameError(f"an agent must be an AgentSpec, not {a!r:.40}")
+            if not isinstance(a.basis, (tuple, list)):
+                raise FrameError(f"agent {a.name!r}: basis must be a tuple or list of masks")
         names = [a.name for a in agents]
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise FrameError("agent names must be unique and non-empty")
+        if any(not isinstance(n, str) or not n for n in names) or len(set(names)) != len(names):
+            raise FrameError("agent names must be unique and non-empty strings")
 
         self.worlds: tuple[str, ...] = worlds
         self.universe: int = (1 << len(worlds)) - 1

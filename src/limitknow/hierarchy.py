@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, generate_topology
+from .frame import Frame, FrameError, Topology, _is_int, generate_topology
 
 INFINITE = float("inf")
 
@@ -97,30 +97,19 @@ def open_rank(topology: Topology, s: int) -> RankResult:
 def _rank_within(topology: Topology, s: int, bound: int | float) -> RankResult | None:
     """``open_rank(topology, s)`` when that rank is at most ``bound``, else
     None. The loop stops after ``bound`` hulls: a non-empty derivative left
-    then needs another one. Only exact ranks enter the memo."""
+    then needs another one."""
     topology.check_subset(s)
-    memo = topology._rank_memo
-    trail: list[tuple[int, int]] = []  # (derivative, its hull), not yet memoized
+    witness: list[int] = []
     cur = s
-    while (rest := memo.get(cur)) is None:
-        if cur == 0:
-            rest = memo[0] = RankResult(0, ())
-            break
-        if len(trail) >= bound:
+    while cur:
+        if len(witness) >= bound:
             return None
         hull = topology.hull(cur)
-        if trail and hull == trail[-1][1]:
-            rest = memo[cur] = RankResult(INFINITE, None)
-            break
-        trail.append((cur, hull))
+        if witness and hull == witness[-1]:
+            return RankResult(INFINITE, None) if bound == INFINITE else None
+        witness.append(hull)
         cur = hull & ~cur
-
-    while trail:  # each derivative's rank is one more than the next one's
-        derivative, hull = trail.pop()
-        if not rest.is_infinite:
-            rest = RankResult(rest.rank + 1, (hull,) + rest.witness)
-        memo[derivative] = rest
-    return rest if rest.rank <= bound else None
+    return RankResult(len(witness), tuple(witness))
 
 
 def closed_rank(topology: Topology, s: int) -> RankResult:
@@ -149,9 +138,8 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     rank exceeds c (take k = c). Both ranks are taken in the agent's own
     topology: the evidence is open, so the subspace over it has the same
     minimal neighborhoods at its worlds, hence the same hulls and ranks for
-    its subsets, and one rank memo serves every piece of evidence. Neither
-    rank matters past the tolerance, so each rank test stops after at most
-    that many hulls.
+    its subsets. Neither rank matters past the tolerance, so each rank test
+    stops after at most that many hulls.
     """
     spec = frame.agent(agent)
     if evidence not in spec.basis:
@@ -274,8 +262,10 @@ def chain_from_method(
     set, and the witness has at most n+1 opens (the set's rank) because the
     method switches at most n times after saying Yes.
     """
+    if not _is_int(n):  # a negative n fails the switch check below
+        raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
+    topology = generate_topology(basis)
     if max_switches(method, basis, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    topology = generate_topology(basis)
     witness = open_rank(topology, limit_yes_set(method, basis)).witness
     return DescendingOpenChain(topology, witness + (0,) * (n + 1 - len(witness)))

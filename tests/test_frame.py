@@ -12,12 +12,14 @@ from limitknow.frame import (
     Frame,
     FrameError,
     ResourceLimitError,
+    Topology,
     bits,
     generate_topology,
     load_frame,
     submasks,
     validate_basis,
 )
+from limitknow.hierarchy import DecisionMethod, Verdict, chain_from_method
 from randgen import random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
@@ -191,6 +193,37 @@ def test_frame_rejects_bad_inputs():
         Frame(["x"], [AgentSpec("a", (1,), 0), AgentSpec("a", (1,), 0)])
 
 
+SIERPINSKI_METHOD = DecisionMethod({U: Verdict.YES, U | V: Verdict.NO})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Frame(["x"], "a"), id="string-agents"),
+        pytest.param(lambda: Frame(["x"], [AgentSpec("a", 1, 0)]), id="int-basis"),
+        pytest.param(lambda: Frame(["x"], [AgentSpec("a", "3", 0)]), id="string-basis"),
+        pytest.param(lambda: Frame(["x"], [AgentSpec("a", (1.0,), 0)]), id="float-element"),
+        pytest.param(lambda: Frame(["x"], [AgentSpec(1, (1,), 0)]), id="int-agent-name"),
+        pytest.param(lambda: Frame([1, 2], [AgentSpec("a", (0b11,), 0)]), id="int-world-names"),
+        pytest.param(lambda: validate_basis((1.0,), 1), id="validate-float-element"),
+        pytest.param(lambda: validate_basis((True,), 1), id="validate-bool-element"),
+        pytest.param(lambda: validate_basis((1,), 1.0), id="validate-float-universe"),
+        pytest.param(lambda: generate_topology((1.0,)), id="generate-float-element"),
+        pytest.param(
+            lambda: chain_from_method(DecisionMethod({U: Verdict.YES}), (1.0,), 0),
+            id="chain-float-element",
+        ),
+        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), 1.5), id="float-bound"),
+        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), True), id="bool-bound"),
+    ],
+)
+def test_library_entry_points_reject_what_is_not_their_type(call):
+    """Agents, bases, world names, masks and switch bounds of the wrong type
+    are one ``FrameError``, never a crash or a silent misreading."""
+    with pytest.raises(FrameError):
+        call()
+
+
 def test_frame_errors_name_the_empty_element_and_the_uncovered_world():
     with pytest.raises(FrameError, match="agent a: invalid basis: basis element is empty"):
         Frame(["u", "v"], [AgentSpec("a", (0, U | V), 0)])
@@ -250,6 +283,14 @@ def test_with_tolerances_shares_topologies():
     bumped = frame.with_tolerances({"a": 2})
     assert bumped.agent("a").tolerance == 2
     assert bumped.topology("a") is topo
+
+
+def test_a_topology_is_a_value():
+    rng = random.Random(42)
+    for _ in range(20):
+        topo = generate_topology(random_basis(rng, rng.randint(1, 5)))
+        twin = Topology(topo.universe, topo.neighborhoods)
+        assert twin == topo and hash(twin) == hash(topo)
 
 
 def test_topology_reuses_the_neighborhoods_validation_computed(monkeypatch):

@@ -332,6 +332,106 @@ def test_common_is_invariant_and_generates_is_sensitive_on_two_agent_frames():
     assert (len(changes), sum(changes)) == (6400, 74)
 
 
+def _height(topology):
+    """The longest strict chain of distinct minimal neighborhoods."""
+    longest = {}
+    for n in sorted(set(topology.neighborhoods), key=int.bit_count):
+        longest[n] = 1 + max([k for m, k in longest.items() if n & m == m], default=0)
+    return max(longest.values())
+
+
+def test_tolerance_counts_only_up_to_the_height():
+    # Finite ranks are at most the height, and reason and feasibility compare
+    # ranks with t and t + 1, so tolerances from the height up give the same
+    # operators; true reason tells only tolerance 0 apart.
+    bases = values = 0
+    for n in (1, 2, 3):
+        for basis in all_valid_bases(n):
+            base = Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, 0)])
+            height = _height(base.topology("a"))
+            sets = list(submasks(base.universe))
+            answers = []
+            for tolerance in range(height, height + 4):
+                ctx = OperatorContext(base.with_tolerances({"a": tolerance}))
+                answers.append(
+                    [ctx.reason("a", p) for p in sets]
+                    + [ctx.true_reason("a", p) for p in sets]
+                    + [ctx.common(p) for p in sets]
+                    + [ctx.feasible(p) for p in sets]
+                    + [ctx.indicates("a", w, p) for w in sets for p in sets]
+                    + [ctx.generates(w, p) for w in sets for p in sets]
+                )
+            assert all(a == answers[0] for a in answers)
+            bases += 1
+            values += sum(map(len, answers))
+    assert (bases, values) == (77, 46464)
+
+
+def _sound_rule_instances(frames):
+    """Check each inference rule on every assignment of world sets, with the
+    premises as set inclusions; count the instances whose premises hold.
+
+    R: R(U) = U.  I: I(W, U) = U.  G: X <= EB(W, X) and X <= EB(W, P) give
+    X <= G(W, P).  C: X <= S_a(X) for every agent a and X <= P give X <= C(P).
+    """
+    counts = {"R": 0, "I": 0, "G": 0, "C": 0}
+    for frame in frames:
+        ctx = OperatorContext(frame)
+        sets = list(submasks(frame.universe))
+        for a in frame.agents:
+            assert ctx.reason(a.name, frame.universe) == frame.universe
+            counts["R"] += 1
+            for w in sets:
+                assert ctx.indicates(a.name, w, frame.universe) == frame.universe
+                counts["I"] += 1
+        for w in sets:
+            for x in sets:
+                if x & ~ctx.everyone_believes_via(w, x):
+                    continue
+                for p in sets:
+                    if x & ~ctx.everyone_believes_via(w, p) == 0:
+                        assert x & ~ctx.generates(w, p) == 0
+                        counts["G"] += 1
+        for x in sets:
+            if any(x & ~ctx.true_reason(a.name, x) for a in frame.agents):
+                continue
+            for p in sets:
+                if x & ~p == 0:
+                    assert x & ~ctx.common(p) == 0
+                    counts["C"] += 1
+    return counts
+
+
+def test_every_inference_rule_is_sound_on_every_assignment():
+    single = [
+        Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, tolerance)])
+        for n in (1, 2, 3)
+        for basis in all_valid_bases(n)
+        for tolerance in range(4)
+    ]
+    counts = _sound_rule_instances(single)
+    assert (len(single), counts) == (308, {"R": 308, "I": 2360, "G": 27416, "C": 6850})
+
+    vectors = list(itertools.product(range(3), repeat=2))
+    small = [
+        _two_agent_frame(n, a, b).with_tolerances(dict(zip("ab", v)))
+        for n in (1, 2)
+        for a, b in itertools.product(all_valid_bases(n), repeat=2)
+        for v in vectors
+    ]
+    counts = _sound_rule_instances(small)
+    assert (len(small), counts) == (234, {"R": 468, "I": 1836, "G": 4406, "C": 1636})
+
+    rng = random.Random(15)
+    pairs = list(itertools.product(all_valid_bases(3), repeat=2))
+    sample = [
+        _two_agent_frame(3, a, b).with_tolerances(dict(zip("ab", rng.choice(vectors))))
+        for a, b in rng.sample(pairs, 200)
+    ]
+    counts = _sound_rule_instances(sample)
+    assert counts == {"R": 400, "I": 3200, "G": 15864, "C": 4058}
+
+
 def test_lewis_common_examples():
     ctx = chain_ctx(1, agents=("a", "b"))
     assert ctx.lewis_common(ctx.universe) == ctx.universe

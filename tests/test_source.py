@@ -49,6 +49,31 @@ def test_library_has_no_inline_generator_tuple_or_asdict():
     assert found == []
 
 
+def hides_state(node):
+    """A ``dataclass`` call given any ``eq`` but ``True`` (equality by
+    identity), or a ``field`` call with a ``default_factory`` (a fresh
+    mutable value per instance)."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    keywords = {k.arg: k.value for k in node.keywords}
+    if name == "dataclass" and "eq" in keywords:
+        eq = keywords["eq"]
+        return not (isinstance(eq, ast.Constant) and eq.value is True)
+    return name == "field" and "default_factory" in keywords
+
+
+def test_library_value_types_hold_no_hidden_state():
+    # Frames share topologies and contexts share frames: a mutable field on
+    # one of these values is state shared by every holder, and an identity
+    # equality lets two equal values answer differently.
+    found = []
+    for path in sorted(Path(limitknow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if hides_state(n)]
+    assert found == []
+
+
 def test_hierarchy_has_one_hull_derivative_loop():
     # Exact ranks and the tolerance tests that stop at a bound share one loop,
     # so the repeated-hull rule for infinite ranks has one copy.
