@@ -21,7 +21,6 @@ from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
     Verdict,
-    _rank_within,
     max_switches,
     method_from_chain,
     open_rank,
@@ -162,11 +161,11 @@ def verify_protocol(
 def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> AttestationStrategy:
     spec = frame.agent(agent)
     topo = frame.topology(agent)
-    rank = _rank_within(topo, success, spec.tolerance + 1)
-    if rank is None:
+    rank = open_rank(topo, success)
+    if rank.rank > spec.tolerance + 1:
         raise ProtocolError(
             f"target is not decidable for agent {agent!r}: needs a chain of "
-            f"{open_rank(topo, success).rank} opens, tolerance allows {spec.tolerance + 1}"
+            f"{rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
     method = method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
     return AttestationStrategy(

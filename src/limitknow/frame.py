@@ -170,8 +170,7 @@ class Topology:
             raise FrameError("world set has members outside this universe")
 
     def is_open(self, s: int) -> bool:
-        self.check_subset(s)
-        return all(self.neighborhoods[w] & ~s == 0 for w in bits(s))
+        return not self.meeting(s, self.universe & ~s)
 
     def hull(self, s: int) -> int:
         """The least open superset of ``s``."""
@@ -181,14 +180,19 @@ class Topology:
             out |= self.neighborhoods[w]
         return out
 
-    def interior(self, s: int) -> int:
-        """The greatest open subset of ``s``."""
+    def meeting(self, s: int, x: int) -> int:
+        """The worlds of ``s`` whose neighborhood meets ``x``."""
         self.check_subset(s)
         out = 0
-        for w in bits(self.universe & s):
-            if self.neighborhoods[w] & ~s == 0:
-                out |= self.neighborhoods[w]
+        for w in bits(s):
+            if self.neighborhoods[w] & x:
+                out |= 1 << w
         return out
+
+    def interior(self, s: int) -> int:
+        """The greatest open subset of ``s``: the worlds whose neighborhood
+        stays inside it."""
+        return s & ~self.meeting(s, self.universe & ~s)
 
     @property
     def opens(self) -> tuple[int, ...]:

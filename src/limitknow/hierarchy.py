@@ -20,9 +20,6 @@ class Verdict(Enum):
     YES = "yes"
     NO = "no"
 
-    def flipped(self) -> "Verdict":
-        return Verdict.NO if self is Verdict.YES else Verdict.YES
-
 
 # ---------------------------------------------------------------------------
 # nested differences and chains
@@ -91,22 +88,13 @@ def open_rank(topology: Topology, s: int) -> RankResult:
     sequence is non-increasing, so a repeated hull before the derivative
     empties means no finite chain exists.
     """
-    return _rank_within(topology, s, INFINITE)
-
-
-def _rank_within(topology: Topology, s: int, bound: int | float) -> RankResult | None:
-    """``open_rank(topology, s)`` when that rank is at most ``bound``, else
-    None. The loop stops after ``bound`` hulls: a non-empty derivative left
-    then needs another one."""
     topology.check_subset(s)
     witness: list[int] = []
     cur = s
     while cur:
-        if len(witness) >= bound:
-            return None
         hull = topology.hull(cur)
         if witness and hull == witness[-1]:
-            return RankResult(INFINITE, None) if bound == INFINITE else None
+            return RankResult(INFINITE, None)
         witness.append(hull)
         cur = hull & ~cur
     return RankResult(len(witness), tuple(witness))
@@ -116,6 +104,25 @@ def closed_rank(topology: Topology, s: int) -> RankResult:
     """Least k such that ``s`` is k-closed (its complement is k-open)."""
     topology.check_subset(s)
     return open_rank(topology, topology.universe & ~s)
+
+
+def _levels(topology: Topology, s: int, depth: int) -> tuple[list[int], list[int]]:
+    """The first ``depth`` alternation levels of ``s`` and of its complement.
+
+    ``ins[k]`` holds the worlds of ``s`` that start a chain of k + 1 worlds,
+    each in the last one's neighborhood, whose membership alternates;
+    ``outs[k]`` likewise for the complement. Each level lies inside the one
+    before, so a pass scans only the last. For an open ``e``, ``open_rank(s
+    & e)`` and ``open_rank(e & ~s)`` count the ``ins`` and the ``outs`` that
+    meet ``e``, up to ``depth``; an infinite rank never empties its levels.
+    """
+    topology.check_subset(s)
+    ins, outs = [s], [topology.universe & ~s]
+    for _ in range(depth - 1):
+        i, o = ins[-1], outs[-1]
+        ins.append(topology.meeting(i, o))
+        outs.append(topology.meeting(o, i))
+    return ins, outs
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +145,24 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     rank exceeds c (take k = c). Both ranks are taken in the agent's own
     topology: the evidence is open, so the subspace over it has the same
     minimal neighborhoods at its worlds, hence the same hulls and ranks for
-    its subsets. Neither rank matters past the tolerance, so each rank test
-    stops after at most that many hulls.
+    its subsets. Neither rank matters past the tolerance, so both are read
+    off the first tolerance + 1 alternation levels of ``w_set``.
     """
     spec = frame.agent(agent)
     if evidence not in spec.basis:
         raise FrameError(f"not a basis element of agent {agent!r}")
-    topo = frame.topology(agent)
-    topo.check_subset(w_set)
-    return _supports(topo, spec.tolerance, w_set, evidence)
+    return bool(_supporting(frame.topology(agent), (evidence,), spec.tolerance, w_set))
 
 
-def _supports(topology: Topology, tolerance: int, w_set: int, evidence: int) -> bool:
-    """``gives_reason`` for a checked operand and basis element."""
-    closed = _rank_within(topology, evidence & ~w_set, tolerance)
-    return closed is not None and _rank_within(topology, w_set & evidence, closed.rank) is None
+def _supporting(
+    topology: Topology, basis: Sequence[int], tolerance: int, w_set: int
+) -> tuple[int, ...]:
+    """The elements of ``basis`` that give reason to believe ``w_set``, by
+    ``gives_reason``'s test: for some k up to the tolerance, outer level k
+    misses the element (its closed rank is at most k) and inner level k meets
+    it (its open rank exceeds k)."""
+    ins, outs = _levels(topology, w_set, tolerance + 1)
+    return tuple([e for e in basis if any(i & e and not o & e for i, o in zip(ins, outs))])
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +196,21 @@ def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Ve
 
 def limit_yes_set(method: DecisionMethod, basis: Sequence[int]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    out = 0
-    for w, v in limit_verdicts(method, basis).items():
-        if v is Verdict.YES:
-            out |= 1 << w
-    return out
+    return sum([1 << w for w, v in limit_verdicts(method, basis).items() if v is Verdict.YES])
 
 
 def max_switches(method: DecisionMethod, basis: Sequence[int], start: Verdict) -> int:
     """Largest t for which a t-switching sequence with the given start verdict
     exists: a descending evidence sequence whose verdicts alternate starting
     from ``start``. Returned as an int, 0 when no evidence answers ``start``.
-    Computed by longest-path dynamic programming over the strict-containment
-    order (alternation forces strict descent).
-    """
+    Read off the alternation levels of the elements answering ``start``, an
+    element's neighborhood being the elements inside it (alternation forces
+    strict descent)."""
     check_method(method, basis)
-    order = sorted(basis, key=lambda e: (e.bit_count(), e))
-    best: dict[int, int] = {}
-    for e in order:
-        want = method.verdicts[e].flipped()
-        longest = 0
-        for e2 in order:
-            if e2 == e or e2 & ~e:
-                continue
-            if method.verdicts[e2] is want:
-                longest = max(longest, 1 + best[e2])
-        best[e] = longest
-    return max([best[e] for e in basis if method.verdicts[e] is start], default=0)
+    inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
+    starts = sum([1 << i for i, e in enumerate(basis) if method.verdicts[e] is start])
+    ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
+    return max(len([s for s in ins if s]) - 1, 0)
 
 
 def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:

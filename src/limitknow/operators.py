@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .frame import Frame, FrameError, ResourceLimitError, Topology, bits, submasks
-from .hierarchy import INFINITE, _rank_within, _supports, open_rank
+from .hierarchy import INFINITE, _levels, _supporting, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
@@ -48,9 +48,7 @@ class OperatorContext:
         ev = self._supporting.get(key)
         if ev is None:
             spec = self.frame.agent(agent)
-            topo = self.frame.topology(agent)
-            topo.check_subset(w_set)
-            ev = tuple([e for e in spec.basis if _supports(topo, spec.tolerance, w_set, e)])
+            ev = _supporting(self.frame.topology(agent), spec.basis, spec.tolerance, w_set)
             self._supporting[key] = ev
         return ev
 
@@ -180,7 +178,7 @@ class OperatorContext:
         """Can every agent decide the set within tolerance: is its open rank
         at most the agent's tolerance + 1?"""
         return all(
-            _rank_within(self.frame.topology(a.name), v, a.tolerance + 1) is not None
+            not _levels(self.frame.topology(a.name), v, a.tolerance + 2)[0][-1]
             for a in self.frame.agents
         )
 

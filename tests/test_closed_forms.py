@@ -5,18 +5,27 @@ verdicts, plus the large frames that only the closed forms can handle."""
 import itertools
 import random
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 
 from limitknow import frame as frame_module
 from limitknow.attest import ProtocolError, choose_success_set, synthesize, verify_protocol
-from limitknow.frame import AgentSpec, BasisReport, BasisViolation, Frame, Topology, bits, submasks
+from limitknow.frame import (
+    AgentSpec,
+    BasisReport,
+    BasisViolation,
+    Frame,
+    Topology,
+    bits,
+    generate_topology,
+    submasks,
+)
 from limitknow.hierarchy import (
     INFINITE,
     DecisionMethod,
     Verdict,
-    _rank_within,
+    _levels,
     closed_rank,
     gives_reason,
     limit_verdicts,
@@ -149,29 +158,27 @@ def test_gives_reason_matches_subspace_loop():
 
 
 # ---------------------------------------------------------------------------
-# tolerance tests that stop at the bound
+# tolerance tests from alternation levels
 
 
-def test_bounded_rank_is_open_rank_within_the_bound():
-    # Every bound from 0 to the height + 1, with the queries in a random order;
-    # non-T0 frames give infinite ranks.
-    rng = random.Random(36)
-    infinite = cut = 0
-    for _ in range(60):
-        frame = random_frame(rng, max_worlds=6)
-        for a in frame.agents:
-            topo = frame.topology(a.name)
-            ranks = {s: open_rank(topo, s) for s in submasks(frame.universe)}
-            height = max(r.rank for r in ranks.values() if not r.is_infinite)
-            infinite += any(r.is_infinite for r in ranks.values())
-            for bound in range(height + 2):
-                order = list(ranks)
-                rng.shuffle(order)
-                for s in order:
-                    got = _rank_within(topo, s, bound)
-                    assert got == (ranks[s] if ranks[s].rank <= bound else None)
-                    cut += got is None
-    assert infinite > 20 and cut > 1000
+def test_levels_count_the_open_ranks_inside_every_element():
+    # Every valid basis of up to 3 worlds and every 4-world basis of at most
+    # 6 elements, every set and element, at a depth one past the greatest
+    # finite rank; non-T0 bases give infinite ranks, which count as the depth.
+    wrong, infinite = [], 0
+    for basis in all_valid_bases(3) + all_valid_bases(4, max_elements=6):
+        topo = generate_topology(basis)
+        ranks = {s: open_rank(topo, s).rank for s in submasks(topo.universe)}
+        depth = max(r for r in ranks.values() if r != INFINITE) + 1
+        infinite += INFINITE in ranks.values()
+        ranks = {s: min(r, depth) for s, r in ranks.items()}
+        for s in ranks:
+            ins, outs = _levels(topo, s, depth)
+            for e in basis:
+                got = (len([i for i in ins if i & e]), len([o for o in outs if o & e]))
+                if got != (ranks[s & e], ranks[e & ~s]) or len(ins) != depth:
+                    wrong.append((basis, s, e))
+    assert wrong == [] and infinite > 100
 
 
 def test_supporting_evidence_is_the_evidence_gives_reason_accepts():
@@ -200,29 +207,32 @@ def test_feasible_is_rank_within_tolerance_plus_one():
 
 
 def test_tolerance_tests_stop_at_the_bound(monkeypatch):
-    # Tolerance 0: evidence supports a set it lies inside, which takes no
-    # hull; feasibility stops after tolerance + 1 hulls per agent.
-    hulls = []
-    original = Topology.hull
+    # Reason at tolerance t reads t + 1 alternation levels of the set: 2t
+    # meeting passes and no hull, so a tolerance-0 agent takes neither.
+    # Feasibility reads t + 2 levels per agent.
+    calls = {"hull": 0, "meeting": 0}
+    for name in calls:
 
-    def counting(self, s):
-        hulls.append(s)
-        return original(self, s)
+        def counting(self, *args, name=name, original=getattr(Topology, name)):
+            calls[name] += 1
+            return original(self, *args)
 
-    monkeypatch.setattr(Topology, "hull", counting)
-    frame = chain_frame(32, tolerance=0)
-    ctx = OperatorContext(frame)
-    alternating = int("01" * 16, 2)  # rank 32 for a, 31 for b
-    for p in (frame.universe & ~0b111, 0b111, alternating):
-        for a in frame.agents:
-            inside = 0
-            for e in a.basis:
-                if e & ~p == 0:
-                    inside |= e
-            assert ctx.reason(a.name, p) == inside
-    assert hulls == []
-    assert not ctx.feasible(alternating)
-    assert len(hulls) <= 1
+        monkeypatch.setattr(Topology, name, counting)
+    for n, tolerance in ((32, 0), (256, 3)):
+        frame = chain_frame(n, tolerance)
+        ctx = OperatorContext(frame)
+        alternating = int("01" * (n // 2), 2)  # rank n for a, n - 1 for b
+        for p in (frame.universe & ~0b111, 0b111, alternating):
+            for a in frame.agents:
+                before = calls["meeting"]
+                supported = ctx.reason(a.name, p)
+                assert calls["meeting"] - before == 2 * tolerance
+                if tolerance == 0:  # evidence supports a set it lies inside
+                    assert supported == reduce(or_, [e for e in a.basis if e & ~p == 0], 0)
+        before = calls["meeting"]
+        assert not ctx.feasible(alternating)
+        assert calls["meeting"] - before <= 2 * (tolerance + 1) * len(frame.agents)
+    assert calls["hull"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -308,9 +308,9 @@ def test_max_switches_examples():
 
 
 def test_max_switches_matches_exhaustive_chain_search():
-    rng = random.Random(14)
-    for _ in range(20):
-        basis = random_basis(rng, 4)
+    # Every method of every valid 3-world basis, from both start verdicts.
+    cases = 0
+    for basis in all_valid_bases(3):
         for method in all_methods(basis):
             for start in (YES, NO):
                 got = max_switches(method, basis, start)
@@ -321,15 +321,15 @@ def test_max_switches_matches_exhaustive_chain_search():
                 while stack:
                     e, length = stack.pop()
                     best = max(best, length)
-                    want = method.verdicts[e].flipped()
                     for e2 in basis:
-                        if e2 != e and e2 & ~e == 0 and method.verdicts[e2] is want:
+                        if e2 & ~e == 0 and method.verdicts[e2] is not method.verdicts[e]:
                             stack.append((e2, length + 1))
                 if best < 0:
                     assert got == 0 and not start_occurs
                 else:
                     assert got == best and start_occurs
-            break  # one method per basis keeps this fast; acceptance is exhaustive
+                cases += 1
+    assert cases == 2668
 
 
 def test_min_switches_examples():
