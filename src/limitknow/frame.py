@@ -11,7 +11,7 @@ import copy
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a proposition name in a formula
@@ -108,16 +108,15 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     each world's least evidence.
 
     Violations are data, not faults: the report lists every failed condition
-    with a witness. A negative universe or element is no set at all, and a
-    ``FrameError``. The elements at a world are directed there exactly when
-    their intersection is itself an element (a finite directed family has a
-    least member, and any member below all of them is their intersection), so
-    the pairwise search for witnesses runs only at worlds failing that test.
+    with a witness. A universe or element that is not a non-negative int is
+    no set at all, and a ``FrameError``, as is a basis that is no sequence.
+    The elements at a world are directed there exactly when their
+    intersection is itself an element (a finite directed family has a least
+    member, and any member below all of them is their intersection), so the
+    pairwise search for witnesses runs only at worlds failing that test.
     """
-    if not _is_int(universe) or not all([_is_int(e) for e in elements]):
-        raise FrameError("a universe or basis element is not an integer mask")
-    if universe < 0 or min(elements, default=0) < 0:
-        raise FrameError("a universe or basis element is a negative mask")
+    elements = _masks(elements, "basis element")
+    _masks((universe,), "universe")
     found: list[BasisViolation] = []
     seen: set[int] = set()
     for e in elements:
@@ -166,10 +165,13 @@ class Topology:
     neighborhoods: tuple[int, ...]  # indexed by world position; 0 off-universe
 
     def check_subset(self, s: int) -> None:
+        if not _is_int(s):
+            raise FrameError(f"a world set must be an integer mask, not {s!r:.40}")
         if s & ~self.universe:
             raise FrameError("world set has members outside this universe")
 
     def is_open(self, s: int) -> bool:
+        self.check_subset(s)
         return not self.meeting(s, self.universe & ~s)
 
     def hull(self, s: int) -> int:
@@ -192,6 +194,7 @@ class Topology:
     def interior(self, s: int) -> int:
         """The greatest open subset of ``s``: the worlds whose neighborhood
         stays inside it."""
+        self.check_subset(s)
         return s & ~self.meeting(s, self.universe & ~s)
 
     @property
@@ -212,11 +215,11 @@ def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topo
 
     The basis is validated first; an invalid one is a ``FrameError``.
     """
+    basis = _masks(basis, "basis element")
     if universe is None:
         universe = 0
         for e in basis:
-            if _is_int(e):  # validation rejects any other element
-                universe |= e
+            universe |= e
     report = validate_basis(basis, universe)
     if not report.ok:
         raise FrameError(
@@ -254,9 +257,8 @@ class Frame:
     """
 
     def __init__(self, worlds: Sequence[str], agents: Sequence[AgentSpec]):
-        if isinstance(worlds, str):
-            raise FrameError("worlds must be a sequence of names, not a string")
-        worlds = tuple(worlds)
+        worlds = _as_tuple(worlds, "worlds")
+        agents = _as_tuple(agents, "agents")
         if not worlds:
             raise FrameError("frame needs at least one world")
         if any(not isinstance(w, str) or not w for w in worlds) or len(set(worlds)) != len(worlds):
@@ -274,7 +276,7 @@ class Frame:
 
         self.worlds: tuple[str, ...] = worlds
         self.universe: int = (1 << len(worlds)) - 1
-        self.agents: tuple[AgentSpec, ...] = tuple(agents)
+        self.agents: tuple[AgentSpec, ...] = agents
         self.agents_by_name: dict[str, AgentSpec] = {a.name: a for a in agents}
         self._index: dict[str, int] = {w: i for i, w in enumerate(worlds)}
         self._topologies: dict[str, Topology] = {}
@@ -373,6 +375,24 @@ class Frame:
 def _is_int(value) -> bool:
     """A JSON integer (``bool`` is an ``int`` subclass, but not one)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; a string or a non-iterable is a ``FrameError``."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise FrameError(f"{what} must be a sequence, not {values!r:.40}")
+    return tuple(values)
+
+
+def _masks(values, noun: str) -> tuple[int, ...]:
+    """``values`` as a tuple of masks: non-negative ints, ``noun`` naming one
+    in an error."""
+    values = _as_tuple(values, f"{noun}s")
+    if not all([_is_int(v) for v in values]):
+        raise FrameError(f"a {noun} is not an integer mask")
+    if min(values, default=0) < 0:
+        raise FrameError(f"a {noun} is a negative mask")
+    return values
 
 
 def _is_names(value) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, _is_int, generate_topology
+from .frame import Frame, FrameError, Topology, _is_int, _masks, generate_topology
 
 INFINITE = float("inf")
 
@@ -30,6 +30,7 @@ def nested_difference(sets: Sequence[int]) -> int:
 
     The empty sequence evaluates to the empty set.
     """
+    sets = _masks(sets, "chain member")
     for a, b in zip(sets, sets[1:]):
         if b & ~a:
             raise FrameError("chain is not descending")
@@ -177,7 +178,7 @@ class DecisionMethod:
 
 
 def check_method(method: DecisionMethod, basis: Sequence[int]) -> None:
-    if set(method.verdicts) != set(basis):
+    if set(method.verdicts) != set(_masks(basis, "basis element")):
         raise FrameError("method domain must equal the basis exactly")
 
 

@@ -44,6 +44,7 @@ class OperatorContext:
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
         the set, each by ``gives_reason``'s test."""
+        self.frame.check_subset(w_set)  # before the cache: True and 1.0 hash like 1
         key = (agent, w_set)
         ev = self._supporting.get(key)
         if ev is None:

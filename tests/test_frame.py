@@ -19,7 +19,13 @@ from limitknow.frame import (
     submasks,
     validate_basis,
 )
-from limitknow.hierarchy import DecisionMethod, Verdict, chain_from_method
+from limitknow.hierarchy import (
+    DecisionMethod,
+    Verdict,
+    chain_from_method,
+    max_switches,
+    nested_difference,
+)
 from randgen import random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
@@ -215,6 +221,19 @@ SIERPINSKI_METHOD = DecisionMethod({U: Verdict.YES, U | V: Verdict.NO})
         ),
         pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), 1.5), id="float-bound"),
         pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), True), id="bool-bound"),
+        pytest.param(
+            lambda: max_switches(DecisionMethod({U: Verdict.YES}), (1.0,), Verdict.YES),
+            id="switches-float-element",
+        ),
+        pytest.param(
+            lambda: max_switches(DecisionMethod({U: Verdict.YES}), U, Verdict.YES),
+            id="switches-int-basis",
+        ),
+        pytest.param(lambda: Frame(["x"], 5), id="int-agents"),
+        pytest.param(lambda: Frame(5, [AgentSpec("a", (1,), 0)]), id="int-worlds"),
+        pytest.param(lambda: validate_basis(1, 1), id="validate-int-basis"),
+        pytest.param(lambda: nested_difference("ab"), id="string-chain"),
+        pytest.param(lambda: nested_difference((0b11, 1.0)), id="float-chain-member"),
     ],
 )
 def test_library_entry_points_reject_what_is_not_their_type(call):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks, validate_basis
-from limitknow.hierarchy import open_rank
+from limitknow.hierarchy import gives_reason, open_rank
 from limitknow import cli, operators
 from limitknow.attest import synthesize, verify_protocol
 from limitknow.logic import MODALITIES
@@ -94,6 +94,31 @@ def test_every_operator_rejects_an_operand_outside_the_universe():
                 operands += [outside if f == bad else 0b110 for f in sets]
                 with pytest.raises(FrameError, match="members outside this universe"):
                     getattr(ctx, method)(*operands)
+
+
+def cached_then(ctx, w_set):
+    ctx.reason("a", 1)
+    return ctx.reason("a", w_set)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda ctx: ctx.reason("a", True), id="reason-bool"),
+        pytest.param(lambda ctx: ctx.reason("a", "1"), id="reason-string"),
+        pytest.param(lambda ctx: ctx.common(True), id="common-bool"),
+        pytest.param(lambda ctx: ctx.true_reason("a", 1.0), id="true-reason-float"),
+        pytest.param(lambda ctx: gives_reason(ctx.frame, "a", True, 0b111), id="gives-reason-bool"),
+        pytest.param(lambda ctx: open_rank(ctx.frame.topology("a"), 1.0), id="open-rank-float"),
+        pytest.param(lambda ctx: ctx.frame.names(True), id="names-bool"),
+        # True and 1.0 hash like 1, so a cached answer for 1 must not serve them.
+        pytest.param(lambda ctx: cached_then(ctx, True), id="cached-reason-bool"),
+        pytest.param(lambda ctx: cached_then(ctx, 1.0), id="cached-reason-float"),
+    ],
+)
+def test_a_world_set_that_is_not_an_int_mask_is_a_frame_error(call):
+    with pytest.raises(FrameError, match="world set must be an integer mask"):
+        call(chain_ctx(1))
 
 
 def test_a_negative_mask_is_a_frame_error():
