@@ -57,12 +57,9 @@ method = method_from_chain(chain, frame.agent("observer").basis)
 print(f"method for {names(target)} read off the chain:")
 for evidence, verdict in method.verdicts.items():
     print(f"  on seeing {names(evidence)}: {verdict.value}")
-sigma = limit_verdicts(method, frame.agent("observer").basis)
+sigma = limit_verdicts(method)
 print("limit verdict per world:", {frame.worlds[w]: v.value for w, v in sigma.items()})
-print(
-    "mind changes after first saying yes:",
-    max_switches(method, frame.agent("observer").basis, Verdict.YES),
-)
+print("mind changes after first saying yes:", max_switches(method, Verdict.YES))
 print()
 
 # A question nobody can settle: with only the trivial observation available,
@@ -76,5 +73,5 @@ basis = indiscrete.agent("observer").basis
 constant = DecisionMethod({e: Verdict.NO for e in basis})
 print(
     "constant-no method settles on:",
-    {indiscrete.worlds[w]: v.value for w, v in limit_verdicts(constant, basis).items()},
+    {indiscrete.worlds[w]: v.value for w, v in limit_verdicts(constant).items()},
 )

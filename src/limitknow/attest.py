@@ -136,8 +136,7 @@ def verify_protocol(
             if verdicts[least] == ATTEST:
                 yes |= 1 << w
         limit_yes[spec.name] = yes
-        method = strategy.induced_method()
-        count = max_switches(method, spec.basis, Verdict.YES)
+        count = max_switches(strategy.induced_method(), Verdict.YES)
         bounds[spec.name] = SwitchBoundCheck(count, spec.tolerance)
 
     sets = list(limit_yes.values())
@@ -292,9 +291,9 @@ def simulate(
     agents emit seeded random verdicts. The aggregator attests at a step iff
     strictly more than half of that step's outputs attest; ties are defers
     (safety over liveness). Limits are the final outputs, which honest
-    streams realize because they end at minimal evidence. A ``step_cap``
-    fixes the horizon; it must cover the streams, and past ``MAX_STEPS`` it
-    is a ``ResourceLimitError``.
+    streams realize because they end at minimal evidence. A ``step_cap``, an
+    int, fixes the horizon; it must cover the streams, and past ``MAX_STEPS``
+    it is a ``ResourceLimitError``.
     """
     _check_protocol_shape(frame, protocol)
     w = frame.position(world)
@@ -313,6 +312,8 @@ def simulate(
 
     horizon = max(len(s.chain) for s in streams.values())
     if step_cap is not None:
+        if not _is_int(step_cap):
+            raise ProtocolError("'step_cap' must be an integer")
         if step_cap > MAX_STEPS:
             raise ResourceLimitError(f"step cap {step_cap} exceeds {MAX_STEPS} steps")
         if step_cap < horizon:
@@ -369,7 +370,6 @@ def simulate(
 @dataclass(frozen=True)
 class Scenario:
     frame: Frame
-    valuation: dict[str, int]
     target: int
     protocol: AttestationProtocol
     world: str
@@ -451,7 +451,7 @@ def load_scenario(path: str) -> Scenario:
         raise ProtocolError(f"malformed scenario: missing {exc}") from None
 
     frame.index(world)
-    return Scenario(frame, valuation, target, protocol, world, tuple(faults), seed, step_cap)
+    return Scenario(frame, target, protocol, world, tuple(faults), seed, step_cap)
 
 
 def run_scenario(scenario: Scenario) -> SimulationReport:

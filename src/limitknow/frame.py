@@ -84,12 +84,18 @@ class BasisViolation:
 
 @dataclass(frozen=True)
 class BasisReport:
-    ok: bool
+    """Every violated basis condition; the basis is valid (``ok``) when
+    there is none."""
+
     violations: tuple[BasisViolation, ...]
     # Per world position, the intersection of the elements containing that
     # world (0 where none does). For a valid basis that is each world's
     # minimal neighborhood, which directedness makes an element itself.
     neighborhoods: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _meets(elements: Sequence[int], universe: int) -> list[int]:
@@ -144,7 +150,7 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
                         BasisViolation("not-directed", element=e1, other=e2, world=w)
                     )
     nbhd = tuple([0 if m == -1 else m for m in meets])
-    return BasisReport(not found, tuple(found), nbhd)
+    return BasisReport(tuple(found), nbhd)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +216,16 @@ class Topology:
         return tuple(sorted(s for s in submasks(self.universe) if self.is_open(s)))
 
 
-def generate_topology(basis: Sequence[int], universe: int | None = None) -> Topology:
-    """Close a valid evidence basis under arbitrary unions (plus the empty set).
+def generate_topology(basis: Sequence[int]) -> Topology:
+    """Close a valid evidence basis under arbitrary unions (plus the empty set)
+    over the union of its elements.
 
     The basis is validated first; an invalid one is a ``FrameError``.
     """
     basis = _masks(basis, "basis element")
-    if universe is None:
-        universe = 0
-        for e in basis:
-            universe |= e
+    universe = 0
+    for e in basis:
+        universe |= e
     report = validate_basis(basis, universe)
     if not report.ok:
         raise FrameError(
@@ -297,9 +303,9 @@ class Frame:
         except KeyError:
             raise FrameError(f"unknown world {world!r}") from None
 
-    def mask(self, names: Iterable[str]) -> int:
+    def mask(self, names: Sequence[str]) -> int:
         out = 0
-        for name in names:
+        for name in _as_tuple(names, "world names"):
             out |= 1 << self.index(name)
         return out
 
@@ -330,7 +336,7 @@ class Frame:
         basis = self.agent(agent).basis
         if evidence not in basis:
             raise FrameError("subspace root is not a basis element")
-        return generate_topology(tuple([e for e in basis if e & ~evidence == 0]), evidence)
+        return generate_topology(tuple([e for e in basis if e & ~evidence == 0]))
 
     # -- evidence queries --------------------------------------------------
 
@@ -348,9 +354,12 @@ class Frame:
         return tuple([e for e in self.agent(agent).basis if (e >> w) & 1])
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
-        """A frame with the same worlds and bases but re-assigned tolerances.
-        The bases are not validated again, and the topologies are shared
-        (tolerances do not affect topologies)."""
+        """A frame with the same worlds and bases but the tolerances that a
+        mapping from agent names re-assigns. The bases are not validated
+        again, and the topologies are shared (tolerances do not affect
+        topologies)."""
+        if not isinstance(tolerances, Mapping):
+            raise FrameError(f"tolerances must map agent names, not {tolerances!r:.40}")
         for name in tolerances:
             self.agent(name)  # an unknown name is a FrameError, not ignored
         agents = tuple([

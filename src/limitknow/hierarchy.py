@@ -48,6 +48,8 @@ class DescendingOpenChain:
     sets: tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple of its own: the caller's list could change after the check
+        object.__setattr__(self, "sets", _masks(self.sets, "chain member"))
         nested_difference(self.sets)  # raises unless descending
         for s in self.sets:
             if not self.topology.is_open(s):
@@ -66,19 +68,23 @@ class DescendingOpenChain:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Least k such that a set is k-open, with a witness chain of exactly k
-    opens whose nested difference is the set; rank INFINITE carries no witness.
+    """A witness chain of exactly k opens whose nested difference is the set,
+    k being the least such that the set is k-open; ``None`` when no finite
+    chain exists. ``rank`` is the witness's length, INFINITE without one.
 
     ``closed_rank`` reports the complement's open rank, so there the witness
     chain evaluates to the complement of the queried set.
     """
 
-    rank: int | float
     witness: tuple[int, ...] | None
 
     @property
+    def rank(self) -> int | float:
+        return INFINITE if self.witness is None else len(self.witness)
+
+    @property
     def is_infinite(self) -> bool:
-        return self.rank == INFINITE
+        return self.witness is None
 
 
 def open_rank(topology: Topology, s: int) -> RankResult:
@@ -95,10 +101,10 @@ def open_rank(topology: Topology, s: int) -> RankResult:
     while cur:
         hull = topology.hull(cur)
         if witness and hull == witness[-1]:
-            return RankResult(INFINITE, None)
+            return RankResult(None)
         witness.append(hull)
         cur = hull & ~cur
-    return RankResult(len(witness), tuple(witness))
+    return RankResult(tuple(witness))
 
 
 def closed_rank(topology: Topology, s: int) -> RankResult:
@@ -150,7 +156,7 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     off the first tolerance + 1 alternation levels of ``w_set``.
     """
     spec = frame.agent(agent)
-    if evidence not in spec.basis:
+    if not _is_int(evidence) or evidence not in spec.basis:  # 3.0 == 3
         raise FrameError(f"not a basis element of agent {agent!r}")
     return bool(_supporting(frame.topology(agent), (evidence,), spec.tolerance, w_set))
 
@@ -172,17 +178,12 @@ def _supporting(
 
 @dataclass(frozen=True)
 class DecisionMethod:
-    """A total Yes/No verdict map on an agent's basis elements."""
+    """A Yes/No verdict map on an agent's evidence; its keys are the basis."""
 
     verdicts: Mapping[int, Verdict]
 
 
-def check_method(method: DecisionMethod, basis: Sequence[int]) -> None:
-    if set(method.verdicts) != set(_masks(basis, "basis element")):
-        raise FrameError("method domain must equal the basis exactly")
-
-
-def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Verdict]:
+def limit_verdicts(method: DecisionMethod) -> dict[int, Verdict]:
     """The verdict each world's evidence stream converges to.
 
     A world settles on the verdict of its least evidence ``N(w)``, the
@@ -190,24 +191,23 @@ def limit_verdicts(method: DecisionMethod, basis: Sequence[int]) -> dict[int, Ve
     ``N(w)``. The validator computes ``N(w)``, so a basis it rejects is a
     ``FrameError``.
     """
-    check_method(method, basis)
-    neighborhoods = generate_topology(basis).neighborhoods
+    neighborhoods = generate_topology(method.verdicts).neighborhoods
     return {w: method.verdicts[least] for w, least in enumerate(neighborhoods) if least}
 
 
-def limit_yes_set(method: DecisionMethod, basis: Sequence[int]) -> int:
+def limit_yes_set(method: DecisionMethod) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return sum([1 << w for w, v in limit_verdicts(method, basis).items() if v is Verdict.YES])
+    return sum([1 << w for w, v in limit_verdicts(method).items() if v is Verdict.YES])
 
 
-def max_switches(method: DecisionMethod, basis: Sequence[int], start: Verdict) -> int:
+def max_switches(method: DecisionMethod, start: Verdict) -> int:
     """Largest t for which a t-switching sequence with the given start verdict
     exists: a descending evidence sequence whose verdicts alternate starting
     from ``start``. Returned as an int, 0 when no evidence answers ``start``.
     Read off the alternation levels of the elements answering ``start``, an
     element's neighborhood being the elements inside it (alternation forces
     strict descent)."""
-    check_method(method, basis)
+    basis = _masks(method.verdicts, "basis element")
     inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
     starts = sum([1 << i for i, e in enumerate(basis) if method.verdicts[e] is start])
     ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
@@ -235,15 +235,16 @@ def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
 
 
 def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> DecisionMethod:
-    """Read a decision method off a witness chain: evidence answers Yes when
-    the deepest chain member containing it sits at an even position, No at an
-    odd position or when no member contains it (depth -1 counts as odd).
+    """Read a decision method on ``basis`` off a witness chain: evidence
+    answers Yes when the deepest chain member containing it sits at an even
+    position, No at an odd position or when no member contains it (depth -1
+    counts as odd).
 
     The result has at most len(chain)-1 switches after saying Yes and its
     limit-Yes set is the chain's nested difference.
     """
     verdicts: dict[int, Verdict] = {}
-    for e in basis:
+    for e in _masks(basis, "basis element"):
         deepest = -1
         for k, o in enumerate(chain.sets):
             if e & ~o == 0:
@@ -252,9 +253,7 @@ def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> Decis
     return DecisionMethod(verdicts)
 
 
-def chain_from_method(
-    method: DecisionMethod, basis: Sequence[int], n: int
-) -> DescendingOpenChain:
+def chain_from_method(method: DecisionMethod, n: int) -> DescendingOpenChain:
     """A witness chain of n+1 opens for a method with at most n switches
     after saying Yes: the greedy ``open_rank`` witness of the method's
     limit-Yes set, padded with empty opens. Its nested difference is that
@@ -263,8 +262,8 @@ def chain_from_method(
     """
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
-    topology = generate_topology(basis)
-    if max_switches(method, basis, Verdict.YES) > n:
+    topology = generate_topology(method.verdicts)
+    if max_switches(method, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    witness = open_rank(topology, limit_yes_set(method, basis)).witness
+    witness = open_rank(topology, limit_yes_set(method)).witness
     return DescendingOpenChain(topology, witness + (0,) * (n + 1 - len(witness)))

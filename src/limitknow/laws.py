@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
+from .frame import _is_int
 from .logic import (
     BOT,
     MODALITIES,
@@ -316,8 +317,8 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     laws are run in. A trial whose premises fail is not informative and
     checks no conclusion.
     """
-    if trials < 1:
-        raise EvalError(f"the battery needs at least one trial, not {trials}")
+    if not _is_int(trials) or trials < 1:
+        raise EvalError(f"the battery needs at least one trial, not {trials!r}")
     results: list[LawResult] = []
     # One generator, reseeded per trial: ``seed`` sets the same state (and
     # clears ``gauss_next``) as a fresh ``random.Random`` with that seed.

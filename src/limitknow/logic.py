@@ -318,6 +318,8 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
+    if not isinstance(text, str):
+        raise ParseError(f"a formula must be a string, not {text!r:.40}", 0)
     return _Parser(text).parse()
 
 
@@ -372,7 +374,7 @@ def _print(f: Formula, level: int) -> str:
 
 
 class Model:
-    """A frame plus a valuation of proposition names.
+    """A frame plus a valuation of proposition names by world sets of it.
 
     The operator context is built once per frame and shared by models derived
     with ``with_valuation``; valuations are never mutated in place.
@@ -381,9 +383,8 @@ class Model:
     def __init__(self, frame: Frame, valuation: Mapping[str, int] | None = None):
         self.frame = frame
         self.valuation: dict[str, int] = dict(valuation or {})
-        for p, s in self.valuation.items():
-            if s & ~frame.universe:
-                raise FrameError(f"valuation of {p!r} leaves the universe")
+        for s in self.valuation.values():
+            frame.check_subset(s)
 
     @cached_property
     def context(self) -> OperatorContext:

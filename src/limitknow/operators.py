@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .frame import Frame, FrameError, ResourceLimitError, Topology, bits, submasks
-from .hierarchy import INFINITE, _levels, _supporting, open_rank
+from .frame import Frame, ResourceLimitError, Topology, bits, submasks
+from .hierarchy import _levels, _supporting, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
@@ -185,10 +185,7 @@ class OperatorContext:
 
     def min_tolerance(self, agent: str, target: int) -> int:
         """Least tolerance at which the common-knowledge set of the target is
-        feasibly decidable for the agent."""
-        rank = open_rank(self.frame.topology(agent), self.common(target)).rank
-        if rank == INFINITE:
-            raise FrameError(
-                f"common-knowledge set of the target has no finite rank for {agent!r}"
-            )
-        return max(rank - 1, 0)
+        feasibly decidable for the agent. That set is open in the agent's
+        true-reason topology, a union of differences of opens, so its rank is
+        finite."""
+        return max(open_rank(self.frame.topology(agent), self.common(target)).rank - 1, 0)

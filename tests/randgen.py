@@ -240,10 +240,10 @@ def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
     universe = frame.universe
     best: int | float = INFINITE
     for method in all_methods(spec.basis):
-        if limit_yes_set(method, spec.basis) != w_set:
+        if limit_yes_set(method) != w_set:
             continue
         start = method.verdicts[universe]
-        best = min(best, max_switches(method, spec.basis, start))
+        best = min(best, max_switches(method, start))
     return best
 
 

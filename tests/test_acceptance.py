@@ -117,8 +117,8 @@ def test_criterion_3_switching_rank_equivalences():
             continue
         topo = generate_topology(basis)
         for method in all_methods(basis):
-            bound = max_switches(method, basis, Verdict.YES)
-            assert open_rank(topo, limit_yes_set(method, basis)).rank <= bound + 1
+            bound = max_switches(method, Verdict.YES)
+            assert open_rank(topo, limit_yes_set(method)).rank <= bound + 1
             methods_checked += 1
 
     sets_checked = 0
@@ -129,8 +129,8 @@ def test_criterion_3_switching_rank_equivalences():
             if r.is_infinite:
                 continue
             method = method_from_chain(DescendingOpenChain(topo, r.witness), basis)
-            assert limit_yes_set(method, basis) == s
-            assert max_switches(method, basis, Verdict.YES) <= max(r.rank - 1, 0)
+            assert limit_yes_set(method) == s
+            assert max_switches(method, Verdict.YES) <= max(r.rank - 1, 0)
             sets_checked += 1
 
     pointwise_checked = 0
@@ -363,9 +363,7 @@ def test_criterion_8_simulation():
                 frame, protocol, world, streams, [], target, seed=rng.random()
             )
             for spec in frame.agents:
-                sigma_yes = limit_yes_set(
-                    protocol.strategy(spec.name).induced_method(), spec.basis
-                )
+                sigma_yes = limit_yes_set(protocol.strategy(spec.name).induced_method())
                 expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
                 assert report.limits[spec.name] == expected
             runs += 1

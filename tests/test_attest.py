@@ -101,6 +101,8 @@ def test_protocol_shape_is_checked():
             ),
             0,
         )
+    with pytest.raises(ProtocolError, match="protocol has no strategy for agent 'c'"):
+        constant_protocol(frame, DEFER).strategy("c")
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +317,7 @@ def test_simulate_honest_limits_equal_sigma():
             seed=rng.random(),
         )
         for spec in frame.agents:
-            sigma_yes = limit_yes_set(
-                protocol.strategy(spec.name).induced_method(), spec.basis
-            )
+            sigma_yes = limit_yes_set(protocol.strategy(spec.name).induced_method())
             expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
             assert report.limits[spec.name] == expected
         success = verify_protocol(frame, protocol, target).success_set
@@ -340,6 +340,9 @@ def test_simulate_validates_inputs():
     }
     with pytest.raises(ProtocolError):
         simulate(frame, protocol, "z", long_streams, [], 0, seed=0, step_cap=1)
+    for step_cap in (2.5, "9", True):
+        with pytest.raises(ProtocolError, match="'step_cap' must be an integer"):
+            simulate(frame, protocol, "z", long_streams, [], 0, seed=0, step_cap=step_cap)
 
 
 def _simulate_with_string_faults():

@@ -204,6 +204,12 @@ def test_simulate_scenario(capsys, tmp_path):
     assert payload["limits"] == {"a": "yes"}
     code, out, _ = run(capsys, "simulate", "-s", str(path))
     assert code == 0 and "aggregator limit: yes" in out
+    # attesting on all evidence at z, where the target q fails
+    rows = [{"evidence": e, "verdict": "yes"} for e in (["x", "y", "z"], ["y", "z"], ["z"])]
+    scenario.update(target="@q", protocol={"type": "explicit", "strategies": {"a": rows}})
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run(capsys, "simulate", "-s", str(path))
+    assert code == 0 and out.splitlines()[-1] == "shame: a at z (false-yes)"
 
 
 def test_laws_clean_run_exits_zero(capsys):

@@ -1,4 +1,5 @@
-"""Every walkthrough under demos/ runs to completion."""
+"""Every walkthrough under demos/ runs to completion, and prints the same
+under ``python -O``, which strips ``assert`` statements."""
 
 import glob
 import os
@@ -16,12 +17,15 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs_cleanly(path, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(path)],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    stdout = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, os.path.abspath(path)],
+            cwd=tmp_path,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert b"Traceback" not in proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] and stdout[0] == stdout[1]

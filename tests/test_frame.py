@@ -21,9 +21,11 @@ from limitknow.frame import (
 )
 from limitknow.hierarchy import (
     DecisionMethod,
+    DescendingOpenChain,
     Verdict,
     chain_from_method,
     max_switches,
+    method_from_chain,
     nested_difference,
 )
 from randgen import random_basis, random_frame, subspace_basis
@@ -72,7 +74,7 @@ def test_generate_topology_sierpinski():
 
 
 def test_generate_topology_indiscrete():
-    topo = generate_topology([U | V], U | V)
+    topo = generate_topology([U | V])
     assert topo.opens == (0, U | V)
     with pytest.raises(ResourceLimitError):
         generate_topology([(1 << 21) - 1]).opens
@@ -94,7 +96,7 @@ def test_generate_topology_chain_fixture():
 
 def test_generate_topology_rejects_invalid():
     with pytest.raises(FrameError):
-        generate_topology([U | V, V | Z, U | Z], U | V | Z)
+        generate_topology([U | V, V | Z, U | Z])
 
 
 def test_topology_idempotent_under_reclosure():
@@ -123,7 +125,7 @@ def test_subspace_opens_are_traces_of_full_opens():
         basis = random_basis(rng, n)
         topo = generate_topology(basis)
         for e in basis:
-            sub = generate_topology(subspace_basis(basis, e), e)
+            sub = generate_topology(subspace_basis(basis, e))
             assert set(sub.opens) == {o & e for o in topo.opens}
 
 
@@ -197,9 +199,24 @@ def test_frame_rejects_bad_inputs():
         Frame(["x"], [AgentSpec("a", (1,), -1)])
     with pytest.raises(FrameError):  # duplicate agent names
         Frame(["x"], [AgentSpec("a", (1,), 0), AgentSpec("a", (1,), 0)])
+    with pytest.raises(FrameError, match="an agent must be an AgentSpec, not 'a'"):
+        Frame(["x"], ["a"])
+
+
+def test_frame_repr_names_worlds_and_agents():
+    frame = Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0), AgentSpec("b", (U | V,), 1)])
+    assert repr(frame) == "Frame(worlds=('u', 'v'), agents=['a', 'b'])"
 
 
 SIERPINSKI_METHOD = DecisionMethod({U: Verdict.YES, U | V: Verdict.NO})
+
+
+def sierpinski_frame():
+    return Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0)])
+
+
+def sierpinski_chain():
+    return DescendingOpenChain(generate_topology([U, U | V]), (U | V, U))
 
 
 @pytest.mark.parametrize(
@@ -216,24 +233,27 @@ SIERPINSKI_METHOD = DecisionMethod({U: Verdict.YES, U | V: Verdict.NO})
         pytest.param(lambda: validate_basis((1,), 1.0), id="validate-float-universe"),
         pytest.param(lambda: generate_topology((1.0,)), id="generate-float-element"),
         pytest.param(
-            lambda: chain_from_method(DecisionMethod({U: Verdict.YES}), (1.0,), 0),
+            lambda: chain_from_method(DecisionMethod({1.0: Verdict.YES}), 0),
             id="chain-float-element",
         ),
-        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), 1.5), id="float-bound"),
-        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, (U, U | V), True), id="bool-bound"),
+        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, 1.5), id="float-bound"),
+        pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, True), id="bool-bound"),
         pytest.param(
-            lambda: max_switches(DecisionMethod({U: Verdict.YES}), (1.0,), Verdict.YES),
+            lambda: max_switches(DecisionMethod({1.0: Verdict.YES}), Verdict.YES),
             id="switches-float-element",
         ),
-        pytest.param(
-            lambda: max_switches(DecisionMethod({U: Verdict.YES}), U, Verdict.YES),
-            id="switches-int-basis",
-        ),
+        pytest.param(lambda: max_switches(DecisionMethod(U), Verdict.YES), id="switches-int-basis"),
         pytest.param(lambda: Frame(["x"], 5), id="int-agents"),
         pytest.param(lambda: Frame(5, [AgentSpec("a", (1,), 0)]), id="int-worlds"),
         pytest.param(lambda: validate_basis(1, 1), id="validate-int-basis"),
         pytest.param(lambda: nested_difference("ab"), id="string-chain"),
         pytest.param(lambda: nested_difference((0b11, 1.0)), id="float-chain-member"),
+        pytest.param(lambda: sierpinski_frame().mask("uv"), id="string-world-names"),
+        pytest.param(lambda: sierpinski_frame().with_tolerances("a"), id="string-tolerances"),
+        pytest.param(lambda: method_from_chain(sierpinski_chain(), "ab"), id="string-method-basis"),
+        pytest.param(
+            lambda: method_from_chain(sierpinski_chain(), (3.0, 1)), id="float-method-element"
+        ),
     ],
 )
 def test_library_entry_points_reject_what_is_not_their_type(call):

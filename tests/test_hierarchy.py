@@ -84,6 +84,18 @@ def test_chain_type_validates_openness():
         DescendingOpenChain(topo, (0b110, 0b111))  # ascending
 
 
+def test_a_chain_keeps_its_own_tuple():
+    # A frozen value: the caller's list cannot change it after validation,
+    # and the sequence's type does not change its equality or hash.
+    topo = generate_topology([0b111, 0b110, 0b100])
+    sets = [0b111, 0b100]
+    chain = DescendingOpenChain(topo, sets)
+    sets.append(0b010)  # {y} is not open and does not descend from {z}
+    assert chain.sets == (0b111, 0b100) and chain.evaluate() == 0b011
+    same = DescendingOpenChain(topo, (0b111, 0b100))
+    assert chain == same and hash(chain) == hash(same)
+
+
 # ---------------------------------------------------------------------------
 # ranks
 
@@ -204,6 +216,8 @@ def test_gives_reason_sierpinski():
 def test_gives_reason_rejects_non_evidence():
     with pytest.raises(FrameError):
         gives_reason(chain_frame(), "a", 0b1, 0b001)
+    with pytest.raises(FrameError, match="not a basis element of agent 'a'"):
+        gives_reason(sierpinski_frame(), "a", 1, 3.0)  # equal to the element 3
 
 
 def test_clopen_trace_supports_neither_side():
@@ -270,21 +284,16 @@ def test_gives_reason_equals_rank_shortcut():
 
 def test_limit_verdicts_sierpinski():
     method = DecisionMethod({0b11: NO, 0b01: YES})
-    sigma = limit_verdicts(method, (0b01, 0b11))
+    sigma = limit_verdicts(method)
     assert sigma == {0: YES, 1: NO}
 
 
 def test_limit_verdicts_constant_and_indiscrete():
     basis = (0b111, 0b110, 0b100)
     constant = DecisionMethod({e: YES for e in basis})
-    assert limit_yes_set(constant, basis) == 0b111
+    assert limit_yes_set(constant) == 0b111
     indiscrete = DecisionMethod({0b11: NO})
-    assert limit_yes_set(indiscrete, (0b11,)) == 0
-
-
-def test_limit_verdicts_requires_total_method():
-    with pytest.raises(FrameError):
-        limit_verdicts(DecisionMethod({0b11: YES}), (0b01, 0b11))
+    assert limit_yes_set(indiscrete) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +303,16 @@ def test_limit_verdicts_requires_total_method():
 def test_max_switches_examples():
     basis = (0b01, 0b11)
     method = DecisionMethod({0b11: NO, 0b01: YES})
-    assert max_switches(method, basis, NO) == 1
+    assert max_switches(method, NO) == 1
     constant = DecisionMethod({0b01: YES, 0b11: YES})
-    assert max_switches(constant, basis, YES) == 0
+    assert max_switches(constant, YES) == 0
     assert any(constant.verdicts[e] is YES for e in basis)
-    assert max_switches(constant, basis, NO) == 0
+    assert max_switches(constant, NO) == 0
     assert not any(constant.verdicts[e] is NO for e in basis)
 
-    chain = (0b111, 0b110, 0b100)
     alternating = DecisionMethod({0b111: YES, 0b110: NO, 0b100: YES})
-    assert max_switches(alternating, chain, YES) == 2
-    assert max_switches(alternating, chain, NO) == 1
+    assert max_switches(alternating, YES) == 2
+    assert max_switches(alternating, NO) == 1
 
 
 def test_max_switches_matches_exhaustive_chain_search():
@@ -313,7 +321,7 @@ def test_max_switches_matches_exhaustive_chain_search():
     for basis in all_valid_bases(3):
         for method in all_methods(basis):
             for start in (YES, NO):
-                got = max_switches(method, basis, start)
+                got = max_switches(method, start)
                 start_occurs = any(method.verdicts[e] is start for e in basis)
                 best = -1
                 # depth-first over alternating descending sequences
@@ -375,31 +383,29 @@ def test_method_from_chain_examples():
 
     two = method_from_chain(DescendingOpenChain(topo, (0b110, 0b100)), basis)
     assert two.verdicts == {0b111: NO, 0b110: YES, 0b100: NO}
-    assert limit_yes_set(two, basis) == 0b010
+    assert limit_yes_set(two) == 0b010
 
     three = method_from_chain(DescendingOpenChain(topo, (0b111, 0b110, 0b100)), basis)
     assert three.verdicts == {0b111: YES, 0b110: NO, 0b100: YES}
-    assert limit_yes_set(three, basis) == 0b101
+    assert limit_yes_set(three) == 0b101
 
 
 def test_chain_from_method_examples():
     basis = (0b111, 0b110, 0b100)
     constant = DecisionMethod({e: YES for e in basis})
-    chain = chain_from_method(constant, basis, 0)
+    chain = chain_from_method(constant, 0)
     assert chain.sets == (0b111,)
 
-    sierpinski = (0b01, 0b11)
     method = DecisionMethod({0b11: YES, 0b01: NO})
-    chain = chain_from_method(method, sierpinski, 1)
+    chain = chain_from_method(method, 1)
     assert chain.sets == (0b11, 0b01)
-    assert chain.evaluate() == 0b10 == limit_yes_set(method, sierpinski)
+    assert chain.evaluate() == 0b10 == limit_yes_set(method)
 
 
 def test_chain_from_method_rejects_bound_violation():
-    basis = (0b111, 0b110, 0b100)
     alternating = DecisionMethod({0b111: YES, 0b110: NO, 0b100: YES})
     with pytest.raises(FrameError):
-        chain_from_method(alternating, basis, 1)
+        chain_from_method(alternating, 1)
 
 
 def test_chain_method_round_trips():
@@ -420,16 +426,16 @@ def test_chain_method_round_trips():
             sets.append(cur)
         chain = DescendingOpenChain(topo, tuple(sets))
         method = method_from_chain(chain, basis)
-        assert limit_yes_set(method, basis) == chain.evaluate()
-        assert max_switches(method, basis, YES) <= max(len(chain) - 1, 0)
+        assert limit_yes_set(method) == chain.evaluate()
+        assert max_switches(method, YES) <= max(len(chain) - 1, 0)
 
         # random methods -> chain at their own switch bound -> same set
         if len(basis) <= 8:
             verdicts = {e: rng.choice((YES, NO)) for e in basis}
             method = DecisionMethod(verdicts)
-            bound = max_switches(method, basis, YES)
-            chain = chain_from_method(method, basis, bound)
-            assert chain.evaluate() == limit_yes_set(method, basis)
+            bound = max_switches(method, YES)
+            chain = chain_from_method(method, bound)
+            assert chain.evaluate() == limit_yes_set(method)
             assert len(chain.sets) == bound + 1
 
 
@@ -440,14 +446,14 @@ def test_chain_from_method_contract_on_every_small_basis():
     for n_worlds in (1, 2, 3):
         for basis in all_valid_bases(n_worlds):
             for method in all_methods(basis):
-                bound = max_switches(method, basis, YES)
-                limit = limit_yes_set(method, basis)
+                bound = max_switches(method, YES)
+                limit = limit_yes_set(method)
                 for n in range(bound, bound + 3):
-                    chain = chain_from_method(method, basis, n)
+                    chain = chain_from_method(method, n)
                     assert len(chain) == n + 1
                     assert chain.evaluate() == limit
                 with pytest.raises(FrameError, match=f"exceeds {bound - 1} switches"):
-                    chain_from_method(method, basis, bound - 1)
+                    chain_from_method(method, bound - 1)
                 methods += 1
     assert methods == 1358
 
@@ -464,13 +470,13 @@ def test_switch_bound_matches_rank_bound():
             continue
         topo = generate_topology(basis)
         for method in all_methods(basis):
-            bound = max_switches(method, basis, YES)
-            assert open_rank(topo, limit_yes_set(method, basis)).rank <= bound + 1
+            bound = max_switches(method, YES)
+            assert open_rank(topo, limit_yes_set(method)).rank <= bound + 1
         for s in submasks(topo.universe):
             r = open_rank(topo, s)
             if r.is_infinite:
                 continue
             chain = DescendingOpenChain(topo, r.witness)
             method = method_from_chain(chain, basis)
-            assert limit_yes_set(method, basis) == s
-            assert max_switches(method, basis, YES) <= max(r.rank - 1, 0)
+            assert limit_yes_set(method) == s
+            assert max_switches(method, YES) <= max(r.rank - 1, 0)

@@ -154,7 +154,7 @@ def test_reseeding_matches_a_fresh_generator():
             assert used.gauss(0, 1) == fresh.gauss(0, 1)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, True, "3", 1.5])
 def test_the_battery_needs_at_least_one_trial(chain_model, trials):
-    with pytest.raises(EvalError, match="at least one trial"):
+    with pytest.raises(EvalError, match=f"at least one trial, not {trials!r}$"):
         law_battery(chain_model, trials=trials)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitknow.frame import FrameError
 from limitknow.logic import (
     BOT,
     MAX_DEPTH,
@@ -78,6 +79,10 @@ def test_parse_errors_carry_positions():
         parse("(p & q")
     with pytest.raises(ParseError):
         parse("p q")
+    with pytest.raises(ParseError, match=r"expected a name, found '~' \(at position 2\)"):
+        parse("R[~] p")
+    with pytest.raises(ParseError, match=r"a formula must be a string, not 3 \(at position 0\)"):
+        parse(3)
 
 
 @pytest.mark.parametrize(
@@ -291,3 +296,9 @@ def test_valuation_outside_universe_is_rejected():
     frame = random_frame(random.Random(23), max_worlds=3)
     with pytest.raises(Exception):
         Model(frame, {"p": frame.universe + 1})
+
+
+@pytest.mark.parametrize("value", [True, "1", 1.0], ids=["bool", "string", "float"])
+def test_valuation_values_must_be_integer_masks(chain_model, value):
+    with pytest.raises(FrameError, match="a world set must be an integer mask"):
+        Model(chain_model.frame, {"p": value})

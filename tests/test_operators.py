@@ -479,6 +479,24 @@ def test_lewis_common_is_below_common():
         assert ctx.lewis_common(target) & ~ctx.common(target) == 0
 
 
+def test_common_knowledge_has_a_finite_rank_for_every_agent():
+    # C(p) is open in each agent's true-reason topology: a union of
+    # differences of opens, of finite rank even where the topology is not T0.
+    rng = random.Random(39)
+    not_t0 = 0
+    for _ in range(40):
+        base = random_frame(rng, max_worlds=5)
+        not_t0 += len(set(base.topology(base.agents[0].name).neighborhoods)) < len(base.worlds)
+        for tolerance in range(3):
+            ctx = OperatorContext(base.with_tolerances({a.name: tolerance for a in base.agents}))
+            for p in submasks(base.universe):
+                for a in base.agents:
+                    rank = open_rank(base.topology(a.name), ctx.common(p))
+                    assert not rank.is_infinite
+                    assert ctx.min_tolerance(a.name, p) == max(rank.rank - 1, 0)
+    assert not_t0 >= 10
+
+
 def test_lewis_common_cap(monkeypatch):
     monkeypatch.setattr(operators, "WITNESS_CAP", 0)
     rng = random.Random(11)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import re
 import types
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -72,6 +73,14 @@ def test_library_value_types_hold_no_hidden_state():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if hides_state(n)]
     assert found == []
+
+
+def test_value_types_store_no_field_another_one_determines():
+    # A rank is its witness's length, a basis is valid when its report lists
+    # no violation, and a scenario's valuation was read only to build it.
+    assert [f.name for f in fields(limitknow.RankResult)] == ["witness"]
+    assert [f.name for f in fields(limitknow.BasisReport)] == ["violations", "neighborhoods"]
+    assert "valuation" not in [f.name for f in fields(limitknow.Scenario)]
 
 
 def test_hierarchy_has_one_hull_derivative_loop():
