@@ -39,9 +39,9 @@ print()
 protocol = synthesize(frame, p)
 report = verify_protocol(frame, protocol, p)
 print("synthesized protocol (attest/defer per evidence):")
-for strategy in protocol.strategies:
-    rows = ", ".join(f"{names(e)}->{v}" for e, v in sorted(strategy.verdicts.items()))
-    print(f"  {strategy.owner}: {rows}")
+for agent, verdicts in protocol.items():
+    rows = ", ".join(f"{names(e)}->{v}" for e, v in sorted(verdicts.items()))
+    print(f"  {agent}: {rows}")
 print(
     f"validity={report.validity} agreement={report.agreement} "
     f"nontriviality={report.nontriviality} success set={names(report.success_set)}"

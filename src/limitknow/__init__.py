@@ -46,8 +46,6 @@ from .logic import (
 )
 from .laws import LawReport, law_battery
 from .attest import (
-    AttestationProtocol,
-    AttestationStrategy,
     EvidenceStream,
     ProtocolError,
     Scenario,

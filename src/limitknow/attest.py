@@ -7,6 +7,9 @@ falsely attests (validity), all agents converge to the same output everywhere
 This module verifies protocols, synthesizes them from witness chains, and
 simulates them over finite evidence streams with optional faulty agents and a
 majority-vote aggregator.
+
+A protocol maps each agent's name to its strategy table: a total map from
+the agent's basis elements to ``ATTEST`` or ``DEFER``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Mapping, Sequence
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
@@ -21,6 +26,7 @@ from .hierarchy import (
     DecisionMethod,
     DescendingOpenChain,
     Verdict,
+    _limit_yes,
     max_switches,
     method_from_chain,
     open_rank,
@@ -39,47 +45,20 @@ DEFER = "defer"
 MAX_STEPS = 10_000  # a simulation's step cap; it builds one verdict per step and agent
 
 
-@dataclass(frozen=True)
-class AttestationStrategy:
-    """A total attest/defer map on one agent's basis elements."""
-
-    owner: str
-    verdicts: Mapping[int, str]  # evidence mask -> ATTEST | DEFER
-
-    def induced_method(self) -> DecisionMethod:
-        return DecisionMethod(
-            {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in self.verdicts.items()}
-        )
-
-
-@dataclass(frozen=True)
-class AttestationProtocol:
-    """One strategy per agent of a frame, in frame order."""
-
-    strategies: tuple[AttestationStrategy, ...]
-
-    def strategy(self, agent: str) -> AttestationStrategy:
-        for s in self.strategies:
-            if s.owner == agent:
-                return s
-        raise ProtocolError(f"protocol has no strategy for agent {agent!r}")
-
-
-def _check_protocol_shape(frame: Frame, protocol: AttestationProtocol) -> None:
-    names = [s.owner for s in protocol.strategies]
+def _check_protocol_shape(frame: Frame, protocol: Mapping[str, Mapping[int, str]]) -> None:
+    if not isinstance(protocol, Mapping):
+        raise ProtocolError("a protocol must map each agent name to its strategy table")
+    names = list(protocol)
     expected = [a.name for a in frame.agents]
-    if sorted(names) != sorted(expected):
-        raise ProtocolError(
-            f"protocol agents {names} do not match frame agents {expected}"
-        )
-    for s in protocol.strategies:
-        basis = frame.agent(s.owner).basis
-        if set(s.verdicts) != set(basis):
-            raise ProtocolError(
-                f"strategy for {s.owner!r} is not total on the agent's basis"
-            )
-        if any(v not in (ATTEST, DEFER) for v in s.verdicts.values()):
-            raise ProtocolError(f"strategy for {s.owner!r} has unknown verdicts")
+    if set(names) != set(expected):
+        raise ProtocolError(f"protocol agents {names} do not match frame agents {expected}")
+    for name, verdicts in protocol.items():
+        if not isinstance(verdicts, Mapping):
+            raise ProtocolError(f"strategy for {name!r} must map evidence to verdicts")
+        if set(verdicts) != set(frame.agent(name).basis):
+            raise ProtocolError(f"strategy for {name!r} is not total on the agent's basis")
+        if any(v not in (ATTEST, DEFER) for v in verdicts.values()):
+            raise ProtocolError(f"strategy for {name!r} has unknown verdicts")
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +77,27 @@ class SwitchBoundCheck:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    validity: bool
-    agreement: bool
-    nontriviality: bool
+    """Per-agent limit-attest sets and switch counts; the verdicts derive from them."""
+
+    target: int
     switch_bounds: Mapping[str, SwitchBoundCheck]
     limit_yes: Mapping[str, int]  # per-agent limit-attest set
-    success_set: int
+
+    @property
+    def validity(self) -> bool:
+        return all(s & ~self.target == 0 for s in self.limit_yes.values())
+
+    @property
+    def agreement(self) -> bool:
+        return len(set(self.limit_yes.values())) == 1
+
+    @property
+    def success_set(self) -> int:
+        return reduce(and_, self.limit_yes.values())
+
+    @property
+    def nontriviality(self) -> bool:
+        return self.success_set != 0
 
     @property
     def solves(self) -> bool:
@@ -116,7 +110,7 @@ class VerifyReport:
 
 
 def verify_protocol(
-    frame: Frame, protocol: AttestationProtocol, target: int
+    frame: Frame, protocol: Mapping[str, Mapping[int, str]], target: int
 ) -> VerifyReport:
     """Check validity, agreement, nontriviality, and the per-agent switch
     bounds. Violations are report data, not errors; a target with members
@@ -129,35 +123,19 @@ def verify_protocol(
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
-        strategy = protocol.strategy(spec.name)
-        verdicts = strategy.verdicts
-        yes = 0
-        for w, least in enumerate(frame.topology(spec.name).neighborhoods):
-            if verdicts[least] == ATTEST:
-                yes |= 1 << w
-        limit_yes[spec.name] = yes
-        count = max_switches(strategy.induced_method(), Verdict.YES)
-        bounds[spec.name] = SwitchBoundCheck(count, spec.tolerance)
-
-    sets = list(limit_yes.values())
-    success = frame.universe
-    for s in sets:
-        success &= s
-    return VerifyReport(
-        validity=all(s & ~target == 0 for s in sets),
-        agreement=all(s == sets[0] for s in sets),
-        nontriviality=success != 0,
-        switch_bounds=bounds,
-        limit_yes=limit_yes,
-        success_set=success,
-    )
+        method = DecisionMethod(
+            {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in protocol[spec.name].items()}
+        )
+        limit_yes[spec.name] = _limit_yes(frame.topology(spec.name), method)
+        bounds[spec.name] = SwitchBoundCheck(max_switches(method, Verdict.YES), spec.tolerance)
+    return VerifyReport(target, bounds, limit_yes)
 
 
 # ---------------------------------------------------------------------------
 # synthesis
 
 
-def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> AttestationStrategy:
+def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[int, str]:
     spec = frame.agent(agent)
     topo = frame.topology(agent)
     rank = open_rank(topo, success)
@@ -167,22 +145,16 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> Attesta
             f"{rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
     method = method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
-    return AttestationStrategy(
-        agent,
-        {
-            e: ATTEST if v is Verdict.YES else DEFER
-            for e, v in method.verdicts.items()
-        },
-    )
+    return {e: ATTEST if v is Verdict.YES else DEFER for e, v in method.verdicts.items()}
 
 
 def choose_success_set(frame: Frame, target_prop: int, success_target: int | None = None) -> int:
     """The success set ``synthesize`` builds its protocol for, given the same
     arguments. An explicit success target must be a non-empty subset of the
-    proposition. Without one, the common-knowledge set is chosen when
-    feasible, otherwise its subsets are tried in decreasing size (a search
-    capped like ``lewis_common``'s). Either set with members outside the
-    frame is a ``FrameError``."""
+    proposition. Without one, the first of ``OperatorContext.witnesses`` of
+    the common-knowledge set is chosen: that set itself when feasible,
+    otherwise its largest feasible subset. Either set with members outside
+    the frame is a ``FrameError``."""
     frame.check_subset(target_prop)
     if success_target is not None:
         frame.check_subset(success_target)
@@ -197,26 +169,22 @@ def choose_success_set(frame: Frame, target_prop: int, success_target: int | Non
         raise ProtocolError(
             "no non-empty feasible success set exists (common knowledge is empty)"
         )
-    if ctx.feasible(common):
-        return common
-    for v in sorted(ctx.witness_candidates(common), key=lambda v: -v.bit_count()):
-        if v and ctx.feasible(v):
-            return v
+    for v in ctx.witnesses(common):
+        return v
     raise ProtocolError("no non-empty feasible success set exists at these tolerances")
 
 
 def synthesize(
     frame: Frame, target_prop: int, success_target: int | None = None
-) -> AttestationProtocol:
+) -> dict[str, dict[int, str]]:
     """Build a protocol solving coordinated attack for ``target_prop`` on the
-    success set that ``choose_success_set`` picks from the same arguments.
-    Each strategy is read off a shortest witness chain for that set, so its
+    success set that ``choose_success_set`` picks from the same arguments:
+    each agent's name, in frame order, mapped to its strategy table. Each
+    table is read off a shortest witness chain for that set, so its
     limit-attest set is the chosen set and needs no verification. A set that
     some agent cannot decide within tolerance is a ``ProtocolError``."""
     success = choose_success_set(frame, target_prop, success_target)
-    return AttestationProtocol(
-        tuple([_strategy_for_success_set(frame, a.name, success) for a in frame.agents])
-    )
+    return {a.name: _strategy_for_success_set(frame, a.name, success) for a in frame.agents}
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +203,11 @@ class EvidenceStream:
 
 def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> EvidenceStream:
     """Random strictly descending walk through the agent's evidence at the
-    world, from a random start down to the unique minimal element."""
+    world, from a random start down to the unique minimal element, which
+    has the fewest worlds."""
     w = frame.position(world)
     at_w = sorted(frame.evidence_at(agent, w), key=lambda e: (e.bit_count(), e))
-    least = frame.topology(agent).neighborhoods[w]
+    least = at_w[0]
     rng = random.Random(f"{seed}")
     cur = rng.choice(at_w)
     chain = [cur]
@@ -259,25 +228,33 @@ class ShameEvent:
 class SimulationReport:
     world: str
     traces: Mapping[str, tuple[str, ...]]
-    limits: Mapping[str, str]
     aggregator_trace: tuple[str, ...]
-    aggregator_limit: str
     shame: tuple[ShameEvent, ...]
     faults: tuple[str, ...]
+
+    @property
+    def limits(self) -> dict[str, str]:
+        """Each agent's final output."""
+        return {name: trace[-1] for name, trace in self.traces.items()}
+
+    @property
+    def aggregator_limit(self) -> str:
+        return self.aggregator_trace[-1]
 
     def to_dict(self) -> dict:
         return {
             "schema": 1,
             **vars(self),
             "traces": dict(self.traces),
-            "limits": dict(self.limits),
+            "limits": self.limits,
+            "aggregator_limit": self.aggregator_limit,
             "shame": [dict(vars(e)) for e in self.shame],
         }
 
 
 def simulate(
     frame: Frame,
-    protocol: AttestationProtocol,
+    protocol: Mapping[str, Mapping[int, str]],
     world: int | str,
     streams: Mapping[str, EvidenceStream],
     faults: Sequence[str],
@@ -293,9 +270,11 @@ def simulate(
     (safety over liveness). Limits are the final outputs, which honest
     streams realize because they end at minimal evidence. A ``step_cap``, an
     int, fixes the horizon; it must cover the streams, and past ``MAX_STEPS``
-    it is a ``ResourceLimitError``.
+    it is a ``ResourceLimitError``. A target with members outside the frame
+    is a ``FrameError``.
     """
     _check_protocol_shape(frame, protocol)
+    frame.check_subset(target)
     w = frame.position(world)
     world_name = frame.worlds[w]
     if isinstance(faults, str):
@@ -328,10 +307,10 @@ def simulate(
             rng = random.Random(f"{seed}:{name}")
             traces[name] = tuple([rng.choice((ATTEST, DEFER)) for _ in range(horizon)])
         else:
-            strategy = protocol.strategy(name)
+            verdicts = protocol[name]
             chain = streams[name].chain
             traces[name] = tuple([
-                strategy.verdicts[chain[min(t, len(chain) - 1)]] for t in range(horizon)
+                verdicts[chain[min(t, len(chain) - 1)]] for t in range(horizon)
             ])
 
     majority = len(agent_names) / 2
@@ -342,22 +321,19 @@ def simulate(
         for t in range(horizon)
     ])
 
-    limits = {name: traces[name][-1] for name in agent_names}
     honest = [n for n in agent_names if n not in fault_set]
+    attesting = [n for n in honest if traces[n][-1] == ATTEST]
     shame: list[ShameEvent] = []
-    for name in honest:
-        if limits[name] == ATTEST:
-            if not (target >> w) & 1:
-                shame.append(ShameEvent(name, world_name, "false-yes"))
-            if any(limits[o] != ATTEST for o in honest):
-                shame.append(ShameEvent(name, world_name, "disagreement"))
+    for name in attesting:
+        if not (target >> w) & 1:
+            shame.append(ShameEvent(name, world_name, "false-yes"))
+        if len(attesting) < len(honest):
+            shame.append(ShameEvent(name, world_name, "disagreement"))
 
     return SimulationReport(
         world=world_name,
         traces=traces,
-        limits=limits,
         aggregator_trace=aggregator,
-        aggregator_limit=aggregator[-1],
         shame=tuple(shame),
         faults=tuple(sorted(fault_set)),
     )
@@ -371,7 +347,7 @@ def simulate(
 class Scenario:
     frame: Frame
     target: int
-    protocol: AttestationProtocol
+    protocol: Mapping[str, Mapping[int, str]]
     world: str
     faults: tuple[str, ...]
     seed: int
@@ -414,7 +390,8 @@ def load_scenario(path: str) -> Scenario:
             if not ok:
                 raise ProtocolError(f"malformed scenario: {what}")
         if not os.path.isabs(frame_path):
-            frame_path = os.path.join(os.path.dirname(os.path.abspath(path)), frame_path)
+            here = os.path.dirname(os.path.abspath(os.fsdecode(path)))
+            frame_path = os.path.join(here, frame_path)
         frame, valuation = load_frame_file(frame_path)
         model = Model(frame, valuation)
         target = world_set(model, data["target"])
@@ -431,7 +408,7 @@ def load_scenario(path: str) -> Scenario:
             )
             if not rows_ok:
                 raise ProtocolError("malformed scenario: 'strategies' rows need 'evidence' lists")
-            strategies = []
+            protocol = {}
             for agent, rows in table.items():
                 verdicts: dict[int, str] = {}
                 for row in rows:
@@ -442,8 +419,7 @@ def load_scenario(path: str) -> Scenario:
                             f"evidence {list(frame.names(e))} twice"
                         )
                     verdicts[e] = row["verdict"]
-                strategies.append(AttestationStrategy(agent, verdicts))
-            protocol = AttestationProtocol(tuple(strategies))
+                protocol[agent] = verdicts
             _check_protocol_shape(frame, protocol)
         else:
             raise ProtocolError("protocol type must be 'synthesized' or 'explicit'")

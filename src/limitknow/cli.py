@@ -146,15 +146,15 @@ def _cmd_synth(args) -> int:
         _emit(args, {"feasible": False, "error": str(exc)}, [f"infeasible: {exc}"])
         return PROPERTY_FAILED
     tables = {
-        s.owner: [
+        agent: [
             {"evidence": _names(model, e), "verdict": v}
-            for e, v in sorted(s.verdicts.items())
+            for e, v in sorted(verdicts.items())
         ]
-        for s in protocol.strategies
+        for agent, verdicts in protocol.items()
     }
     lines = []
-    for owner, rows in tables.items():
-        lines.append(f"agent {owner}:")
+    for agent, rows in tables.items():
+        lines.append(f"agent {agent}:")
         for row in rows:
             lines.append(f"  {{{', '.join(row['evidence'])}}} -> {row['verdict']}")
     lines.append(f"success set: {{{', '.join(_names(model, success))}}}")

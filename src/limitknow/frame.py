@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -469,7 +470,11 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
 
 def read_json(path: str, what: str, error: type[ValueError] = FrameError):
     """The JSON value in a file. A file that cannot be read or is not JSON
-    raises ``error``, naming the file as ``what``."""
+    raises ``error``, naming the file as ``what``, as does a path that is no
+    ``str``, ``bytes`` or ``os.PathLike``: ``open`` would read an int as a
+    file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise error(f"{what} path must be a string or a path object, not {path!r:.40}")
     try:
         with open(path) as fh:
             return json.load(fh)

@@ -197,7 +197,17 @@ def limit_verdicts(method: DecisionMethod) -> dict[int, Verdict]:
 
 def limit_yes_set(method: DecisionMethod) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return sum([1 << w for w, v in limit_verdicts(method).items() if v is Verdict.YES])
+    return _limit_yes(generate_topology(method.verdicts), method)
+
+
+def _limit_yes(topology: Topology, method: DecisionMethod) -> int:
+    """The worlds whose least evidence ``N(w)`` the method answers Yes, read
+    off a topology that the method's basis generates."""
+    return sum([
+        1 << w
+        for w, least in enumerate(topology.neighborhoods)
+        if least and method.verdicts[least] is Verdict.YES
+    ])
 
 
 def max_switches(method: DecisionMethod, start: Verdict) -> int:
@@ -265,5 +275,5 @@ def chain_from_method(method: DecisionMethod, n: int) -> DescendingOpenChain:
     topology = generate_topology(method.verdicts)
     if max_switches(method, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    witness = open_rank(topology, limit_yes_set(method)).witness
+    witness = open_rank(topology, _limit_yes(topology, method)).witness
     return DescendingOpenChain(topology, witness + (0,) * (n + 1 - len(witness)))

@@ -153,27 +153,34 @@ class OperatorContext:
         of the target: the union of all subsets of the target that are
         feasibly decidable for every agent (rank within tolerance + 1).
 
-        Feasible sets lie inside ``common(target)``; the search runs over its subsets.
+        Feasible sets lie inside ``common(target)``, so the union is that of
+        its ``witnesses``.
         """
-        c = self.common(target)
-        if self.feasible(c):
-            return c
         out = 0
-        for v in self.witness_candidates(c):
-            if v and v & ~out and self.feasible(v):
-                out |= v
+        for v in self.witnesses(self.common(target)):
+            out |= v
         return out
 
-    def witness_candidates(self, common: int) -> Iterator[int]:
-        """Every subset of a common-knowledge set, from the set itself down
-        to the empty set, for a witness search; past ``WITNESS_CAP`` worlds a
+    def witnesses(self, common: int) -> Iterator[int]:
+        """The non-empty feasible subsets of a common-knowledge set, largest
+        first by ``(size, mask)``, each skipped that lies inside the union of
+        those yielded before. A feasible set yields only itself. Otherwise
+        every subset is tried, and past ``WITNESS_CAP`` worlds that is a
         ``ResourceLimitError`` before any subset is enumerated."""
+        if self.feasible(common):
+            if common:
+                yield common
+            return
         n = common.bit_count()
         if n > WITNESS_CAP:
             raise ResourceLimitError(
                 f"witness enumeration over {n} worlds exceeds cap {WITNESS_CAP}"
             )
-        return submasks(common)
+        covered = 0
+        for v in sorted(submasks(common), key=lambda v: (v.bit_count(), v), reverse=True):
+            if v & ~covered and self.feasible(v):
+                yield v
+                covered |= v
 
     def feasible(self, v: int) -> bool:
         """Can every agent decide the set within tolerance: is its open rank

@@ -153,6 +153,31 @@ def all_valid_bases(n_worlds: int, max_elements: int | None = None) -> list[tupl
     return out
 
 
+def height(topology: Topology) -> int:
+    """The longest strict chain of distinct minimal neighborhoods."""
+    longest = {}
+    for n in sorted(set(topology.neighborhoods), key=int.bit_count):
+        longest[n] = 1 + max([k for m, k in longest.items() if n & m == m], default=0)
+    return max(longest.values())
+
+
+def up_to_renaming(n_worlds: int, families) -> list[tuple[tuple[int, ...], ...]]:
+    """One tuple of agent bases over n worlds from each class under renaming
+    the worlds and reordering the agents, in the order ``families`` gives."""
+    perms = list(itertools.permutations(range(n_worlds)))
+
+    def renamed(basis, perm):
+        return tuple(sorted([sum([1 << perm[i] for i in bits(e)]) for e in basis]))
+
+    kept, seen = [], set()
+    for bases in families:
+        key = min(tuple(sorted([renamed(b, p) for b in bases])) for p in perms)
+        if key not in seen:
+            seen.add(key)
+            kept.append(tuple(bases))
+    return kept
+
+
 def field_paths(document, prefix: tuple = ()):
     """The path of every value in a JSON document, the document itself first."""
     yield prefix

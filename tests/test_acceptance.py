@@ -24,6 +24,7 @@ from limitknow.attest import (
 from limitknow.frame import AgentSpec, Frame, generate_topology, load_frame, submasks
 from limitknow.hierarchy import (
     INFINITE,
+    DecisionMethod,
     DescendingOpenChain,
     Verdict,
     limit_yes_set,
@@ -363,7 +364,11 @@ def test_criterion_8_simulation():
                 frame, protocol, world, streams, [], target, seed=rng.random()
             )
             for spec in frame.agents:
-                sigma_yes = limit_yes_set(protocol.strategy(spec.name).induced_method())
+                verdicts = protocol[spec.name].items()
+                method = DecisionMethod(
+                    {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in verdicts}
+                )
+                sigma_yes = limit_yes_set(method)
                 expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
                 assert report.limits[spec.name] == expected
             runs += 1

@@ -11,8 +11,6 @@ from limitknow import attest
 from limitknow.attest import (
     ATTEST,
     DEFER,
-    AttestationProtocol,
-    AttestationStrategy,
     EvidenceStream,
     ProtocolError,
     generate_stream,
@@ -23,7 +21,7 @@ from limitknow.attest import (
     verify_protocol,
 )
 from limitknow.frame import AgentSpec, Frame, FrameError, load_frame_file, submasks
-from limitknow.hierarchy import limit_yes_set, open_rank
+from limitknow.hierarchy import DecisionMethod, Verdict, limit_yes_set, open_rank
 from limitknow.operators import OperatorContext
 from randgen import random_frame
 
@@ -35,12 +33,7 @@ def chain_frame(tolerance=1, agents=("a", "b")):
 
 
 def constant_protocol(frame, verdict):
-    return AttestationProtocol(
-        tuple(
-            AttestationStrategy(a.name, {e: verdict for e in a.basis})
-            for a in frame.agents
-        )
-    )
+    return {a.name: {e: verdict for e in a.basis} for a in frame.agents}
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +56,10 @@ def test_all_attest_solves_for_the_full_universe():
 def test_disagreement_between_strategies():
     frame = chain_frame()
     # strategy from the chain [{y,z},{z}] settles on {y}; all-defer settles on {}
-    chain_strategy = AttestationStrategy(
-        "a", {0b111: DEFER, 0b110: ATTEST, 0b100: DEFER}
-    )
-    defer_strategy = AttestationStrategy("b", {e: DEFER for e in CHAIN})
-    protocol = AttestationProtocol((chain_strategy, defer_strategy))
+    protocol = {
+        "a": {0b111: DEFER, 0b110: ATTEST, 0b100: DEFER},
+        "b": {e: DEFER for e in CHAIN},
+    }
     report = verify_protocol(frame, protocol, 0b010)
     assert report.limit_yes == {"a": 0b010, "b": 0}
     assert report.validity and not report.agreement and not report.nontriviality
@@ -75,9 +67,9 @@ def test_disagreement_between_strategies():
 
 def test_switch_bounds_are_reported():
     frame = chain_frame(tolerance=0)
-    alternating = AttestationStrategy("a", {0b111: ATTEST, 0b110: DEFER, 0b100: ATTEST})
-    stay = AttestationStrategy("b", {e: ATTEST for e in CHAIN})
-    report = verify_protocol(frame, AttestationProtocol((alternating, stay)), frame.universe)
+    alternating = {0b111: ATTEST, 0b110: DEFER, 0b100: ATTEST}
+    stay = {e: ATTEST for e in CHAIN}
+    report = verify_protocol(frame, {"a": alternating, "b": stay}, frame.universe)
     assert not report.switch_bounds["a"].ok
     assert report.switch_bounds["b"].ok
 
@@ -85,24 +77,21 @@ def test_switch_bounds_are_reported():
 def test_protocol_shape_is_checked():
     frame = chain_frame()
     with pytest.raises(ProtocolError):
-        verify_protocol(
-            frame,
-            AttestationProtocol((AttestationStrategy("a", {e: DEFER for e in CHAIN}),)),
-            0,
-        )
+        verify_protocol(frame, {"a": {e: DEFER for e in CHAIN}}, 0)
     with pytest.raises(ProtocolError):
-        verify_protocol(
-            frame,
-            AttestationProtocol(
-                (
-                    AttestationStrategy("a", {0b111: DEFER}),
-                    AttestationStrategy("b", {e: DEFER for e in CHAIN}),
-                )
-            ),
-            0,
-        )
-    with pytest.raises(ProtocolError, match="protocol has no strategy for agent 'c'"):
-        constant_protocol(frame, DEFER).strategy("c")
+        verify_protocol(frame, {"a": {0b111: DEFER}, "b": {e: DEFER for e in CHAIN}}, 0)
+    # a protocol, and each strategy table in it, is a mapping
+    streams = make_streams(frame, "x")
+    table = {e: DEFER for e in CHAIN}
+    cases = [
+        ((("a", table), ("b", table)), "a protocol must map each agent name"),
+        ({"a": table, "b": list(table.items())}, "strategy for 'b' must map evidence"),
+    ]
+    for protocol, message in cases:
+        with pytest.raises(ProtocolError, match=message):
+            verify_protocol(frame, protocol, 0)
+        with pytest.raises(ProtocolError, match=message):
+            simulate(frame, protocol, "x", streams, [], 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +101,8 @@ def test_protocol_shape_is_checked():
 def test_synthesize_universe_gives_constant_attest():
     frame = chain_frame()
     protocol = synthesize(frame, frame.universe)
-    for s in protocol.strategies:
-        assert all(v == ATTEST for v in s.verdicts.values())
+    for verdicts in protocol.values():
+        assert all(v == ATTEST for v in verdicts.values())
     assert verify_protocol(frame, protocol, frame.universe).success_set == frame.universe
 
 
@@ -155,8 +144,8 @@ def test_synthesized_strategies_do_not_depend_on_slack_tolerance(fixtures_dir, m
     feasible = [v for v in submasks(frame.universe) if v and open_rank(topo, v).rank <= 2]
     assert len(feasible) == 6
     for success in feasible:
-        expected = synthesize(low, frame.universe, success).strategies
-        assert synthesize(high, frame.universe, success).strategies == expected
+        expected = synthesize(low, frame.universe, success)
+        assert synthesize(high, frame.universe, success) == expected
     # each chain is a shortest witness, never padded out to tolerance + 1 opens
     assert max(chain_lengths) == 2
 
@@ -283,17 +272,19 @@ def test_simulate_byzantine_minority_cannot_force_attest():
 def test_simulate_shame_events():
     frame = chain_frame()
     # strategy pair that falsely attests at y (outside target {z}) for agent a
-    liar = AttestationStrategy("a", {0b111: DEFER, 0b110: ATTEST, 0b100: DEFER})
-    carefree = AttestationStrategy("b", {e: DEFER for e in CHAIN})
-    protocol = AttestationProtocol((liar, carefree))
+    liar = {0b111: DEFER, 0b110: ATTEST, 0b100: DEFER}
+    carefree = {e: DEFER for e in CHAIN}
+    protocol = {"a": liar, "b": carefree}
     report = simulate(
         frame, protocol, "y", make_streams(frame, "y"), [], 0b100, seed=2
     )
     causes = {(s.agent, s.cause) for s in report.shame}
     assert ("a", "false-yes") in causes
     assert ("a", "disagreement") in causes
-    # The payload reads as asdict's would, without asdict's tuple copies.
-    expected = {"schema": 1, **asdict(report)}
+    # The payload reads as asdict's would, without asdict's tuple copies,
+    # plus the limits that the traces end on.
+    limits = {"limits": {"a": ATTEST, "b": DEFER}, "aggregator_limit": DEFER}
+    expected = {"schema": 1, **asdict(report), **limits}
     assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
@@ -317,7 +308,11 @@ def test_simulate_honest_limits_equal_sigma():
             seed=rng.random(),
         )
         for spec in frame.agents:
-            sigma_yes = limit_yes_set(protocol.strategy(spec.name).induced_method())
+            verdicts = protocol[spec.name].items()
+            method = DecisionMethod(
+                {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in verdicts}
+            )
+            sigma_yes = limit_yes_set(method)
             expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
             assert report.limits[spec.name] == expected
         success = verify_protocol(frame, protocol, target).success_set
@@ -343,6 +338,11 @@ def test_simulate_validates_inputs():
     for step_cap in (2.5, "9", True):
         with pytest.raises(ProtocolError, match="'step_cap' must be an integer"):
             simulate(frame, protocol, "z", long_streams, [], 0, seed=0, step_cap=step_cap)
+    # a target is a world set of the frame, checked before any trace is built
+    with pytest.raises(FrameError, match="integer mask, not True"):
+        simulate(frame, constant_protocol(frame, ATTEST), "z", long_streams, [], True, seed=1)
+    with pytest.raises(FrameError, match="members outside"):
+        simulate(frame, protocol, "z", long_streams, [], 1 << 10 | 0b100, seed=0)
 
 
 def _simulate_with_string_faults():
@@ -416,6 +416,26 @@ def test_scenario_round_trip(tmp_path, fixtures_dir):
     assert report.aggregator_limit == ATTEST
     payload = report.to_dict()
     assert payload["schema"] == 1 and payload["limits"]["a"] == "yes"
+
+
+@pytest.mark.parametrize(
+    "load, error", [(load_frame_file, FrameError), (load_scenario, ProtocolError)]
+)
+def test_loaders_take_no_file_descriptor(fixtures_dir, load, error):
+    """An int is no path: ``open`` would read it as a descriptor and close it."""
+    model = os.path.join(fixtures_dir, "model3.json")
+    scenario = {"frame": model, "target": "@p", "protocol": {"type": "synthesized"}, "world": "x"}
+    with open(model) as fh:
+        document = fh.read() if load is load_frame_file else json.dumps(scenario)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, document.encode())
+        os.close(write_end)
+        with pytest.raises(error, match=f"path must be a string or a path object, not {read_end}$"):
+            load(read_end)
+        os.fstat(read_end)  # still open
+    finally:
+        os.close(read_end)
 
 
 def test_scenario_target_reads_a_bare_formula(tmp_path, fixtures_dir):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from limitknow import frame as frame_module
 from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks
 from limitknow.hierarchy import (
     INFINITE,
@@ -406,6 +407,21 @@ def test_chain_from_method_rejects_bound_violation():
     alternating = DecisionMethod({0b111: YES, 0b110: NO, 0b100: YES})
     with pytest.raises(FrameError):
         chain_from_method(alternating, 1)
+
+
+def test_chain_from_method_validates_its_basis_once(monkeypatch):
+    # the limit-Yes set is read off the topology the call already built
+    calls = []
+    original = frame_module.validate_basis
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frame_module, "validate_basis", counting)
+    method = DecisionMethod({0b111: NO, 0b110: YES, 0b100: NO})
+    assert chain_from_method(method, 2).evaluate() == 0b010
+    assert len(calls) == 1
 
 
 def test_chain_method_round_trips():

@@ -1,6 +1,7 @@
 """The soundness battery as a regression suite over the whole engine."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -8,7 +9,7 @@ import random
 import pytest
 
 from limitknow import laws
-from limitknow.frame import load_frame
+from limitknow.frame import AgentSpec, Frame, load_frame, submasks
 from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
 from limitknow.logic import (
     Bot,
@@ -21,7 +22,7 @@ from limitknow.logic import (
     print_formula,
 )
 from limitknow.operators import OperatorContext
-from randgen import random_frame
+from randgen import all_valid_bases, height, random_frame, up_to_renaming
 
 
 def test_battery_reports_every_law(chain_model):
@@ -158,3 +159,84 @@ def test_reseeding_matches_a_fresh_generator():
 def test_the_battery_needs_at_least_one_trial(chain_model, trials):
     with pytest.raises(EvalError, match=f"at least one trial, not {trials!r}$"):
         law_battery(chain_model, trials=trials)
+
+
+# ---------------------------------------------------------------------------
+# every axiom and derived law on every small frame
+
+METAVARIABLES = [Prop("_f0"), Prop("_f1"), Prop("_f2")]
+
+
+def used_metavariables(schema):
+    """The metavariables that a schema instance mentions, in order."""
+    seen, stack = set(), [schema]
+    while stack:
+        node = stack.pop()
+        seen.add(node)
+        stack.extend(c for c in vars(node).values() if isinstance(c, Formula))
+    return [p.name for p in METAVARIABLES if p in seen]
+
+
+def at_tolerances(n_worlds, bases, tolerances):
+    """The frame of these agent bases at every vector of the given
+    tolerances, leaving out those above an agent's height: past the height a
+    tolerance changes no operator."""
+    names = [f"w{i}" for i in range(n_worlds)]
+    base = Frame(names, [AgentSpec(a, b, 0) for a, b in zip("ab", bases)])
+    caps = [[t for t in tolerances if t <= height(base.topology(a.name))] for a in base.agents]
+    return [base.with_tolerances(dict(zip("ab", v))) for v in itertools.product(*caps)]
+
+
+def every_frame(worlds, n_agents, tolerances):
+    """Every frame of n agents over each number of worlds, up to renaming the
+    worlds and reordering the agents, at the given tolerances."""
+    return [
+        frame
+        for n in worlds
+        for bases in up_to_renaming(n, itertools.product(all_valid_bases(n), repeat=n_agents))
+        for frame in at_tolerances(n, bases, tolerances)
+    ]
+
+
+def sampled_two_agent_frames():
+    """A seeded sample of two-agent 3-world frames, at tolerances 0-2."""
+    rng = random.Random(18)
+    pairs = up_to_renaming(3, itertools.product(all_valid_bases(3), repeat=2))
+    return [rng.choice(at_tolerances(3, bases, range(3))) for bases in rng.sample(pairs, 10)]
+
+
+def check_every_schema(frames):
+    """Check each axiom and derived law for every agent on every assignment
+    of world sets to the metavariables it uses (a schema is valid on a frame
+    exactly when it holds on all of them); count the frames and checks."""
+    checks = 0
+    for frame in frames:
+        model = Model(frame)
+        sets = list(submasks(frame.universe))
+        for name, build in {**AXIOMS, **DERIVED}.items():
+            for agent in frame.agents:
+                schema = build(agent.name, METAVARIABLES)
+                used = used_metavariables(schema)
+                for values in itertools.product(sets, repeat=len(used)):
+                    trial = model.with_valuation(dict(zip(used, values)))
+                    assert check(trial, schema).valid, (name, agent.name, frame, values)
+                    checks += 1
+    return len(frames), checks
+
+
+# Split so that each case stays within a few seconds; the tolerance caps and
+# the renaming leave every case exhaustive but the sample.
+@pytest.mark.parametrize(
+    "frames, counts",
+    [
+        (lambda: every_frame((1, 2, 3), 1, (0,)), (27, 75040)),
+        (lambda: every_frame((1, 2, 3), 1, (1,)), (27, 75040)),
+        (lambda: every_frame((1, 2, 3), 1, (2, 3)), (13, 40264)),
+        (lambda: every_frame((1, 2), 2, range(3)), (64, 63168)),
+        (sampled_two_agent_frames, (10, 66240)),
+    ],
+    ids=["one-agent-tolerance-0", "one-agent-tolerance-1", "one-agent-tolerance-2-3",
+         "two-agents-up-to-2-worlds", "two-agents-3-world-sample"],
+)
+def test_every_schema_holds_on_every_assignment(frames, counts):
+    assert check_every_schema(frames()) == counts

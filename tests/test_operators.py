@@ -12,6 +12,7 @@ from limitknow import cli, operators
 from limitknow.attest import synthesize, verify_protocol
 from limitknow.logic import MODALITIES
 from limitknow.operators import OperatorContext
+import randgen
 from randgen import all_valid_bases, common_via_interior, random_frame
 
 CHAIN = ("chain", (0b111, 0b110, 0b100))
@@ -357,14 +358,6 @@ def test_common_is_invariant_and_generates_is_sensitive_on_two_agent_frames():
     assert (len(changes), sum(changes)) == (6400, 74)
 
 
-def _height(topology):
-    """The longest strict chain of distinct minimal neighborhoods."""
-    longest = {}
-    for n in sorted(set(topology.neighborhoods), key=int.bit_count):
-        longest[n] = 1 + max([k for m, k in longest.items() if n & m == m], default=0)
-    return max(longest.values())
-
-
 def test_tolerance_counts_only_up_to_the_height():
     # Finite ranks are at most the height, and reason and feasibility compare
     # ranks with t and t + 1, so tolerances from the height up give the same
@@ -373,7 +366,7 @@ def test_tolerance_counts_only_up_to_the_height():
     for n in (1, 2, 3):
         for basis in all_valid_bases(n):
             base = Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, 0)])
-            height = _height(base.topology("a"))
+            height = randgen.height(base.topology("a"))
             sets = list(submasks(base.universe))
             answers = []
             for tolerance in range(height, height + 4):

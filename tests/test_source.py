@@ -10,7 +10,7 @@ from pathlib import Path
 
 import limitknow
 import limitknow.cli  # the tracer patches modules found in sys.modules
-from limitknow import cli, hierarchy, laws, logic
+from limitknow import attest, cli, hierarchy, laws, logic
 from limitknow.operators import OperatorContext
 
 
@@ -77,10 +77,31 @@ def test_library_value_types_hold_no_hidden_state():
 
 def test_value_types_store_no_field_another_one_determines():
     # A rank is its witness's length, a basis is valid when its report lists
-    # no violation, and a scenario's valuation was read only to build it.
+    # no violation, and a scenario's valuation was read only to build it. A
+    # protocol's verdicts follow from its limit-attest sets and the target,
+    # and a simulation's limits are the last entries of its traces.
     assert [f.name for f in fields(limitknow.RankResult)] == ["witness"]
     assert [f.name for f in fields(limitknow.BasisReport)] == ["violations", "neighborhoods"]
     assert "valuation" not in [f.name for f in fields(limitknow.Scenario)]
+    assert [f.name for f in fields(attest.VerifyReport)] == ["target", "switch_bounds", "limit_yes"]
+    stored = [f.name for f in fields(limitknow.SimulationReport)]
+    assert "limits" not in stored and "aggregator_limit" not in stored
+    report = attest.SimulationReport("x", {"a": ("defer", "yes")}, ("defer", "yes"), (), ())
+    payload = report.to_dict()
+    assert payload["limits"] == {"a": "yes"} and payload["aggregator_limit"] == "yes"
+
+
+def test_attest_leaves_the_witness_search_and_the_neighborhoods_to_their_owners():
+    # operators owns the witness search and hierarchy the reading of N(w).
+    tree = ast.parse(Path(attest.__file__).read_text())
+    found = [
+        n.lineno
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "submasks")
+        or (isinstance(n, ast.Attribute) and n.attr in ("submasks", "neighborhoods"))
+        or (isinstance(n, ast.alias) and n.name == "submasks")
+    ]
+    assert found == []
 
 
 def test_hierarchy_has_one_hull_derivative_loop():
@@ -126,7 +147,7 @@ def readme_names():
 def test_readme_names_resolve():
     names = readme_names()
     assert {"limitknow.logic.world_set", "limitknow.laws.RULES"} <= names
-    assert "limitknow.OperatorContext.witness_candidates" in names
+    assert "limitknow.OperatorContext.witnesses" in names
     missing = []
     for name in sorted(names):
         try:
