@@ -11,7 +11,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from limitknow import (
     AgentSpec,
-    DecisionMethod,
     DescendingOpenChain,
     Frame,
     Verdict,
@@ -55,7 +54,7 @@ target = 0b101
 chain = DescendingOpenChain(topo, open_rank(topo, target).witness)
 method = method_from_chain(chain, frame.agent("observer").basis)
 print(f"method for {names(target)} read off the chain:")
-for evidence, verdict in method.verdicts.items():
+for evidence, verdict in method.items():
     print(f"  on seeing {names(evidence)}: {verdict.value}")
 sigma = limit_verdicts(method)
 print("limit verdict per world:", {frame.worlds[w]: v.value for w, v in sigma.items()})
@@ -68,9 +67,9 @@ indiscrete = Frame(["u", "v"], [AgentSpec("observer", (0b11,), tolerance=3)])
 stuck = open_rank(indiscrete.topology("observer"), 0b01)
 print("with indiscrete evidence, open rank of {u}:", stuck.rank)
 
-# And a constant method still settles instantly.
+# And a constant method, a plain verdict map, still settles instantly.
 basis = indiscrete.agent("observer").basis
-constant = DecisionMethod({e: Verdict.NO for e in basis})
+constant = {e: Verdict.NO for e in basis}
 print(
     "constant-no method settles on:",
     {indiscrete.worlds[w]: v.value for w, v in limit_verdicts(constant).items()},

@@ -17,7 +17,6 @@ from .frame import (
 )
 from .hierarchy import (
     INFINITE,
-    DecisionMethod,
     DescendingOpenChain,
     RankResult,
     Verdict,
@@ -46,7 +45,6 @@ from .logic import (
 )
 from .laws import LawReport, law_battery
 from .attest import (
-    EvidenceStream,
     ProtocolError,
     Scenario,
     SimulationReport,

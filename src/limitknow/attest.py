@@ -8,22 +8,21 @@ This module verifies protocols, synthesizes them from witness chains, and
 simulates them over finite evidence streams with optional faulty agents and a
 majority-vote aggregator.
 
-A protocol maps each agent's name to its strategy table: a total map from
-the agent's basis elements to ``ATTEST`` or ``DEFER``.
+A protocol maps each agent's name to its strategy table, a ``hierarchy``
+decision method: a total map from its basis elements to ``ATTEST`` or ``DEFER``.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Mapping, Sequence
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
 from .hierarchy import (
-    DecisionMethod,
     DescendingOpenChain,
     Verdict,
     _limit_yes,
@@ -39,13 +38,13 @@ class ProtocolError(ValueError):
     """An infeasible synthesis target or malformed protocol/scenario."""
 
 
-ATTEST = "yes"
-DEFER = "defer"
+ATTEST = Verdict.YES
+DEFER = Verdict.NO
 
 MAX_STEPS = 10_000  # a simulation's step cap; it builds one verdict per step and agent
 
 
-def _check_protocol_shape(frame: Frame, protocol: Mapping[str, Mapping[int, str]]) -> None:
+def _check_protocol_shape(frame: Frame, protocol: Mapping[str, Mapping[int, Verdict]]) -> None:
     if not isinstance(protocol, Mapping):
         raise ProtocolError("a protocol must map each agent name to its strategy table")
     names = list(protocol)
@@ -110,7 +109,7 @@ class VerifyReport:
 
 
 def verify_protocol(
-    frame: Frame, protocol: Mapping[str, Mapping[int, str]], target: int
+    frame: Frame, protocol: Mapping[str, Mapping[int, Verdict]], target: int
 ) -> VerifyReport:
     """Check validity, agreement, nontriviality, and the per-agent switch
     bounds. Violations are report data, not errors; a target with members
@@ -123,11 +122,9 @@ def verify_protocol(
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
-        method = DecisionMethod(
-            {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in protocol[spec.name].items()}
-        )
+        method = protocol[spec.name]
         limit_yes[spec.name] = _limit_yes(frame.topology(spec.name), method)
-        bounds[spec.name] = SwitchBoundCheck(max_switches(method, Verdict.YES), spec.tolerance)
+        bounds[spec.name] = SwitchBoundCheck(max_switches(method, ATTEST), spec.tolerance)
     return VerifyReport(target, bounds, limit_yes)
 
 
@@ -135,7 +132,7 @@ def verify_protocol(
 # synthesis
 
 
-def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[int, str]:
+def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[int, Verdict]:
     spec = frame.agent(agent)
     topo = frame.topology(agent)
     rank = open_rank(topo, success)
@@ -144,8 +141,7 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[in
             f"target is not decidable for agent {agent!r}: needs a chain of "
             f"{rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
-    method = method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
-    return {e: ATTEST if v is Verdict.YES else DEFER for e, v in method.verdicts.items()}
+    return method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
 
 
 def choose_success_set(frame: Frame, target_prop: int, success_target: int | None = None) -> int:
@@ -176,7 +172,7 @@ def choose_success_set(frame: Frame, target_prop: int, success_target: int | Non
 
 def synthesize(
     frame: Frame, target_prop: int, success_target: int | None = None
-) -> dict[str, dict[int, str]]:
+) -> dict[str, dict[int, Verdict]]:
     """Build a protocol solving coordinated attack for ``target_prop`` on the
     success set that ``choose_success_set`` picks from the same arguments:
     each agent's name, in frame order, mapped to its strategy table. Each
@@ -191,22 +187,11 @@ def synthesize(
 # evidence streams and simulation
 
 
-@dataclass(frozen=True)
-class EvidenceStream:
-    """A finite, strictly refining run of evidence an agent learns at a world,
-    ending at the least evidence there (so limits are realized)."""
-
-    agent: str
-    world: int
-    chain: tuple[int, ...]
-
-
-def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> EvidenceStream:
-    """Random strictly descending walk through the agent's evidence at the
-    world, from a random start down to the unique minimal element, which
-    has the fewest worlds."""
-    w = frame.position(world)
-    at_w = sorted(frame.evidence_at(agent, w), key=lambda e: (e.bit_count(), e))
+def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> tuple[int, ...]:
+    """An evidence stream of the agent at the world: a random strictly
+    descending walk through its evidence there, from a random start down to
+    the unique minimal element, which has the fewest worlds."""
+    at_w = sorted(frame.evidence_at(agent, world), key=lambda e: (e.bit_count(), e))
     least = at_w[0]
     rng = random.Random(f"{seed}")
     cur = rng.choice(at_w)
@@ -214,7 +199,7 @@ def generate_stream(frame: Frame, agent: str, world: int | str, seed) -> Evidenc
     while cur != least:
         cur = rng.choice([e for e in at_w if e != cur and e & ~cur == 0])
         chain.append(cur)
-    return EvidenceStream(agent, w, tuple(chain))
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -227,18 +212,18 @@ class ShameEvent:
 @dataclass(frozen=True)
 class SimulationReport:
     world: str
-    traces: Mapping[str, tuple[str, ...]]
-    aggregator_trace: tuple[str, ...]
+    traces: Mapping[str, tuple[Verdict, ...]]
+    aggregator_trace: tuple[Verdict, ...]
     shame: tuple[ShameEvent, ...]
     faults: tuple[str, ...]
 
     @property
-    def limits(self) -> dict[str, str]:
+    def limits(self) -> dict[str, Verdict]:
         """Each agent's final output."""
         return {name: trace[-1] for name, trace in self.traces.items()}
 
     @property
-    def aggregator_limit(self) -> str:
+    def aggregator_limit(self) -> Verdict:
         return self.aggregator_trace[-1]
 
     def to_dict(self) -> dict:
@@ -254,9 +239,9 @@ class SimulationReport:
 
 def simulate(
     frame: Frame,
-    protocol: Mapping[str, Mapping[int, str]],
+    protocol: Mapping[str, Mapping[int, Verdict]],
     world: int | str,
-    streams: Mapping[str, EvidenceStream],
+    streams: Mapping[str, Sequence[int]],
     faults: Sequence[str],
     target: int,
     seed,
@@ -264,32 +249,42 @@ def simulate(
 ) -> SimulationReport:
     """Run every agent along its evidence stream at one world.
 
-    Honest agents answer their strategy on each learned evidence; faulty
-    agents emit seeded random verdicts. The aggregator attests at a step iff
-    strictly more than half of that step's outputs attest; ties are defers
-    (safety over liveness). Limits are the final outputs, which honest
-    streams realize because they end at minimal evidence. A ``step_cap``, an
-    int, fixes the horizon; it must cover the streams, and past ``MAX_STEPS``
-    it is a ``ResourceLimitError``. A target with members outside the frame
-    is a ``FrameError``.
+    A stream, as ``generate_stream`` builds one, is a non-empty, strictly
+    descending run of the agent's evidence at the world that ends at the
+    least evidence there; any other is a ``ProtocolError``. Honest agents
+    answer their strategy on each learned evidence; faulty agents emit seeded
+    random verdicts. The aggregator outputs each step's lower median, DEFER
+    ranking below ATTEST: it attests iff strictly more than half of the step's
+    outputs attest, and ties are defers (safety over liveness). Limits are the
+    final outputs, which honest streams realize because they end at minimal
+    evidence. A ``step_cap``, an int, fixes the horizon; it must cover the
+    streams, and past ``MAX_STEPS`` it is a ``ResourceLimitError``. A target
+    with members outside the frame is a ``FrameError``.
     """
     _check_protocol_shape(frame, protocol)
     frame.check_subset(target)
     w = frame.position(world)
     world_name = frame.worlds[w]
-    if isinstance(faults, str):
-        raise ProtocolError("faults must be a sequence of agent names, not a string")
+    if not (isinstance(faults, (list, tuple)) and all([isinstance(f, str) for f in faults])):
+        raise ProtocolError(f"faults must be a sequence of agent names, not {faults!r:.40}")
     fault_set = set(faults)
     agent_names = [a.name for a in frame.agents]
     if fault_set - set(agent_names):
         raise ProtocolError(f"unknown fault agents: {sorted(fault_set - set(agent_names))}")
-    if set(streams) != set(agent_names):
+    if not isinstance(streams, Mapping) or set(streams) != set(agent_names):
         raise ProtocolError("streams must cover exactly the frame's agents")
-    for name, stream in streams.items():
-        if stream.agent != name or stream.world != w:
-            raise ProtocolError(f"stream for {name!r} does not match agent and world")
+    for name, chain in streams.items():
+        at_w = frame.evidence_at(name, w)
+        if not (
+            isinstance(chain, Sequence)
+            and chain
+            and all([_is_int(e) and e in at_w for e in chain])
+            and all([b != a and b & ~a == 0 for a, b in zip(chain, chain[1:])])
+            and chain[-1] == min(at_w, key=int.bit_count)
+        ):
+            raise ProtocolError(f"stream for {name!r} is no evidence stream at {world_name!r}")
 
-    horizon = max(len(s.chain) for s in streams.values())
+    horizon = max(len(chain) for chain in streams.values())
     if step_cap is not None:
         if not _is_int(step_cap):
             raise ProtocolError("'step_cap' must be an integer")
@@ -301,23 +296,19 @@ def simulate(
             )
         horizon = step_cap
 
-    traces: dict[str, tuple[str, ...]] = {}
+    traces: dict[str, tuple[Verdict, ...]] = {}
     for name in agent_names:
         if name in fault_set:
             rng = random.Random(f"{seed}:{name}")
             traces[name] = tuple([rng.choice((ATTEST, DEFER)) for _ in range(horizon)])
-        else:
-            verdicts = protocol[name]
-            chain = streams[name].chain
-            traces[name] = tuple([
-                verdicts[chain[min(t, len(chain) - 1)]] for t in range(horizon)
-            ])
+        else:  # an agent keeps its least evidence once its stream ends
+            chain = list(streams[name])
+            chain += chain[-1:] * (horizon - len(chain))
+            traces[name] = tuple([protocol[name][e] for e in chain])
 
-    majority = len(agent_names) / 2
+    median = (len(agent_names) - 1) // 2
     aggregator = tuple([
-        ATTEST
-        if sum(traces[n][t] == ATTEST for n in agent_names) > majority
-        else DEFER
+        sorted([traces[n][t] for n in agent_names], key=(DEFER, ATTEST).index)[median]
         for t in range(horizon)
     ])
 
@@ -347,7 +338,7 @@ def simulate(
 class Scenario:
     frame: Frame
     target: int
-    protocol: Mapping[str, Mapping[int, str]]
+    protocol: Mapping[str, Mapping[int, Verdict]]
     world: str
     faults: tuple[str, ...]
     seed: int

@@ -8,7 +8,7 @@ verdicts, and the evidence-relative belief predicates used by the operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 from typing import Mapping, Sequence
 
 from .frame import Frame, FrameError, Topology, _is_int, _masks, generate_topology
@@ -16,9 +16,11 @@ from .frame import Frame, FrameError, Topology, _is_int, _masks, generate_topolo
 INFINITE = float("inf")
 
 
-class Verdict(Enum):
+class Verdict(StrEnum):
+    """A decision method's answer, spelled as a protocol prints it."""
+
     YES = "yes"
-    NO = "no"
+    NO = "defer"
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,8 @@ def closed_rank(topology: Topology, s: int) -> RankResult:
 
 
 def _levels(topology: Topology, s: int, depth: int) -> tuple[list[int], list[int]]:
-    """The first ``depth`` alternation levels of ``s`` and of its complement.
+    """The first ``depth`` alternation levels of ``s`` and of its complement,
+    stopping after the first where either side is empty (all later ones are).
 
     ``ins[k]`` holds the worlds of ``s`` that start a chain of k + 1 worlds,
     each in the last one's neighborhood, whose membership alternates;
@@ -125,7 +128,7 @@ def _levels(topology: Topology, s: int, depth: int) -> tuple[list[int], list[int
     """
     topology.check_subset(s)
     ins, outs = [s], [topology.universe & ~s]
-    for _ in range(depth - 1):
+    while len(ins) < depth and ins[-1] and outs[-1]:
         i, o = ins[-1], outs[-1]
         ins.append(topology.meeting(i, o))
         outs.append(topology.meeting(o, i))
@@ -176,14 +179,14 @@ def _supporting(
 # decision methods
 
 
-@dataclass(frozen=True)
-class DecisionMethod:
-    """A Yes/No verdict map on an agent's evidence; its keys are the basis."""
+def _basis(method: Mapping[int, Verdict]) -> tuple[int, ...]:
+    """A decision method's basis: the keys of its verdict map."""
+    if not isinstance(method, Mapping):
+        raise FrameError(f"a decision method must map evidence to verdicts, not {method!r:.40}")
+    return _masks(method, "basis element")
 
-    verdicts: Mapping[int, Verdict]
 
-
-def limit_verdicts(method: DecisionMethod) -> dict[int, Verdict]:
+def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
     """The verdict each world's evidence stream converges to.
 
     A world settles on the verdict of its least evidence ``N(w)``, the
@@ -191,35 +194,35 @@ def limit_verdicts(method: DecisionMethod) -> dict[int, Verdict]:
     ``N(w)``. The validator computes ``N(w)``, so a basis it rejects is a
     ``FrameError``.
     """
-    neighborhoods = generate_topology(method.verdicts).neighborhoods
-    return {w: method.verdicts[least] for w, least in enumerate(neighborhoods) if least}
+    neighborhoods = generate_topology(_basis(method)).neighborhoods
+    return {w: method[least] for w, least in enumerate(neighborhoods) if least}
 
 
-def limit_yes_set(method: DecisionMethod) -> int:
+def limit_yes_set(method: Mapping[int, Verdict]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return _limit_yes(generate_topology(method.verdicts), method)
+    return _limit_yes(generate_topology(_basis(method)), method)
 
 
-def _limit_yes(topology: Topology, method: DecisionMethod) -> int:
+def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
     """The worlds whose least evidence ``N(w)`` the method answers Yes, read
     off a topology that the method's basis generates."""
     return sum([
         1 << w
         for w, least in enumerate(topology.neighborhoods)
-        if least and method.verdicts[least] is Verdict.YES
+        if least and method[least] == Verdict.YES
     ])
 
 
-def max_switches(method: DecisionMethod, start: Verdict) -> int:
+def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     """Largest t for which a t-switching sequence with the given start verdict
     exists: a descending evidence sequence whose verdicts alternate starting
     from ``start``. Returned as an int, 0 when no evidence answers ``start``.
     Read off the alternation levels of the elements answering ``start``, an
     element's neighborhood being the elements inside it (alternation forces
     strict descent)."""
-    basis = _masks(method.verdicts, "basis element")
+    basis = _basis(method)
     inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
-    starts = sum([1 << i for i, e in enumerate(basis) if method.verdicts[e] is start])
+    starts = sum([1 << i for i, e in enumerate(basis) if method[e] == start])
     ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
     return max(len([s for s in ins if s]) - 1, 0)
 
@@ -244,7 +247,7 @@ def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
 # chains <-> methods (the two halves of the switching/rank correspondence)
 
 
-def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> DecisionMethod:
+def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> dict[int, Verdict]:
     """Read a decision method on ``basis`` off a witness chain: evidence
     answers Yes when the deepest chain member containing it sits at an even
     position, No at an odd position or when no member contains it (depth -1
@@ -253,6 +256,8 @@ def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> Decis
     The result has at most len(chain)-1 switches after saying Yes and its
     limit-Yes set is the chain's nested difference.
     """
+    if not isinstance(chain, DescendingOpenChain):
+        raise FrameError(f"a witness chain must be a DescendingOpenChain, not {chain!r:.40}")
     verdicts: dict[int, Verdict] = {}
     for e in _masks(basis, "basis element"):
         deepest = -1
@@ -260,10 +265,10 @@ def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> Decis
             if e & ~o == 0:
                 deepest = k
         verdicts[e] = Verdict.YES if deepest % 2 == 0 and deepest >= 0 else Verdict.NO
-    return DecisionMethod(verdicts)
+    return verdicts
 
 
-def chain_from_method(method: DecisionMethod, n: int) -> DescendingOpenChain:
+def chain_from_method(method: Mapping[int, Verdict], n: int) -> DescendingOpenChain:
     """A witness chain of n+1 opens for a method with at most n switches
     after saying Yes: the greedy ``open_rank`` witness of the method's
     limit-Yes set, padded with empty opens. Its nested difference is that
@@ -272,7 +277,7 @@ def chain_from_method(method: DecisionMethod, n: int) -> DescendingOpenChain:
     """
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
-    topology = generate_topology(method.verdicts)
+    topology = generate_topology(_basis(method))
     if max_switches(method, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
     witness = open_rank(topology, _limit_yes(topology, method)).witness

@@ -381,6 +381,10 @@ class Model:
     """
 
     def __init__(self, frame: Frame, valuation: Mapping[str, int] | None = None):
+        if valuation is not None and not (
+            isinstance(valuation, Mapping) and all([isinstance(n, str) for n in valuation])
+        ):
+            raise FrameError(f"a valuation must map names to world sets, not {valuation!r:.40}")
         self.frame = frame
         self.valuation: dict[str, int] = dict(valuation or {})
         for s in self.valuation.values():

@@ -183,12 +183,14 @@ class OperatorContext:
                 covered |= v
 
     def feasible(self, v: int) -> bool:
-        """Can every agent decide the set within tolerance: is its open rank
-        at most the agent's tolerance + 1?"""
-        return all(
-            not _levels(self.frame.topology(a.name), v, a.tolerance + 2)[0][-1]
-            for a in self.frame.agents
-        )
+        """Can every agent decide the set within tolerance: is its open rank at
+        most tolerance + 1, its inner level tolerance + 1 empty or missing?"""
+        for a in self.frame.agents:
+            topology = self.frame.topology(a.name)
+            ins, outs = _levels(topology, v, a.tolerance + 1)
+            if len(ins) > a.tolerance and topology.meeting(ins[-1], outs[-1]):
+                return False
+        return True
 
     def min_tolerance(self, agent: str, target: int) -> int:
         """Least tolerance at which the common-knowledge set of the target is

@@ -20,7 +20,6 @@ from limitknow.frame import (
 )
 from limitknow.hierarchy import (
     INFINITE,
-    DecisionMethod,
     Verdict,
     limit_yes_set,
     max_switches,
@@ -252,9 +251,9 @@ def oracle_synth_success(feasible: list[int], target: int) -> int | None:
 
 
 def all_methods(basis: tuple[int, ...]):
-    """Every decision method on a basis."""
+    """Every decision method on a basis, each a plain verdict map."""
     for verdicts in itertools.product((Verdict.YES, Verdict.NO), repeat=len(basis)):
-        yield DecisionMethod(dict(zip(basis, verdicts)))
+        yield dict(zip(basis, verdicts))
 
 
 def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
@@ -267,12 +266,14 @@ def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
     for method in all_methods(spec.basis):
         if limit_yes_set(method) != w_set:
             continue
-        start = method.verdicts[universe]
+        start = method[universe]
         best = min(best, max_switches(method, start))
     return best
 
 
-def oracle_limit_verdicts(method: DecisionMethod, basis: tuple[int, ...]) -> dict[int, Verdict]:
+def oracle_limit_verdicts(
+    method: dict[int, Verdict], basis: tuple[int, ...]
+) -> dict[int, Verdict]:
     """Settle by definition: a world settles on v when some evidence at it
     has every finer evidence at it mapped to v; worlds that settle on
     nothing are left out."""
@@ -283,8 +284,8 @@ def oracle_limit_verdicts(method: DecisionMethod, basis: tuple[int, ...]) -> dic
     for w in bits(universe):
         at_w = [e for e in basis if (e >> w) & 1]
         for e in at_w:
-            fixed = method.verdicts[e]
-            if all(method.verdicts[e2] is fixed for e2 in at_w if e2 & ~e == 0):
+            fixed = method[e]
+            if all(method[e2] is fixed for e2 in at_w if e2 & ~e == 0):
                 out[w] = fixed
                 break
     return out

@@ -11,7 +11,6 @@ from limitknow import attest
 from limitknow.attest import (
     ATTEST,
     DEFER,
-    EvidenceStream,
     ProtocolError,
     generate_stream,
     load_scenario,
@@ -21,7 +20,7 @@ from limitknow.attest import (
     verify_protocol,
 )
 from limitknow.frame import AgentSpec, Frame, FrameError, load_frame_file, submasks
-from limitknow.hierarchy import DecisionMethod, Verdict, limit_yes_set, open_rank
+from limitknow.hierarchy import limit_yes_set, open_rank
 from limitknow.operators import OperatorContext
 from randgen import random_frame
 
@@ -191,11 +190,11 @@ def test_achievable_success_sets_are_the_generating_fixed_points():
 def test_stream_walks_down_to_minimal_evidence():
     frame = chain_frame()
     stream = generate_stream(frame, "a", "z", seed=3)
-    assert stream.chain[-1] == 0b100
-    for a, b in zip(stream.chain, stream.chain[1:]):
+    assert stream[-1] == 0b100
+    for a, b in zip(stream, stream[1:]):
         assert b != a and b & ~a == 0
     only = Frame(["u", "v"], [AgentSpec("a", (0b01, 0b11), 1)])
-    assert generate_stream(only, "a", "v", seed=0).chain == (0b11,)
+    assert generate_stream(only, "a", "v", seed=0) == (0b11,)
 
 
 def test_stream_is_deterministic_per_seed():
@@ -204,7 +203,7 @@ def test_stream_is_deterministic_per_seed():
     b = generate_stream(frame, "a", "z", seed="s1")
     c = [generate_stream(frame, "a", "z", seed=f"s{k}") for k in range(2, 30)]
     assert a == b
-    assert any(x.chain != a.chain for x in c)  # the walk does vary
+    assert any(x != a for x in c)  # the walk does vary
 
 
 def test_stream_limits_match_sigma():
@@ -215,7 +214,7 @@ def test_stream_limits_match_sigma():
         for a in frame.agents:
             w = rng.randrange(len(frame.worlds))
             stream = generate_stream(frame, a.name, w, seed=rng.random())
-            assert stream.chain[-1] == frame.topology(a.name).neighborhoods[w]
+            assert stream[-1] == frame.topology(a.name).neighborhoods[w]
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +307,7 @@ def test_simulate_honest_limits_equal_sigma():
             seed=rng.random(),
         )
         for spec in frame.agents:
-            verdicts = protocol[spec.name].items()
-            method = DecisionMethod(
-                {e: Verdict.YES if v == ATTEST else Verdict.NO for e, v in verdicts}
-            )
-            sigma_yes = limit_yes_set(method)
+            sigma_yes = limit_yes_set(protocol[spec.name])
             expected = ATTEST if (sigma_yes >> world) & 1 else DEFER
             assert report.limits[spec.name] == expected
         success = verify_protocol(frame, protocol, target).success_set
@@ -330,9 +325,17 @@ def test_simulate_validates_inputs():
         simulate(frame, protocol, "y", streams, [], 0, seed=0)  # world mismatch
     with pytest.raises(ProtocolError):
         simulate(frame, protocol, "x", {"a": streams["a"]}, [], 0, seed=0)
-    long_streams = {
-        name: EvidenceStream(name, 2, (0b111, 0b100)) for name in ("a", "b")
-    }
+    # a stream is a non-empty, strictly descending run of the agent's
+    # evidence at the world, ending at the least evidence there
+    for chain in [(64,), (), (0b110, 0b100), (0b111, 0b111), (7.0,), 5]:
+        with pytest.raises(ProtocolError, match="no evidence stream at 'x'"):
+            simulate(frame, protocol, "x", {**streams, "a": chain}, [], 0, seed=0)
+    for faults in (None, [1, "a"], [["a"]]):
+        with pytest.raises(ProtocolError, match="faults must be a sequence"):
+            simulate(frame, protocol, "x", streams, faults, 0, seed=0)
+    with pytest.raises(ProtocolError, match="streams must cover"):
+        simulate(frame, protocol, "x", 5, [], 0, seed=0)
+    long_streams = {name: (0b111, 0b100) for name in ("a", "b")}
     with pytest.raises(ProtocolError):
         simulate(frame, protocol, "z", long_streams, [], 0, seed=0, step_cap=1)
     for step_cap in (2.5, "9", True):

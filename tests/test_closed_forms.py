@@ -23,12 +23,12 @@ from limitknow.frame import (
 )
 from limitknow.hierarchy import (
     INFINITE,
-    DecisionMethod,
     Verdict,
     _levels,
     closed_rank,
     gives_reason,
     limit_verdicts,
+    max_switches,
     open_rank,
 )
 from limitknow.operators import OperatorContext
@@ -165,6 +165,7 @@ def test_levels_count_the_open_ranks_inside_every_element():
     # Every valid basis of up to 3 worlds and every 4-world basis of at most
     # 6 elements, every set and element, at a depth one past the greatest
     # finite rank; non-T0 bases give infinite ranks, which count as the depth.
+    # The levels stop at the depth or at the first level where a side is empty.
     wrong, infinite = [], 0
     for basis in all_valid_bases(3) + all_valid_bases(4, max_elements=6):
         topo = generate_topology(basis)
@@ -174,9 +175,12 @@ def test_levels_count_the_open_ranks_inside_every_element():
         ranks = {s: min(r, depth) for s, r in ranks.items()}
         for s in ranks:
             ins, outs = _levels(topo, s, depth)
+            stops = len(ins) == depth or not (ins[-1] and outs[-1])
+            if len(ins) != len(outs) or len(ins) > depth or not stops:
+                wrong.append((basis, s))
             for e in basis:
                 got = (len([i for i in ins if i & e]), len([o for o in outs if o & e]))
-                if got != (ranks[s & e], ranks[e & ~s]) or len(ins) != depth:
+                if got != (ranks[s & e], ranks[e & ~s]):
                     wrong.append((basis, s, e))
     assert wrong == [] and infinite > 100
 
@@ -207,9 +211,10 @@ def test_feasible_is_rank_within_tolerance_plus_one():
 
 
 def test_tolerance_tests_stop_at_the_bound(monkeypatch):
-    # Reason at tolerance t reads t + 1 alternation levels of the set: 2t
-    # meeting passes and no hull, so a tolerance-0 agent takes neither.
-    # Feasibility reads t + 2 levels per agent.
+    # Reason at tolerance t reads at most t + 1 alternation levels of the
+    # set: 2t meeting passes, fewer once a level empties, and no hull, so a
+    # tolerance-0 agent takes neither. Feasibility reads t + 1 levels per
+    # agent and the inner side of one more.
     calls = {"hull": 0, "meeting": 0}
     for name in calls:
 
@@ -226,13 +231,30 @@ def test_tolerance_tests_stop_at_the_bound(monkeypatch):
             for a in frame.agents:
                 before = calls["meeting"]
                 supported = ctx.reason(a.name, p)
-                assert calls["meeting"] - before == 2 * tolerance
+                assert calls["meeting"] - before <= 2 * tolerance
+                if p == alternating:  # its levels do not empty within the bound
+                    assert calls["meeting"] - before == 2 * tolerance
                 if tolerance == 0:  # evidence supports a set it lies inside
                     assert supported == reduce(or_, [e for e in a.basis if e & ~p == 0], 0)
         before = calls["meeting"]
         assert not ctx.feasible(alternating)
-        assert calls["meeting"] - before <= 2 * (tolerance + 1) * len(frame.agents)
+        assert calls["meeting"] - before <= (2 * tolerance + 1) * len(frame.agents)
     assert calls["hull"] == 0
+
+
+def test_levels_stop_at_the_first_empty_level(monkeypatch):
+    # A constant method has no switch: its No side is empty from the first
+    # level on, so counting its switches needs no further level.
+    calls = []
+
+    def counting(self, *args, original=Topology.meeting):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Topology, "meeting", counting)
+    basis = chain_frame(64, 0).agent("a").basis
+    assert max_switches({e: Verdict.YES for e in basis}, Verdict.YES) == 0
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +334,7 @@ def test_limit_verdicts_match_settling_definition_on_every_small_basis():
         for basis in all_valid_bases(n):
             for method in all_methods(basis):
                 for order in (basis, basis[::-1]):
-                    ordered = DecisionMethod({e: method.verdicts[e] for e in order})
+                    ordered = {e: method[e] for e in order}
                     assert limit_verdicts(ordered) == oracle_limit_verdicts(method, order)
                 methods += 1
     assert methods == 1358  # every method on all 77 valid bases
@@ -326,7 +348,7 @@ def test_limit_verdicts_match_settling_definition_on_every_small_basis():
     ids=["not-directed", "empty-element", "negative-element"],
 )
 def test_limit_verdicts_reject_evidence_without_a_least_element(basis):
-    method = DecisionMethod({e: Verdict.YES if e & 1 else Verdict.NO for e in basis})
+    method = {e: Verdict.YES if e & 1 else Verdict.NO for e in basis}
     with pytest.raises(frame_module.FrameError):
         limit_verdicts(method)
 

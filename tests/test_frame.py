@@ -20,7 +20,6 @@ from limitknow.frame import (
     validate_basis,
 )
 from limitknow.hierarchy import (
-    DecisionMethod,
     DescendingOpenChain,
     Verdict,
     chain_from_method,
@@ -28,6 +27,7 @@ from limitknow.hierarchy import (
     method_from_chain,
     nested_difference,
 )
+from limitknow.logic import Model
 from randgen import random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
@@ -208,7 +208,7 @@ def test_frame_repr_names_worlds_and_agents():
     assert repr(frame) == "Frame(worlds=('u', 'v'), agents=['a', 'b'])"
 
 
-SIERPINSKI_METHOD = DecisionMethod({U: Verdict.YES, U | V: Verdict.NO})
+SIERPINSKI_METHOD = {U: Verdict.YES, U | V: Verdict.NO}
 
 
 def sierpinski_frame():
@@ -233,16 +233,17 @@ def sierpinski_chain():
         pytest.param(lambda: validate_basis((1,), 1.0), id="validate-float-universe"),
         pytest.param(lambda: generate_topology((1.0,)), id="generate-float-element"),
         pytest.param(
-            lambda: chain_from_method(DecisionMethod({1.0: Verdict.YES}), 0),
+            lambda: chain_from_method({1.0: Verdict.YES}, 0),
             id="chain-float-element",
         ),
         pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, 1.5), id="float-bound"),
         pytest.param(lambda: chain_from_method(SIERPINSKI_METHOD, True), id="bool-bound"),
         pytest.param(
-            lambda: max_switches(DecisionMethod({1.0: Verdict.YES}), Verdict.YES),
+            lambda: max_switches({1.0: Verdict.YES}, Verdict.YES),
             id="switches-float-element",
         ),
-        pytest.param(lambda: max_switches(DecisionMethod(U), Verdict.YES), id="switches-int-basis"),
+        pytest.param(lambda: max_switches(U, Verdict.YES), id="switches-int-basis"),
+        pytest.param(lambda: max_switches([7], Verdict.YES), id="switches-list-method"),
         pytest.param(lambda: Frame(["x"], 5), id="int-agents"),
         pytest.param(lambda: Frame(5, [AgentSpec("a", (1,), 0)]), id="int-worlds"),
         pytest.param(lambda: validate_basis(1, 1), id="validate-int-basis"),
@@ -254,6 +255,10 @@ def sierpinski_chain():
         pytest.param(
             lambda: method_from_chain(sierpinski_chain(), (3.0, 1)), id="float-method-element"
         ),
+        pytest.param(lambda: method_from_chain((7,), (7,)), id="tuple-chain"),
+        pytest.param(lambda: Model(sierpinski_frame(), 5), id="int-valuation"),
+        pytest.param(lambda: Model(sierpinski_frame(), "1"), id="string-valuation"),
+        pytest.param(lambda: Model(sierpinski_frame(), {1: 1}), id="int-valuation-name"),
     ],
 )
 def test_library_entry_points_reject_what_is_not_their_type(call):

@@ -9,7 +9,6 @@ from limitknow import frame as frame_module
 from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks
 from limitknow.hierarchy import (
     INFINITE,
-    DecisionMethod,
     DescendingOpenChain,
     Verdict,
     chain_from_method,
@@ -284,16 +283,16 @@ def test_gives_reason_equals_rank_shortcut():
 
 
 def test_limit_verdicts_sierpinski():
-    method = DecisionMethod({0b11: NO, 0b01: YES})
+    method = {0b11: NO, 0b01: YES}
     sigma = limit_verdicts(method)
     assert sigma == {0: YES, 1: NO}
 
 
 def test_limit_verdicts_constant_and_indiscrete():
     basis = (0b111, 0b110, 0b100)
-    constant = DecisionMethod({e: YES for e in basis})
+    constant = {e: YES for e in basis}
     assert limit_yes_set(constant) == 0b111
-    indiscrete = DecisionMethod({0b11: NO})
+    indiscrete = {0b11: NO}
     assert limit_yes_set(indiscrete) == 0
 
 
@@ -303,15 +302,15 @@ def test_limit_verdicts_constant_and_indiscrete():
 
 def test_max_switches_examples():
     basis = (0b01, 0b11)
-    method = DecisionMethod({0b11: NO, 0b01: YES})
+    method = {0b11: NO, 0b01: YES}
     assert max_switches(method, NO) == 1
-    constant = DecisionMethod({0b01: YES, 0b11: YES})
+    constant = {0b01: YES, 0b11: YES}
     assert max_switches(constant, YES) == 0
-    assert any(constant.verdicts[e] is YES for e in basis)
+    assert any(constant[e] is YES for e in basis)
     assert max_switches(constant, NO) == 0
-    assert not any(constant.verdicts[e] is NO for e in basis)
+    assert not any(constant[e] is NO for e in basis)
 
-    alternating = DecisionMethod({0b111: YES, 0b110: NO, 0b100: YES})
+    alternating = {0b111: YES, 0b110: NO, 0b100: YES}
     assert max_switches(alternating, YES) == 2
     assert max_switches(alternating, NO) == 1
 
@@ -323,15 +322,15 @@ def test_max_switches_matches_exhaustive_chain_search():
         for method in all_methods(basis):
             for start in (YES, NO):
                 got = max_switches(method, start)
-                start_occurs = any(method.verdicts[e] is start for e in basis)
+                start_occurs = any(method[e] is start for e in basis)
                 best = -1
                 # depth-first over alternating descending sequences
-                stack = [(e, 0) for e in basis if method.verdicts[e] is start]
+                stack = [(e, 0) for e in basis if method[e] is start]
                 while stack:
                     e, length = stack.pop()
                     best = max(best, length)
                     for e2 in basis:
-                        if e2 & ~e == 0 and method.verdicts[e2] is not method.verdicts[e]:
+                        if e2 & ~e == 0 and method[e2] is not method[e]:
                             stack.append((e2, length + 1))
                 if best < 0:
                     assert got == 0 and not start_occurs
@@ -380,31 +379,31 @@ def test_method_from_chain_examples():
     basis = (0b111, 0b110, 0b100)
 
     whole = method_from_chain(DescendingOpenChain(topo, (0b111,)), basis)
-    assert all(v is YES for v in whole.verdicts.values())
+    assert all(v is YES for v in whole.values())
 
     two = method_from_chain(DescendingOpenChain(topo, (0b110, 0b100)), basis)
-    assert two.verdicts == {0b111: NO, 0b110: YES, 0b100: NO}
+    assert two == {0b111: NO, 0b110: YES, 0b100: NO}
     assert limit_yes_set(two) == 0b010
 
     three = method_from_chain(DescendingOpenChain(topo, (0b111, 0b110, 0b100)), basis)
-    assert three.verdicts == {0b111: YES, 0b110: NO, 0b100: YES}
+    assert three == {0b111: YES, 0b110: NO, 0b100: YES}
     assert limit_yes_set(three) == 0b101
 
 
 def test_chain_from_method_examples():
     basis = (0b111, 0b110, 0b100)
-    constant = DecisionMethod({e: YES for e in basis})
+    constant = {e: YES for e in basis}
     chain = chain_from_method(constant, 0)
     assert chain.sets == (0b111,)
 
-    method = DecisionMethod({0b11: YES, 0b01: NO})
+    method = {0b11: YES, 0b01: NO}
     chain = chain_from_method(method, 1)
     assert chain.sets == (0b11, 0b01)
     assert chain.evaluate() == 0b10 == limit_yes_set(method)
 
 
 def test_chain_from_method_rejects_bound_violation():
-    alternating = DecisionMethod({0b111: YES, 0b110: NO, 0b100: YES})
+    alternating = {0b111: YES, 0b110: NO, 0b100: YES}
     with pytest.raises(FrameError):
         chain_from_method(alternating, 1)
 
@@ -419,7 +418,7 @@ def test_chain_from_method_validates_its_basis_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(frame_module, "validate_basis", counting)
-    method = DecisionMethod({0b111: NO, 0b110: YES, 0b100: NO})
+    method = {0b111: NO, 0b110: YES, 0b100: NO}
     assert chain_from_method(method, 2).evaluate() == 0b010
     assert len(calls) == 1
 
@@ -447,8 +446,7 @@ def test_chain_method_round_trips():
 
         # random methods -> chain at their own switch bound -> same set
         if len(basis) <= 8:
-            verdicts = {e: rng.choice((YES, NO)) for e in basis}
-            method = DecisionMethod(verdicts)
+            method = {e: rng.choice((YES, NO)) for e in basis}
             bound = max_switches(method, YES)
             chain = chain_from_method(method, bound)
             assert chain.evaluate() == limit_yes_set(method)

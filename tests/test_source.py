@@ -104,6 +104,29 @@ def test_attest_leaves_the_witness_search_and_the_neighborhoods_to_their_owners(
     assert found == []
 
 
+def names_a_verdict(node):
+    """``ATTEST``, ``DEFER`` or a ``Verdict.<member>``."""
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "Verdict"
+    return isinstance(node, ast.Name) and node.id in ("ATTEST", "DEFER")
+
+
+def test_attest_passes_verdict_tables_untranslated():
+    # A strategy table is a decision method: attest and hierarchy share one
+    # verdict type, so no conditional expression picks one verdict name over
+    # another in attest.
+    tree = ast.parse(Path(attest.__file__).read_text())
+    found = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.IfExp)
+        and names_a_verdict(n.body)
+        and names_a_verdict(n.orelse)
+    ]
+    assert found == []
+    assert (attest.ATTEST, attest.DEFER) == (hierarchy.Verdict.YES, hierarchy.Verdict.NO)
+
+
 def test_hierarchy_has_one_hull_derivative_loop():
     # Exact ranks and the tolerance tests that stop at a bound share one loop,
     # so the repeated-hull rule for infinite ranks has one copy.
