@@ -11,7 +11,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from limitknow import (
     AgentSpec,
-    DescendingOpenChain,
     Frame,
     Verdict,
     closed_rank,
@@ -51,8 +50,7 @@ print()
 
 # Read a decision method off the witness chain for {x,z} and watch it settle.
 target = 0b101
-chain = DescendingOpenChain(topo, open_rank(topo, target).witness)
-method = method_from_chain(chain, frame.agent("observer").basis)
+method = method_from_chain(open_rank(topo, target).witness, frame.agent("observer").basis)
 print(f"method for {names(target)} read off the chain:")
 for evidence, verdict in method.items():
     print(f"  on seeing {names(evidence)}: {verdict.value}")

@@ -17,7 +17,6 @@ from .frame import (
 )
 from .hierarchy import (
     INFINITE,
-    DescendingOpenChain,
     RankResult,
     Verdict,
     chain_from_method,

@@ -22,14 +22,7 @@ from functools import reduce
 from operator import and_
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
-from .hierarchy import (
-    DescendingOpenChain,
-    Verdict,
-    _limit_yes,
-    max_switches,
-    method_from_chain,
-    open_rank,
-)
+from .hierarchy import Verdict, _limit_yes, _switches, method_from_chain, open_rank
 from .logic import Model, world_set
 from .operators import OperatorContext
 
@@ -124,7 +117,7 @@ def verify_protocol(
     for spec in frame.agents:
         method = protocol[spec.name]
         limit_yes[spec.name] = _limit_yes(frame.topology(spec.name), method)
-        bounds[spec.name] = SwitchBoundCheck(max_switches(method, ATTEST), spec.tolerance)
+        bounds[spec.name] = SwitchBoundCheck(_switches(spec.basis, method, ATTEST), spec.tolerance)
     return VerifyReport(target, bounds, limit_yes)
 
 
@@ -134,14 +127,13 @@ def verify_protocol(
 
 def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[int, Verdict]:
     spec = frame.agent(agent)
-    topo = frame.topology(agent)
-    rank = open_rank(topo, success)
+    rank = open_rank(frame.topology(agent), success)
     if rank.rank > spec.tolerance + 1:
         raise ProtocolError(
             f"target is not decidable for agent {agent!r}: needs a chain of "
             f"{rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
-    return method_from_chain(DescendingOpenChain(topo, rank.witness), spec.basis)
+    return method_from_chain(rank.witness, spec.basis)
 
 
 def choose_success_set(frame: Frame, target_prop: int, success_target: int | None = None) -> int:
@@ -280,7 +272,7 @@ def simulate(
             and chain
             and all([_is_int(e) and e in at_w for e in chain])
             and all([b != a and b & ~a == 0 for a, b in zip(chain, chain[1:])])
-            and chain[-1] == min(at_w, key=int.bit_count)
+            and chain[-1] == frame.topology(name).hull(1 << w)  # N(w), the least evidence
         ):
             raise ProtocolError(f"stream for {name!r} is no evidence stream at {world_name!r}")
 

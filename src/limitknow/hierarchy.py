@@ -1,8 +1,9 @@
 """Difference-hierarchy machinery over finite topologies.
 
-Covers nested differences of descending open chains, open/closed ranks with
-witness chains, decision methods with bounded verdict switching, limit
-verdicts, and the evidence-relative belief predicates used by the operators.
+Covers nested differences of descending open chains (plain tuples of masks),
+open/closed ranks with witness chains, decision methods with bounded verdict
+switching, limit verdicts, and the evidence-relative belief predicates used by
+the operators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class Verdict(StrEnum):
 
 
 # ---------------------------------------------------------------------------
-# nested differences and chains
+# nested differences
 
 
 def nested_difference(sets: Sequence[int]) -> int:
@@ -40,28 +41,6 @@ def nested_difference(sets: Sequence[int]) -> int:
     for s in reversed(sets):
         acc = s & ~acc
     return acc
-
-
-@dataclass(frozen=True)
-class DescendingOpenChain:
-    """A descending sequence of open sets of one topology."""
-
-    topology: Topology
-    sets: tuple[int, ...]
-
-    def __post_init__(self):
-        # a tuple of its own: the caller's list could change after the check
-        object.__setattr__(self, "sets", _masks(self.sets, "chain member"))
-        nested_difference(self.sets)  # raises unless descending
-        for s in self.sets:
-            if not self.topology.is_open(s):
-                raise FrameError("chain member is not open in the topology")
-
-    def evaluate(self) -> int:
-        return nested_difference(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +158,15 @@ def _supporting(
 # decision methods
 
 
-def _basis(method: Mapping[int, Verdict]) -> tuple[int, ...]:
-    """A decision method's basis: the keys of its verdict map."""
+def _method(method: Mapping[int, Verdict]) -> Topology:
+    """The topology a decision method's basis, the domain of its verdict map,
+    generates. A method that is no mapping, a verdict other than ``Verdict.YES``
+    or ``Verdict.NO`` and an invalid basis are each a ``FrameError``."""
     if not isinstance(method, Mapping):
         raise FrameError(f"a decision method must map evidence to verdicts, not {method!r:.40}")
-    return _masks(method, "basis element")
+    if any(v not in (Verdict.YES, Verdict.NO) for v in method.values()):
+        raise FrameError("a decision method's verdicts must be Verdict.YES or Verdict.NO")
+    return generate_topology(method)
 
 
 def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
@@ -194,13 +177,13 @@ def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
     ``N(w)``. The validator computes ``N(w)``, so a basis it rejects is a
     ``FrameError``.
     """
-    neighborhoods = generate_topology(_basis(method)).neighborhoods
+    neighborhoods = _method(method).neighborhoods
     return {w: method[least] for w, least in enumerate(neighborhoods) if least}
 
 
 def limit_yes_set(method: Mapping[int, Verdict]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return _limit_yes(generate_topology(_basis(method)), method)
+    return _limit_yes(_method(method), method)
 
 
 def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
@@ -217,10 +200,19 @@ def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     """Largest t for which a t-switching sequence with the given start verdict
     exists: a descending evidence sequence whose verdicts alternate starting
     from ``start``. Returned as an int, 0 when no evidence answers ``start``.
-    Read off the alternation levels of the elements answering ``start``, an
-    element's neighborhood being the elements inside it (alternation forces
-    strict descent)."""
-    basis = _basis(method)
+    A start that is no verdict and a basis ``limit_verdicts`` rejects are
+    each a ``FrameError``."""
+    if start not in (Verdict.YES, Verdict.NO):
+        raise FrameError(f"a start verdict must be Verdict.YES or Verdict.NO, not {start!r:.40}")
+    _method(method)
+    return _switches(tuple(method), method, start)
+
+
+def _switches(basis: Sequence[int], method: Mapping[int, Verdict], start: Verdict) -> int:
+    """``max_switches`` of a method on a basis already validated. Read off the
+    alternation levels of the elements answering ``start``, an element's
+    neighborhood being the elements inside it (alternation forces strict
+    descent)."""
     inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
     starts = sum([1 << i for i, e in enumerate(basis) if method[e] == start])
     ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
@@ -247,28 +239,32 @@ def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
 # chains <-> methods (the two halves of the switching/rank correspondence)
 
 
-def method_from_chain(chain: DescendingOpenChain, basis: Sequence[int]) -> dict[int, Verdict]:
-    """Read a decision method on ``basis`` off a witness chain: evidence
-    answers Yes when the deepest chain member containing it sits at an even
-    position, No at an odd position or when no member contains it (depth -1
-    counts as odd).
+def method_from_chain(chain: Sequence[int], basis: Sequence[int]) -> dict[int, Verdict]:
+    """Read a decision method on ``basis`` off a witness chain, a descending
+    sequence of opens: evidence answers Yes when the number of chain members
+    containing it is odd, No when it is even (zero included).
 
     The result has at most len(chain)-1 switches after saying Yes and its
-    limit-Yes set is the chain's nested difference.
+    limit-Yes set is the chain's nested difference. A chain that does not
+    descend, or has a member that is not the union of the basis elements
+    inside it (not open in the topology the basis generates), is a
+    ``FrameError``.
     """
-    if not isinstance(chain, DescendingOpenChain):
-        raise FrameError(f"a witness chain must be a DescendingOpenChain, not {chain!r:.40}")
+    chain = _masks(chain, "chain member")
+    nested_difference(chain)  # raises unless descending
+    unions = [0] * len(chain)
     verdicts: dict[int, Verdict] = {}
     for e in _masks(basis, "basis element"):
-        deepest = -1
-        for k, o in enumerate(chain.sets):
-            if e & ~o == 0:
-                deepest = k
-        verdicts[e] = Verdict.YES if deepest % 2 == 0 and deepest >= 0 else Verdict.NO
+        depth = len([o for o in chain if e & ~o == 0])  # a prefix: the chain descends
+        for k in range(depth):
+            unions[k] |= e
+        verdicts[e] = Verdict.YES if depth % 2 else Verdict.NO
+    if unions != list(chain):
+        raise FrameError("chain member is not open in the basis's topology")
     return verdicts
 
 
-def chain_from_method(method: Mapping[int, Verdict], n: int) -> DescendingOpenChain:
+def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
     """A witness chain of n+1 opens for a method with at most n switches
     after saying Yes: the greedy ``open_rank`` witness of the method's
     limit-Yes set, padded with empty opens. Its nested difference is that
@@ -277,8 +273,8 @@ def chain_from_method(method: Mapping[int, Verdict], n: int) -> DescendingOpenCh
     """
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
-    topology = generate_topology(_basis(method))
-    if max_switches(method, Verdict.YES) > n:
+    topology = _method(method)
+    if _switches(tuple(method), method, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
     witness = open_rank(topology, _limit_yes(topology, method)).witness
-    return DescendingOpenChain(topology, witness + (0,) * (n + 1 - len(witness)))
+    return witness + (0,) * (n + 1 - len(witness))

@@ -27,7 +27,6 @@ from limitknow.attest import (
 from limitknow.frame import AgentSpec, Frame, generate_topology, load_frame, submasks
 from limitknow.hierarchy import (
     INFINITE,
-    DescendingOpenChain,
     Verdict,
     limit_yes_set,
     max_switches,
@@ -130,7 +129,7 @@ def _witness_read_offs_settle_their_set(basis, n):
         r = open_rank(topo, s)
         if r.is_infinite:
             continue
-        method = method_from_chain(DescendingOpenChain(topo, r.witness), basis)
+        method = method_from_chain(r.witness, basis)
         assert limit_yes_set(method) == s
         assert max_switches(method, Verdict.YES) <= max(r.rank - 1, 0)
         checked += 1

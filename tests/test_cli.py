@@ -178,12 +178,12 @@ SYNTH_Z = "agent a:\n  {z} -> yes\n  {y, z} -> defer\n  {x, y, z} -> defer\nsucc
     ids=["target", "no-target", "infeasible"],
 )
 def test_synth_prints_the_chosen_success_set_without_verifying(capsys, monkeypatch, flags, code, out):
-    # verify_protocol looks max_switches up in attest's globals, so any
+    # verify_protocol looks _switches up in attest's globals, so any
     # re-verification of the synthesized protocol fails here.
     def refuse(*args):
         raise AssertionError("synth verified its own protocol")
 
-    monkeypatch.setattr("limitknow.attest.max_switches", refuse)
+    monkeypatch.setattr("limitknow.attest._switches", refuse)
     assert run(capsys, "synth", "-m", MODEL, "-p", "p", *flags) == (code, out, "")
 
 

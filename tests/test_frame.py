@@ -20,9 +20,9 @@ from limitknow.frame import (
     validate_basis,
 )
 from limitknow.hierarchy import (
-    DescendingOpenChain,
     Verdict,
     chain_from_method,
+    limit_verdicts,
     max_switches,
     method_from_chain,
     nested_difference,
@@ -215,8 +215,7 @@ def sierpinski_frame():
     return Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0)])
 
 
-def sierpinski_chain():
-    return DescendingOpenChain(generate_topology([U, U | V]), (U | V, U))
+SIERPINSKI_CHAIN = (U | V, U)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +243,20 @@ def sierpinski_chain():
         ),
         pytest.param(lambda: max_switches(U, Verdict.YES), id="switches-int-basis"),
         pytest.param(lambda: max_switches([7], Verdict.YES), id="switches-list-method"),
+        pytest.param(
+            lambda: max_switches({7: "maybe"}, Verdict.YES), id="switches-unknown-verdict"
+        ),
+        pytest.param(lambda: max_switches({7: Verdict.YES}, "maybe"), id="switches-unknown-start"),
+        pytest.param(
+            lambda: max_switches({0b011: Verdict.YES, 0b110: Verdict.NO}, Verdict.YES),
+            id="switches-undirected-basis",
+        ),
+        pytest.param(
+            lambda: max_switches({0: Verdict.YES, 1: Verdict.NO}, Verdict.YES),
+            id="switches-empty-element",
+        ),
+        pytest.param(lambda: limit_verdicts({7: "maybe"}), id="limit-unknown-verdict"),
+        pytest.param(lambda: chain_from_method({7: "maybe"}, 0), id="chain-unknown-verdict"),
         pytest.param(lambda: Frame(["x"], 5), id="int-agents"),
         pytest.param(lambda: Frame(5, [AgentSpec("a", (1,), 0)]), id="int-worlds"),
         pytest.param(lambda: validate_basis(1, 1), id="validate-int-basis"),
@@ -251,11 +264,12 @@ def sierpinski_chain():
         pytest.param(lambda: nested_difference((0b11, 1.0)), id="float-chain-member"),
         pytest.param(lambda: sierpinski_frame().mask("uv"), id="string-world-names"),
         pytest.param(lambda: sierpinski_frame().with_tolerances("a"), id="string-tolerances"),
-        pytest.param(lambda: method_from_chain(sierpinski_chain(), "ab"), id="string-method-basis"),
+        pytest.param(lambda: method_from_chain(SIERPINSKI_CHAIN, "ab"), id="string-method-basis"),
         pytest.param(
-            lambda: method_from_chain(sierpinski_chain(), (3.0, 1)), id="float-method-element"
+            lambda: method_from_chain(SIERPINSKI_CHAIN, (3.0, 1)), id="float-method-element"
         ),
-        pytest.param(lambda: method_from_chain((7,), (7,)), id="tuple-chain"),
+        pytest.param(lambda: method_from_chain((0b01,), (0b11, 0b10)), id="chain-not-open"),
+        pytest.param(lambda: method_from_chain((U, U | V), (U, U | V)), id="chain-not-descending"),
         pytest.param(lambda: Model(sierpinski_frame(), 5), id="int-valuation"),
         pytest.param(lambda: Model(sierpinski_frame(), "1"), id="string-valuation"),
         pytest.param(lambda: Model(sierpinski_frame(), {1: 1}), id="int-valuation-name"),

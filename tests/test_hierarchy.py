@@ -6,10 +6,10 @@ import random
 import pytest
 
 from limitknow import frame as frame_module
+from limitknow.attest import verify_protocol
 from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks
 from limitknow.hierarchy import (
     INFINITE,
-    DescendingOpenChain,
     Verdict,
     chain_from_method,
     closed_rank,
@@ -75,25 +75,33 @@ def test_nested_difference_matches_layer_formula():
         assert nested_difference(chain) == layers
 
 
-def test_chain_type_validates_openness():
-    topo = generate_topology([0b111, 0b110, 0b100])
-    DescendingOpenChain(topo, (0b111, 0b110))
-    with pytest.raises(FrameError):
-        DescendingOpenChain(topo, (0b111, 0b010))  # {y} is not open
-    with pytest.raises(FrameError):
-        DescendingOpenChain(topo, (0b110, 0b111))  # ascending
+def test_method_from_chain_validates_the_chain():
+    basis = (0b111, 0b110, 0b100)
+    assert method_from_chain((0b111, 0b110), basis) == {0b111: YES, 0b110: NO, 0b100: NO}
+    assert method_from_chain([0b111, 0b110], basis) == method_from_chain((0b111, 0b110), basis)
+    with pytest.raises(FrameError, match="not open"):
+        method_from_chain((0b111, 0b010), basis)  # {y} is not open
+    with pytest.raises(FrameError, match="not descending"):
+        method_from_chain((0b110, 0b111), basis)  # ascending
 
 
-def test_a_chain_keeps_its_own_tuple():
-    # A frozen value: the caller's list cannot change it after validation,
-    # and the sequence's type does not change its equality or hash.
-    topo = generate_topology([0b111, 0b110, 0b100])
-    sets = [0b111, 0b100]
-    chain = DescendingOpenChain(topo, sets)
-    sets.append(0b010)  # {y} is not open and does not descend from {z}
-    assert chain.sets == (0b111, 0b100) and chain.evaluate() == 0b011
-    same = DescendingOpenChain(topo, (0b111, 0b100))
-    assert chain == same and hash(chain) == hash(same)
+def test_chain_openness_is_openness_in_the_generated_topology():
+    # method_from_chain's union test against Topology.is_open, for every set
+    # over every valid basis of up to 3 worlds and of 4 worlds with at most 6
+    # elements.
+    bases = [b for n in (1, 2, 3) for b in all_valid_bases(n)] + all_valid_bases(4, 6)
+    pairs = 0
+    for basis in bases:
+        topo = generate_topology(basis)
+        for s in submasks(topo.universe):
+            try:
+                method_from_chain((s,), basis)
+                accepted = True
+            except FrameError:
+                accepted = False
+            assert accepted == topo.is_open(s)
+            pairs += 1
+    assert pairs == 33198
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +128,9 @@ def test_rank_witness_evaluates_to_the_set():
         for s in submasks(topo.universe):
             r = open_rank(topo, s)
             if not r.is_infinite:
-                chain = DescendingOpenChain(topo, r.witness)
                 assert len(r.witness) == r.rank
-                assert chain.evaluate() == s
+                assert all(topo.is_open(o) for o in r.witness)
+                assert nested_difference(r.witness) == s
 
 
 def test_greedy_rank_equals_oracle():
@@ -375,17 +383,16 @@ def test_min_switches_matches_method_enumeration():
 
 
 def test_method_from_chain_examples():
-    topo = generate_topology([0b111, 0b110, 0b100])
     basis = (0b111, 0b110, 0b100)
 
-    whole = method_from_chain(DescendingOpenChain(topo, (0b111,)), basis)
+    whole = method_from_chain((0b111,), basis)
     assert all(v is YES for v in whole.values())
 
-    two = method_from_chain(DescendingOpenChain(topo, (0b110, 0b100)), basis)
+    two = method_from_chain((0b110, 0b100), basis)
     assert two == {0b111: NO, 0b110: YES, 0b100: NO}
     assert limit_yes_set(two) == 0b010
 
-    three = method_from_chain(DescendingOpenChain(topo, (0b111, 0b110, 0b100)), basis)
+    three = method_from_chain((0b111, 0b110, 0b100), basis)
     assert three == {0b111: YES, 0b110: NO, 0b100: YES}
     assert limit_yes_set(three) == 0b101
 
@@ -393,13 +400,12 @@ def test_method_from_chain_examples():
 def test_chain_from_method_examples():
     basis = (0b111, 0b110, 0b100)
     constant = {e: YES for e in basis}
-    chain = chain_from_method(constant, 0)
-    assert chain.sets == (0b111,)
+    assert chain_from_method(constant, 0) == (0b111,)
 
     method = {0b11: YES, 0b01: NO}
     chain = chain_from_method(method, 1)
-    assert chain.sets == (0b11, 0b01)
-    assert chain.evaluate() == 0b10 == limit_yes_set(method)
+    assert chain == (0b11, 0b01)
+    assert nested_difference(chain) == 0b10 == limit_yes_set(method)
 
 
 def test_chain_from_method_rejects_bound_violation():
@@ -419,7 +425,26 @@ def test_chain_from_method_validates_its_basis_once(monkeypatch):
 
     monkeypatch.setattr(frame_module, "validate_basis", counting)
     method = {0b111: NO, 0b110: YES, 0b100: NO}
-    assert chain_from_method(method, 2).evaluate() == 0b010
+    assert nested_difference(chain_from_method(method, 2)) == 0b010
+    assert len(calls) == 1
+
+
+def test_verify_protocol_and_max_switches_validate_no_basis_twice(monkeypatch):
+    # verify_protocol reads the frame's validated bases; max_switches
+    # validates the method's basis once.
+    frame = chain_frame()
+    method = {0b111: NO, 0b110: YES, 0b100: NO}
+    calls = []
+    original = frame_module.validate_basis
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frame_module, "validate_basis", counting)
+    assert verify_protocol(frame, {"a": method}, 0b010).switch_bounds["a"].switches == 1
+    assert len(calls) == 0
+    assert max_switches(method, YES) == 1
     assert len(calls) == 1
 
 
@@ -439,18 +464,17 @@ def test_chain_method_round_trips():
             below = [o for o in opens if o & ~cur == 0]
             cur = rng.choice(below)
             sets.append(cur)
-        chain = DescendingOpenChain(topo, tuple(sets))
-        method = method_from_chain(chain, basis)
-        assert limit_yes_set(method) == chain.evaluate()
-        assert max_switches(method, YES) <= max(len(chain) - 1, 0)
+        method = method_from_chain(sets, basis)
+        assert limit_yes_set(method) == nested_difference(sets)
+        assert max_switches(method, YES) <= max(len(sets) - 1, 0)
 
         # random methods -> chain at their own switch bound -> same set
         if len(basis) <= 8:
             method = {e: rng.choice((YES, NO)) for e in basis}
             bound = max_switches(method, YES)
             chain = chain_from_method(method, bound)
-            assert chain.evaluate() == limit_yes_set(method)
-            assert len(chain.sets) == bound + 1
+            assert nested_difference(chain) == limit_yes_set(method)
+            assert len(chain) == bound + 1
 
 
 def test_chain_from_method_contract_on_every_small_basis():
@@ -465,7 +489,7 @@ def test_chain_from_method_contract_on_every_small_basis():
                 for n in range(bound, bound + 3):
                     chain = chain_from_method(method, n)
                     assert len(chain) == n + 1
-                    assert chain.evaluate() == limit
+                    assert nested_difference(chain) == limit
                 with pytest.raises(FrameError, match=f"exceeds {bound - 1} switches"):
                     chain_from_method(method, bound - 1)
                 methods += 1
@@ -490,7 +514,6 @@ def test_switch_bound_matches_rank_bound():
             r = open_rank(topo, s)
             if r.is_infinite:
                 continue
-            chain = DescendingOpenChain(topo, r.witness)
-            method = method_from_chain(chain, basis)
+            method = method_from_chain(r.witness, basis)
             assert limit_yes_set(method) == s
             assert max_switches(method, YES) <= max(r.rank - 1, 0)
