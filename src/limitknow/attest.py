@@ -22,7 +22,7 @@ from functools import reduce
 from operator import and_
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
-from .hierarchy import Verdict, _limit_yes, _switches, method_from_chain, open_rank
+from .hierarchy import Verdict, _chain_verdicts, _limit_yes, _switches, open_rank
 from .logic import Model, world_set
 from .operators import OperatorContext
 
@@ -47,7 +47,7 @@ def _check_protocol_shape(frame: Frame, protocol: Mapping[str, Mapping[int, Verd
     for name, verdicts in protocol.items():
         if not isinstance(verdicts, Mapping):
             raise ProtocolError(f"strategy for {name!r} must map evidence to verdicts")
-        if set(verdicts) != set(frame.agent(name).basis):
+        if verdicts.keys() != set(frame.agent(name).basis):
             raise ProtocolError(f"strategy for {name!r} is not total on the agent's basis")
         if any(v not in (ATTEST, DEFER) for v in verdicts.values()):
             raise ProtocolError(f"strategy for {name!r} has unknown verdicts")
@@ -115,9 +115,9 @@ def verify_protocol(
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
-        method = protocol[spec.name]
-        limit_yes[spec.name] = _limit_yes(frame.topology(spec.name), method)
-        bounds[spec.name] = SwitchBoundCheck(_switches(spec.basis, method, ATTEST), spec.tolerance)
+        method, topology = protocol[spec.name], frame.topology(spec.name)
+        limit_yes[spec.name] = _limit_yes(topology, method)
+        bounds[spec.name] = SwitchBoundCheck(_switches(topology, method, ATTEST), spec.tolerance)
     return VerifyReport(target, bounds, limit_yes)
 
 
@@ -133,7 +133,7 @@ def _strategy_for_success_set(frame: Frame, agent: str, success: int) -> dict[in
             f"target is not decidable for agent {agent!r}: needs a chain of "
             f"{rank.rank} opens, tolerance allows {spec.tolerance + 1}"
         )
-    return method_from_chain(rank.witness, spec.basis)
+    return _chain_verdicts(rank.witness, spec.basis)
 
 
 def choose_success_set(frame: Frame, target_prop: int, success_target: int | None = None) -> int:

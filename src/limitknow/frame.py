@@ -321,13 +321,13 @@ class Frame:
     def agent(self, name: str) -> AgentSpec:
         try:
             return self.agents_by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise FrameError(f"unknown agent {name!r}") from None
 
     def topology(self, agent: str) -> Topology:
         try:
             return self._topologies[agent]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise FrameError(f"unknown agent {agent!r}") from None
 
     def subspace(self, agent: str, evidence: int) -> Topology:

@@ -204,19 +204,29 @@ def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     each a ``FrameError``."""
     if start not in (Verdict.YES, Verdict.NO):
         raise FrameError(f"a start verdict must be Verdict.YES or Verdict.NO, not {start!r:.40}")
-    _method(method)
-    return _switches(tuple(method), method, start)
+    return _switches(_method(method), method, start)
 
 
-def _switches(basis: Sequence[int], method: Mapping[int, Verdict], start: Verdict) -> int:
-    """``max_switches`` of a method on a basis already validated. Read off the
-    alternation levels of the elements answering ``start``, an element's
-    neighborhood being the elements inside it (alternation forces strict
-    descent)."""
-    inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
-    starts = sum([1 << i for i, e in enumerate(basis) if method[e] == start])
-    ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
-    return max(len([s for s in ins if s]) - 1, 0)
+def _switches(topology: Topology, method: Mapping[int, Verdict], start: Verdict) -> int:
+    """``max_switches`` of a method on the topology its basis generates, read
+    off the alternation levels of the positions answering ``start``. A world
+    stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets
+    a position after the worlds, and a position's neighborhood is its element's
+    worlds plus such positions inside it (alternation forces strict descent)."""
+    n, sized = len(topology.neighborhoods), {}  # per size, the worlds whose N(w) has it
+    for w, least in enumerate(topology.neighborhoods):
+        sized[least.bit_count()] = sized.get(least.bit_count(), 0) | 1 << w
+    # an element's positions: the worlds whose N(w) it is, found as its worlds
+    # whose N(w) has its size (Python hashes a chain's masks into 61 values, so
+    # matching masks would collide), or else its own, n + its index
+    spots = [e & sized.get(e.bit_count(), 0) or 1 << n + i for i, e in enumerate(method)]
+    extras = [(e, s) for e, s in zip(method, spots) if s >> n]
+    elements = topology.neighborhoods + tuple([e if s >> n else 0 for e, s in zip(method, spots)])
+    nbhds = tuple([e | sum([s for x, s in extras if x & ~e == 0]) for e in elements])
+    starts = sum([s for s, v in zip(spots, method.values()) if v == start])
+    universe = topology.universe | sum([s for _, s in extras])
+    ins, _ = _levels(Topology(universe, nbhds), starts, len(method))
+    return len([s for s in ins[1:] if s])
 
 
 def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
@@ -245,23 +255,22 @@ def method_from_chain(chain: Sequence[int], basis: Sequence[int]) -> dict[int, V
     containing it is odd, No when it is even (zero included).
 
     The result has at most len(chain)-1 switches after saying Yes and its
-    limit-Yes set is the chain's nested difference. A chain that does not
-    descend, or has a member that is not the union of the basis elements
-    inside it (not open in the topology the basis generates), is a
-    ``FrameError``.
+    limit-Yes set is the chain's nested difference. An invalid basis, a chain
+    that does not descend, and a chain member that is not open in the
+    topology the basis generates are each a ``FrameError``.
     """
-    chain = _masks(chain, "chain member")
+    chain, basis = _masks(chain, "chain member"), _masks(basis, "basis element")
     nested_difference(chain)  # raises unless descending
-    unions = [0] * len(chain)
-    verdicts: dict[int, Verdict] = {}
-    for e in _masks(basis, "basis element"):
-        depth = len([o for o in chain if e & ~o == 0])  # a prefix: the chain descends
-        for k in range(depth):
-            unions[k] |= e
-        verdicts[e] = Verdict.YES if depth % 2 else Verdict.NO
-    if unions != list(chain):
+    topology = generate_topology(basis)
+    if any(topology.interior(o & topology.universe) != o for o in chain):
         raise FrameError("chain member is not open in the basis's topology")
-    return verdicts
+    return _chain_verdicts(chain, basis)
+
+
+def _chain_verdicts(chain: Sequence[int], basis: Sequence[int]) -> dict[int, Verdict]:
+    """``method_from_chain`` of a chain already known to descend through opens."""
+    depths = [len([o for o in chain if e & ~o == 0]) for e in basis]
+    return {e: Verdict.YES if d % 2 else Verdict.NO for e, d in zip(basis, depths)}
 
 
 def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
@@ -274,7 +283,7 @@ def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
     topology = _method(method)
-    if _switches(tuple(method), method, Verdict.YES) > n:
+    if _switches(topology, method, Verdict.YES) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
     witness = open_rank(topology, _limit_yes(topology, method)).witness
     return witness + (0,) * (n + 1 - len(witness))

@@ -45,10 +45,10 @@ class OperatorContext:
         """Basis elements that give the agent reason simpliciter to believe
         the set, each by ``gives_reason``'s test."""
         self.frame.check_subset(w_set)  # before the cache: True and 1.0 hash like 1
+        spec = self.frame.agent(agent)  # before the cache, which cannot hash a list name
         key = (agent, w_set)
         ev = self._supporting.get(key)
         if ev is None:
-            spec = self.frame.agent(agent)
             ev = _supporting(self.frame.topology(agent), spec.basis, spec.tolerance, w_set)
             self._supporting[key] = ev
         return ev

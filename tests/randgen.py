@@ -21,6 +21,7 @@ from limitknow.frame import (
 from limitknow.hierarchy import (
     INFINITE,
     Verdict,
+    _levels,
     limit_yes_set,
     max_switches,
 )
@@ -254,6 +255,17 @@ def all_methods(basis: tuple[int, ...]):
     """Every decision method on a basis, each a plain verdict map."""
     for verdicts in itertools.product((Verdict.YES, Verdict.NO), repeat=len(basis)):
         yield dict(zip(basis, verdicts))
+
+
+def oracle_switches(basis: tuple[int, ...], method: dict[int, Verdict], start: Verdict) -> int:
+    """``max_switches`` from a pairwise containment table over the basis
+    elements: the alternation levels of the elements answering ``start`` in a
+    topology over element indices, an element's neighborhood being the
+    elements inside it (alternation forces strict descent)."""
+    inside = [sum([1 << i for i, e2 in enumerate(basis) if e2 & ~e == 0]) for e in basis]
+    starts = sum([1 << i for i, e in enumerate(basis) if method[e] == start])
+    ins, _ = _levels(Topology((1 << len(basis)) - 1, tuple(inside)), starts, len(basis))
+    return max(len([s for s in ins if s]) - 1, 0)
 
 
 def oracle_min_switches(frame: Frame, agent: str, w_set: int) -> int | float:

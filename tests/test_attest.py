@@ -133,10 +133,10 @@ def test_synthesized_strategies_do_not_depend_on_slack_tolerance(fixtures_dir, m
     low = frame.with_tolerances({"a": 1})
     high = frame.with_tolerances({"a": 10**6})
     chain_lengths = []
-    real = attest.method_from_chain
+    real = attest._chain_verdicts
     monkeypatch.setattr(
         attest,
-        "method_from_chain",
+        "_chain_verdicts",
         lambda chain, basis: chain_lengths.append(len(chain)) or real(chain, basis),
     )
     topo = frame.topology("a")

@@ -7,6 +7,7 @@ from operator import and_
 import pytest
 
 from limitknow import frame as frame_module
+from limitknow.attest import generate_stream
 from limitknow.frame import (
     AgentSpec,
     Frame,
@@ -22,12 +23,15 @@ from limitknow.frame import (
 from limitknow.hierarchy import (
     Verdict,
     chain_from_method,
+    gives_reason,
     limit_verdicts,
     max_switches,
     method_from_chain,
+    min_switches,
     nested_difference,
 )
 from limitknow.logic import Model
+from limitknow.operators import OperatorContext
 from randgen import random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
@@ -280,6 +284,27 @@ def test_library_entry_points_reject_what_is_not_their_type(call):
     are one ``FrameError``, never a crash or a silent misreading."""
     with pytest.raises(FrameError):
         call()
+
+
+@pytest.mark.parametrize("agent", [[1], {}], ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, a: f.agent(a), id="agent"),
+        pytest.param(lambda f, a: f.topology(a), id="topology"),
+        pytest.param(lambda f, a: gives_reason(f, a, U, U | V), id="gives_reason"),
+        pytest.param(lambda f, a: min_switches(f, a, U), id="min_switches"),
+        pytest.param(lambda f, a: generate_stream(f, a, "u", 0), id="generate_stream"),
+        pytest.param(lambda f, a: OperatorContext(f).reason(a, U), id="reason"),
+        pytest.param(lambda f, a: OperatorContext(f).indicates(a, U, U), id="indicates"),
+        pytest.param(lambda f, a: OperatorContext(f).believes_via(a, U, U), id="believes_via"),
+        pytest.param(lambda f, a: OperatorContext(f).true_reason(a, U), id="true_reason"),
+        pytest.param(lambda f, a: OperatorContext(f).min_tolerance(a, U), id="min_tolerance"),
+    ],
+)
+def test_an_unhashable_agent_name_is_an_unknown_agent(call, agent):
+    with pytest.raises(FrameError, match="unknown agent"):
+        call(sierpinski_frame(), agent)
 
 
 def test_frame_errors_name_the_empty_element_and_the_uncovered_world():

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from limitknow import frame as frame_module
-from limitknow.attest import verify_protocol
+from limitknow.attest import synthesize, verify_protocol
 from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, submasks
 from limitknow.hierarchy import (
     INFINITE,
     Verdict,
+    _switches,
     chain_from_method,
     closed_rank,
     gives_reason,
@@ -27,6 +28,7 @@ from randgen import (
     all_valid_bases,
     oracle_all_ranks,
     oracle_min_switches,
+    oracle_switches,
     random_basis,
 )
 
@@ -83,6 +85,12 @@ def test_method_from_chain_validates_the_chain():
         method_from_chain((0b111, 0b010), basis)  # {y} is not open
     with pytest.raises(FrameError, match="not descending"):
         method_from_chain((0b110, 0b111), basis)  # ascending
+
+
+def test_method_from_chain_validates_its_basis():
+    # {x,y} and {y,z} meet in {y}, which no element refines: not directed at y
+    with pytest.raises(FrameError, match="invalid basis: no common refinement at world 1"):
+        method_from_chain((0b111,), (0b011, 0b110, 0b111))
 
 
 def test_chain_openness_is_openness_in_the_generated_topology():
@@ -348,6 +356,54 @@ def test_max_switches_matches_exhaustive_chain_search():
     assert cases == 2668
 
 
+def test_switches_match_the_pairwise_count_on_every_small_basis():
+    # The count over world positions (plus one per element that is no world's
+    # N(w)) against the pairwise containment table over basis elements: every
+    # method of every valid basis of up to 3 worlds and every 4-world basis of
+    # at most 5 elements, from both starts; most bases have such elements.
+    bases = [b for n in (1, 2, 3) for b in all_valid_bases(n)] + all_valid_bases(4, 5)
+    cases = with_extras = 0
+    for basis in bases:
+        topology = generate_topology(basis)
+        extra = not set(basis) <= set(topology.neighborhoods)
+        for method in all_methods(basis):
+            for start in (YES, NO):
+                assert _switches(topology, method, start) == oracle_switches(basis, method, start)
+                cases += 1
+                with_extras += extra
+    assert (cases, with_extras) == (57976, 48560)
+
+
+def test_max_switches_on_a_long_alternating_chain():
+    # 256 nested elements whose verdicts alternate from Yes at the top
+    n = 256
+    chain = [((1 << n) - 1) & ~((1 << k) - 1) for k in range(n)]
+    method = {e: YES if k % 2 == 0 else NO for k, e in enumerate(chain)}
+    assert max_switches(method, YES) == 255
+    assert max_switches(method, NO) == 254
+
+
+def test_verify_protocol_counts_switches_on_opposed_chains():
+    # Two 512-world chain agents, one of suffixes and one of prefixes, with
+    # the protocol synthesized for two separated blocks of worlds.
+    n = 512
+    full = (1 << n) - 1
+    suffixes = tuple([full & ~((1 << k) - 1) for k in range(n)])
+    prefixes = tuple([(1 << (k + 1)) - 1 for k in range(n)])
+    frame = Frame(
+        [f"w{i}" for i in range(n)],
+        [AgentSpec("a", suffixes, 3), AgentSpec("b", prefixes, 3)],
+    )
+    target = ((1 << 128) - 1) | ((1 << 384) - (1 << 256))
+    protocol = synthesize(frame, target, target)
+    report = verify_protocol(frame, protocol, target)
+    assert report.solves
+    for spec in frame.agents:
+        expected = oracle_switches(spec.basis, protocol[spec.name], YES)
+        assert report.switch_bounds[spec.name].switches == expected
+    assert [c.switches for c in report.switch_bounds.values()] == [3, 2]
+
+
 def test_min_switches_examples():
     frame = chain_frame()
     assert min_switches(frame, "a", 0b111) == 0
@@ -430,8 +486,8 @@ def test_chain_from_method_validates_its_basis_once(monkeypatch):
 
 
 def test_verify_protocol_and_max_switches_validate_no_basis_twice(monkeypatch):
-    # verify_protocol reads the frame's validated bases; max_switches
-    # validates the method's basis once.
+    # verify_protocol and synthesize read the frame's validated bases;
+    # max_switches validates the method's basis once.
     frame = chain_frame()
     method = {0b111: NO, 0b110: YES, 0b100: NO}
     calls = []
@@ -443,6 +499,8 @@ def test_verify_protocol_and_max_switches_validate_no_basis_twice(monkeypatch):
 
     monkeypatch.setattr(frame_module, "validate_basis", counting)
     assert verify_protocol(frame, {"a": method}, 0b010).switch_bounds["a"].switches == 1
+    assert len(calls) == 0
+    assert synthesize(frame, 0b010, 0b010) == {"a": method}
     assert len(calls) == 0
     assert max_switches(method, YES) == 1
     assert len(calls) == 1
