@@ -13,6 +13,9 @@ import os
 import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a proposition name in a formula
@@ -30,8 +33,23 @@ class ResourceLimitError(RuntimeError):
 # bit-vector helpers
 
 
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int) -> bytes:
+    """One byte per bit position of ``mask``, lowest first: 1 for a member."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT)
+
+
 def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions, lowest first."""
+    """Iterate set bit positions, lowest first: past 8 members at a density
+    above 1/8, a C-level walk over the digits beats one O(width) shift each."""
+    if (n := mask.bit_count()) > 8 and n << 3 > mask.bit_length():
+        return compress(count(), _digits(mask))
+    return _members(mask)
+
+
+def _members(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -65,7 +83,7 @@ class BasisViolation:
         def nm(mask: int) -> str:
             if world_names is None or mask >> len(world_names):  # past the last name
                 return bin(mask)
-            return "{" + ",".join(world_names[i] for i in bits(mask)) + "}"
+            return "{" + ",".join(compress(world_names, _digits(mask))) + "}"
 
         if self.kind == "empty-element":
             return "basis element is empty"
@@ -314,7 +332,7 @@ class Frame:
 
     def names(self, mask: int) -> tuple[str, ...]:
         self.check_subset(mask)
-        return tuple([self.worlds[i] for i in bits(mask)])
+        return tuple([*compress(self.worlds, _digits(mask))])
 
     # -- agents and topologies -------------------------------------------
 
@@ -431,23 +449,20 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
     if not isinstance(agent_list, list) or not isinstance(valuation, dict):
         raise FrameError("'agents' must be a list and 'valuation' an object")
 
-    index = {w: i for i, w in enumerate(world_list)}
+    bit = {w: 1 << i for i, w in enumerate(world_list)}
     unknown: list[str] = []
 
     def to_mask(names, where: str) -> int:
-        # Type-checked name by name: a separate pass would slow large models.
         if not isinstance(names, list):
             raise FrameError(f"{where} must be a list of world names, not {names!r:.40}")
-        out = 0
-        for name in names:
-            if not isinstance(name, str):
-                raise FrameError(f"{where} must list world names, not {name!r:.40}")
-            i = index.get(name)
-            if i is None:
-                unknown.append(f"{name!r} in {where}")
-            else:
-                out |= 1 << i
-        return out
+        try:  # one C-level pass; a name that is no known world fails the load
+            return reduce(or_, map(bit.__getitem__, names), 0)
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            for name in names:
+                if not isinstance(name, str):
+                    raise FrameError(f"{where} must list world names, not {name!r:.40}") from None
+            unknown.extend([f"{name!r} in {where}" for name in names if name not in bit])
+            return 0
 
     agents = []
     for spec in agent_list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import StrEnum
 from typing import Mapping, Sequence
 
-from .frame import Frame, FrameError, Topology, _is_int, _masks, generate_topology
+from .frame import Frame, FrameError, Topology, _is_int, _masks, bits, generate_topology
 
 INFINITE = float("inf")
 
@@ -177,8 +177,9 @@ def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
     ``N(w)``. The validator computes ``N(w)``, so a basis it rejects is a
     ``FrameError``.
     """
-    neighborhoods = _method(method).neighborhoods
-    return {w: method[least] for w, least in enumerate(neighborhoods) if least}
+    topology = _method(method)
+    yes = _limit_yes(topology, method)
+    return {w: Verdict.YES if yes >> w & 1 else Verdict.NO for w in bits(topology.universe)}
 
 
 def limit_yes_set(method: Mapping[int, Verdict]) -> int:
@@ -188,12 +189,21 @@ def limit_yes_set(method: Mapping[int, Verdict]) -> int:
 
 def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
     """The worlds whose least evidence ``N(w)`` the method answers Yes, read
-    off a topology that the method's basis generates."""
-    return sum([
-        1 << w
-        for w, least in enumerate(topology.neighborhoods)
-        if least and method[least] == Verdict.YES
-    ])
+    off a topology that the method's basis generates: per Yes element, the
+    disjoint set of worlds whose ``N(w)`` it is."""
+    sized = _sized(topology)
+    return sum([e & sized.get(e.bit_count(), 0) for e, v in method.items() if v == Verdict.YES])
+
+
+def _sized(topology: Topology) -> dict[int, int]:
+    """Per size, the worlds whose ``N(w)`` has it: ``e & sized[|e|]`` are the
+    worlds whose ``N(w)`` is ``e``, found without hashing masks (Python
+    hashes a chain's masks into 61 values)."""
+    sized: dict[int, int] = {}
+    for w, least in enumerate(topology.neighborhoods):
+        k = least.bit_count()
+        sized[k] = sized.get(k, 0) | 1 << w
+    return sized
 
 
 def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
@@ -213,12 +223,8 @@ def _switches(topology: Topology, method: Mapping[int, Verdict], start: Verdict)
     stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets
     a position after the worlds, and a position's neighborhood is its element's
     worlds plus such positions inside it (alternation forces strict descent)."""
-    n, sized = len(topology.neighborhoods), {}  # per size, the worlds whose N(w) has it
-    for w, least in enumerate(topology.neighborhoods):
-        sized[least.bit_count()] = sized.get(least.bit_count(), 0) | 1 << w
-    # an element's positions: the worlds whose N(w) it is, found as its worlds
-    # whose N(w) has its size (Python hashes a chain's masks into 61 values, so
-    # matching masks would collide), or else its own, n + its index
+    n, sized = len(topology.neighborhoods), _sized(topology)
+    # an element's positions: the worlds whose N(w) it is, or else its own, n + its index
     spots = [e & sized.get(e.bit_count(), 0) or 1 << n + i for i, e in enumerate(method)]
     extras = [(e, s) for e, s in zip(method, spots) if s >> n]
     elements = topology.neighborhoods + tuple([e if s >> n else 0 for e, s in zip(method, spots)])

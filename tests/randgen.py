@@ -49,6 +49,14 @@ from limitknow.logic import (
 from limitknow.operators import OperatorContext
 
 
+def oracle_bits(mask: int):
+    """Set bit positions of ``mask``, lowest first, one shift per member."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def close_under_meets(elements: set[int]) -> set[int]:
     """Close a family under non-empty pairwise intersection; the result is
     locally directed at every world."""

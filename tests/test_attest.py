@@ -93,6 +93,31 @@ def test_protocol_shape_is_checked():
             simulate(frame, protocol, "x", streams, [], 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [
+        pytest.param(CHAIN[1:], id="missing"),
+        pytest.param(CHAIN + (0b1000,), id="extra"),
+        pytest.param(CHAIN[1:] + ("0b111",), id="string"),
+        pytest.param(CHAIN[1:] + (None,), id="none"),
+        pytest.param(CHAIN[1:] + (frozenset(),), id="frozenset"),
+    ],
+)
+def test_a_strategy_keyed_off_the_basis_is_not_total(keys):
+    frame = chain_frame()
+    protocol = {"a": dict.fromkeys(keys, DEFER), "b": dict.fromkeys(CHAIN, DEFER)}
+    with pytest.raises(ProtocolError) as err:
+        verify_protocol(frame, protocol, 0)
+    assert str(err.value) == "strategy for 'a' is not total on the agent's basis"
+
+
+def test_a_strategy_may_list_the_basis_in_any_order():
+    frame = chain_frame()
+    forward = {"a": {0b111: DEFER, 0b110: ATTEST, 0b100: DEFER}, "b": dict.fromkeys(CHAIN, DEFER)}
+    backward = {"a": dict(reversed(forward["a"].items())), "b": forward["b"]}
+    assert verify_protocol(frame, backward, 0b010) == verify_protocol(frame, forward, 0b010)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 

@@ -32,7 +32,7 @@ from limitknow.hierarchy import (
 )
 from limitknow.logic import Model
 from limitknow.operators import OperatorContext
-from randgen import random_basis, random_frame, subspace_basis
+from randgen import oracle_bits, random_basis, random_frame, subspace_basis
 
 U = 0b001  # world u
 V = 0b010  # world v
@@ -404,3 +404,73 @@ def test_topology_reuses_the_neighborhoods_validation_computed(monkeypatch):
         monkeypatch.undo()
     with pytest.raises(FrameError, match="unknown agent 'nobody'"):
         frame.topology("nobody")
+
+
+def _one_agent_model(basis, valuation):
+    return {
+        "worlds": ["x", "y", "z"],
+        "agents": [{"name": "a", "tolerance": 0, "basis": basis}],
+        "valuation": valuation,
+    }
+
+
+def test_load_frame_lists_every_unknown_name_in_order():
+    data = _one_agent_model(
+        [["x", "nope"], ["y", "zz", "x", "nope"]], {"p": ["ghost"], "q": ["x", "w", "y"]}
+    )
+    with pytest.raises(FrameError) as err:
+        load_frame(data)
+    assert str(err.value) == (
+        "unknown world names: 'nope' in basis of agent 'a', 'zz' in basis of agent 'a', "
+        "'nope' in basis of agent 'a', 'ghost' in valuation of 'p', 'w' in valuation of 'q'"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, shown", [(3, "3"), (True, "True"), (None, "None"), (["y"], "['y']"), ({"x": 1}, "{'x': 1}")]
+)
+def test_load_frame_names_a_world_name_that_is_no_string(name, shown):
+    # an unknown name listed before it is not reported: the type error comes first
+    with pytest.raises(FrameError) as err:
+        load_frame(_one_agent_model([["x", "y", "z"], ["nope", name]], {}))
+    assert str(err.value) == f"basis of agent 'a' must list world names, not {shown}"
+    with pytest.raises(FrameError) as err:
+        load_frame(_one_agent_model([["x", "y", "z"]], {"p": ["x", name, "ghost"]}))
+    assert str(err.value) == f"valuation of 'p' must list world names, not {shown}"
+
+
+def test_load_frame_reads_a_repeated_name_as_one_world():
+    frame, valuation = load_frame(
+        _one_agent_model([["x", "y", "z", "x"], ["z", "z"]], {"p": ["y", "x", "y"]})
+    )
+    assert frame.agent("a").basis == (0b111, 0b100)
+    assert valuation == {"p": 0b011}
+
+
+def test_bits_match_the_shift_per_member_oracle():
+    rng = random.Random(22)
+    masks = [0, 1, 1 << 4095, (1 << 4096) - 1]
+    for _ in range(400):
+        width = rng.randint(1, 4096)
+        members = rng.randint(0, min(width, rng.choice((8, 9, 16, width // 8, width))))
+        masks.append(sum([1 << i for i in rng.sample(range(width), members)]))
+    for k in range(8, 11):  # popcounts on both sides of the gate, narrow and wide
+        masks += [(1 << k) - 1, ((1 << k) - 1) << 60, sum([1 << 8 * i for i in range(k)])]
+    for mask in masks:
+        assert list(bits(mask)) == list(oracle_bits(mask))
+
+
+def test_names_and_violations_keep_world_order():
+    rng = random.Random(23)
+    worlds = [f"w{i}" for i in range(300)]
+    rng.shuffle(worlds)  # world order, not name order
+    frame = Frame(worlds, [AgentSpec("a", ((1 << 300) - 1,), 0)])
+    for members in (0, 1, 5, 9, 40, 150, 300):
+        mask = sum([1 << i for i in rng.sample(range(300), members)])
+        listed = tuple([worlds[i] for i in oracle_bits(mask)])
+        assert frame.names(mask) == listed
+        assert frame_module.BasisViolation("duplicate-element", element=mask).describe(
+            worlds
+        ) == "duplicate basis element {" + ",".join(listed) + "}"
+    past = frame_module.BasisViolation("duplicate-element", element=1 << 300 | 1)
+    assert past.describe(worlds) == f"duplicate basis element {bin(1 << 300 | 1)}"

@@ -8,6 +8,8 @@ from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import limitknow
 import limitknow.cli  # the tracer patches modules found in sys.modules
 from limitknow import attest, cli, hierarchy, laws, logic
@@ -23,18 +25,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+UNSIZED = {"map", "filter", "zip", "compress", "enumerate", "reversed"}
+
+
 def parks_tuples(node):
-    """``tuple(<generator expression>)`` written inline, or any use of
-    ``dataclasses.asdict``, which copies fields and tuples that way. Other
-    unsized arguments (``tuple(map(...))``, a generator function's result)
-    resize the same way but are not flagged."""
+    """``tuple(<generator expression>)`` or ``tuple(<call to an unsized
+    iterator builtin such as map or compress>)`` written inline, or any use
+    of ``dataclasses.asdict``, which copies fields and tuples that way. A
+    generator function's result resizes the same way but is not flagged."""
     if isinstance(node, ast.Call):
-        return (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "tuple"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.GeneratorExp)
-        )
+        if not (isinstance(node.func, ast.Name) and node.func.id == "tuple" and len(node.args) == 1):
+            return False
+        arg = node.args[0]
+        if isinstance(arg, ast.Call):
+            return getattr(arg.func, "id", getattr(arg.func, "attr", None)) in UNSIZED
+        return isinstance(arg, ast.GeneratorExp)
     if isinstance(node, ast.alias):
         return node.name == "asdict"
     return getattr(node, "id", getattr(node, "attr", None)) == "asdict"
@@ -48,6 +53,28 @@ def test_library_has_no_inline_generator_tuple_or_asdict():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if parks_tuples(n)]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("tuple(x for x in y)", True),
+        ("tuple(map(f, y))", True),
+        ("tuple(filter(None, y))", True),
+        ("tuple(zip(a, b))", True),
+        ("tuple(compress(a, b))", True),
+        ("tuple(itertools.compress(a, b))", True),
+        ("tuple(enumerate(y))", True),
+        ("tuple(reversed(y))", True),
+        ("tuple([*compress(a, b)])", False),
+        ("tuple([x for x in y])", False),
+        ("tuple(sorted(y))", False),
+        ("tuple(y)", False),
+        ("list(map(f, y))", False),
+    ],
+)
+def test_the_tuple_guard_flags_unsized_arguments(source, flagged):
+    assert any(parks_tuples(n) for n in ast.walk(ast.parse(source))) == flagged
 
 
 def hides_state(node):
