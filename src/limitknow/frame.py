@@ -13,9 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import reduce
 from itertools import compress, count
-from operator import or_
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a proposition name in a formula
@@ -455,8 +453,11 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
     def to_mask(names, where: str) -> int:
         if not isinstance(names, list):
             raise FrameError(f"{where} must be a list of world names, not {names!r:.40}")
-        try:  # one C-level pass; a name that is no known world fails the load
-            return reduce(or_, map(bit.__getitem__, names), 0)
+        out = 0
+        try:  # a name that is no known world fails the load
+            for name in names:
+                out |= bit[name]
+            return out
         except (KeyError, TypeError):  # TypeError: an unhashable name
             for name in names:
                 if not isinstance(name, str):

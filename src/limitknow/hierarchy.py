@@ -188,9 +188,8 @@ def limit_yes_set(method: Mapping[int, Verdict]) -> int:
 
 
 def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
-    """The worlds whose least evidence ``N(w)`` the method answers Yes, read
-    off a topology that the method's basis generates: per Yes element, the
-    disjoint set of worlds whose ``N(w)`` it is."""
+    """The worlds whose least evidence ``N(w)`` the method answers Yes, read off
+    a topology its basis generates: per Yes element, the worlds whose ``N(w)`` it is."""
     sized = _sized(topology)
     return sum([e & sized.get(e.bit_count(), 0) for e, v in method.items() if v == Verdict.YES])
 
