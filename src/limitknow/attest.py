@@ -22,7 +22,7 @@ from functools import reduce
 from operator import and_
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
-from .hierarchy import Verdict, _chain_verdicts, _limit_yes, _switches, open_rank
+from .hierarchy import Verdict, _chain_verdicts, _limit_yes, _sized, _switches, open_rank
 from .logic import Model, world_set
 from .operators import OperatorContext
 
@@ -120,8 +120,10 @@ def verify_protocol(
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
         method, topology = protocol[spec.name], frame.topology(spec.name)
-        limit_yes[spec.name] = _limit_yes(topology, method)
-        bounds[spec.name] = SwitchBoundCheck(_switches(topology, method, ATTEST), spec.tolerance)
+        sized = _sized(topology)
+        limit_yes[spec.name] = _limit_yes(sized, method)
+        switches = _switches(topology, method, ATTEST, sized)
+        bounds[spec.name] = SwitchBoundCheck(switches, spec.tolerance)
     return VerifyReport(target, bounds, limit_yes)
 
 

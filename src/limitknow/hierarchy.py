@@ -178,19 +178,18 @@ def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
     ``FrameError``.
     """
     topology = _method(method)
-    yes = _limit_yes(topology, method)
+    yes = _limit_yes(_sized(topology), method)
     return {w: Verdict.YES if yes >> w & 1 else Verdict.NO for w in bits(topology.universe)}
 
 
 def limit_yes_set(method: Mapping[int, Verdict]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return _limit_yes(_method(method), method)
+    return _limit_yes(_sized(_method(method)), method)
 
 
-def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
-    """The worlds whose least evidence ``N(w)`` the method answers Yes, read off
-    a topology its basis generates: per Yes element, the worlds whose ``N(w)`` it is."""
-    sized = _sized(topology)
+def _limit_yes(sized: dict[int, int], method: Mapping[int, Verdict]) -> int:
+    """The worlds whose least evidence ``N(w)`` the method answers Yes, given
+    ``_sized`` of a topology its basis generates: per Yes element, those worlds."""
     return sum([e & sized.get(e.bit_count(), 0) for e, v in method.items() if v == Verdict.YES])
 
 
@@ -213,16 +212,19 @@ def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     each a ``FrameError``."""
     if start not in (Verdict.YES, Verdict.NO):
         raise FrameError(f"a start verdict must be Verdict.YES or Verdict.NO, not {start!r:.40}")
-    return _switches(_method(method), method, start)
+    topology = _method(method)
+    return _switches(topology, method, start, _sized(topology))
 
 
-def _switches(topology: Topology, method: Mapping[int, Verdict], start: Verdict) -> int:
-    """``max_switches`` of a method on the topology its basis generates, read
-    off the alternation levels of the positions answering ``start``. A world
-    stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets
-    a position after the worlds, and a position's neighborhood is its element's
-    worlds plus such positions inside it (alternation forces strict descent)."""
-    n, sized = len(topology.neighborhoods), _sized(topology)
+def _switches(
+    topology: Topology, method: Mapping[int, Verdict], start: Verdict, sized: dict[int, int]
+) -> int:
+    """``max_switches`` of a method, given the topology its basis generates and its
+    ``_sized``, read off the alternation levels of the positions answering ``start``. A
+    world stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets a
+    position after the worlds, and a position's neighborhood is its element's worlds
+    plus such positions inside it (alternation forces strict descent)."""
+    n = len(topology.neighborhoods)
     # an element's positions: the worlds whose N(w) it is, or else its own, n + its index
     spots = [e & sized.get(e.bit_count(), 0) or 1 << n + i for i, e in enumerate(method)]
     extras = [(e, s) for e, s in zip(method, spots) if s >> n]
@@ -288,7 +290,8 @@ def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
     topology = _method(method)
-    if _switches(topology, method, Verdict.YES) > n:
+    sized = _sized(topology)
+    if _switches(topology, method, Verdict.YES, sized) > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    witness = open_rank(topology, _limit_yes(topology, method)).witness
+    witness = open_rank(topology, _limit_yes(sized, method)).witness
     return witness + (0,) * (n + 1 - len(witness))

@@ -3,8 +3,9 @@
 Every axiom schema and inference rule of the logic is checked on randomly
 instantiated formulas over a given model. Schema metavariables range over
 arbitrary extensions, so each trial injects fresh propositions valued at
-random world sets alongside shallow random formulas. Any failure signals an
-implementation bug, never an open question: the system is sound.
+random world sets alongside shallow random formulas, all evaluated on the
+model's operator context with no model built per trial. Any failure signals
+an implementation bug, never an open question: the system is sound.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .logic import (
     Prop,
     Reason,
     TrueReason,
-    check,
+    _Evaluator,
     print_formula,
 )
 
@@ -76,9 +77,9 @@ class LawReport:
 
 Schema = Callable[[str, Sequence[Formula]], Formula]
 
-# A subformula that a schema repeats is built once and reused, so that
-# ``evaluate``'s per-call memo computes it once; printing is structural, so
-# the rendered instance is the same as with two equal copies.
+# A subformula that a schema repeats is built once and reused, so that the
+# trial evaluator's memo computes it once; printing is structural, so the
+# rendered instance is the same as with two equal copies.
 AXIOMS: dict[str, Schema] = {
     "ax_R": lambda i, f: Iff((r := Reason(i, f[0])), Reason(i, r)),
     "ax_I1": lambda i, f: Indicates(i, f[0], f[0]),
@@ -179,15 +180,11 @@ def _random_formula(
     return kind(*args)
 
 
-def _trial_setup(model: Model, rng: random.Random) -> Model:
-    """The model with the injected propositions ``_m0``-``_m3`` valued at
-    fresh random world sets, bound in place on a copy of its valuation (so a
+def _trial_setup(valuation: dict[str, int], universe: int, rng: random.Random) -> dict[str, int]:
+    """A copy of the model's valuation with the injected propositions
+    ``_m0``-``_m3`` bound to fresh random world sets of the universe (so a
     name the model already binds keeps its position)."""
-    universe = model.frame.universe
-    valuation = dict(model.valuation)
-    for p in _INJECTED:
-        valuation[p] = rng.randrange(universe + 1)
-    return model.with_valuation(valuation)
+    return {**valuation, **{p: rng.randrange(universe + 1) for p in _INJECTED}}
 
 
 def _metavariable(
@@ -208,23 +205,23 @@ def _conj_over_agents(agents: Sequence[str], make: Callable[[str], Formula]) -> 
 # ---------------------------------------------------------------------------
 # laws
 #
-# A law turns one trial (the trial model, the seeded generator, the pool of
-# atoms, the agent names, the trial index) into premises, a conclusion and
-# the model to check them on. A schema is a law with no premises. Rules build
-# one variant in three with provably valid premises (a valid formula for the
-# premise-only rules, a semantically constructed fixed point for the rules
-# with side conditions) so every rule is exercised non-vacuously; the rest
-# are random and usually vacuous.
+# A law turns one trial (the model's operator context, the trial valuation,
+# the seeded generator, the pool of atoms, the agent names, the trial index)
+# into premises, a conclusion and the valuation to check them on. A schema is
+# a law with no premises. Rules build one variant in three with provably
+# valid premises (a valid formula for the premise-only rules, a semantically
+# constructed fixed point for the rules with side conditions) so every rule
+# is exercised non-vacuously; the rest are random and usually vacuous.
 
-Instance = tuple[list[Formula], Formula, Model]
-Law = Callable[[Model, random.Random, Sequence[Formula], Sequence[str], int], Instance]
+Instance = tuple[list[Formula], Formula, dict[str, int]]
+Law = Callable[..., Instance]  # called with the six arguments above, in order
 
 
 def _schema_law(build: Schema) -> Law:
-    def law(model, rng, pool, agents, k):
+    def law(ctx, valuation, rng, pool, agents, k):
         i = rng.choice(agents)
         fs = [_metavariable(rng, pool, agents) for _ in range(3)]
-        return [], build(i, fs), model
+        return [], build(i, fs), valuation
 
     return law
 
@@ -238,30 +235,27 @@ def _premise_candidate(rng, pool, agents, variant: int) -> Formula:
     return _metavariable(rng, pool, agents)
 
 
-def _rule_R(model, rng, pool, agents, k) -> Instance:
+def _rule_R(ctx, valuation, rng, pool, agents, k) -> Instance:
     f = _premise_candidate(rng, pool, agents, k % 3)
     i = rng.choice(agents)
-    return [f], Reason(i, f), model
+    return [f], Reason(i, f), valuation
 
 
-def _rule_I(model, rng, pool, agents, k) -> Instance:
+def _rule_I(ctx, valuation, rng, pool, agents, k) -> Instance:
     f2 = _premise_candidate(rng, pool, agents, k % 3)
     i = rng.choice(agents)
-    return [f2], Indicates(i, _metavariable(rng, pool, agents), f2), model
+    return [f2], Indicates(i, _metavariable(rng, pool, agents), f2), valuation
 
 
-def _rule_G(model, rng, pool, agents, k) -> Instance:
+def _rule_G(ctx, valuation, rng, pool, agents, k) -> Instance:
     mv = lambda: _metavariable(rng, pool, agents)
     variant = k % 3
     if variant == 0:
         # A generated-knowledge extension satisfies both premises exactly.
-        universe = model.frame.universe
-        w_mask = rng.randrange(universe + 1)
-        p_mask = rng.randrange(universe + 1)
-        g_mask = model.context.generates(w_mask, p_mask)
-        model = model.with_valuation(
-            {**model.valuation, "_w": w_mask, "_p": p_mask, "_g": g_mask}
-        )
+        w_mask = rng.randrange(ctx.universe + 1)
+        p_mask = rng.randrange(ctx.universe + 1)
+        g_mask = ctx.generates(w_mask, p_mask)
+        valuation = {**valuation, "_w": w_mask, "_p": p_mask, "_g": g_mask}
         f1, f2, f3 = Prop("_w"), Prop("_p"), Prop("_g")
     elif variant == 1:
         f1, f2, f3 = mv(), mv(), BOT
@@ -271,16 +265,15 @@ def _rule_G(model, rng, pool, agents, k) -> Instance:
         Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f3))),
         Imp(f3, _conj_over_agents(agents, lambda a: BelievesVia(a, f1, f2))),
     ]
-    return premises, Imp(f3, Generates(f1, f2)), model
+    return premises, Imp(f3, Generates(f1, f2)), valuation
 
 
-def _rule_C(model, rng, pool, agents, k) -> Instance:
+def _rule_C(ctx, valuation, rng, pool, agents, k) -> Instance:
     mv = lambda: _metavariable(rng, pool, agents)
     variant = k % 3
     if variant == 0:
-        p_mask = rng.randrange(model.frame.universe + 1)
-        c_mask = model.context.common(p_mask)
-        model = model.with_valuation({**model.valuation, "_p": p_mask, "_c": c_mask})
+        p_mask = rng.randrange(ctx.universe + 1)
+        valuation = {**valuation, "_p": p_mask, "_c": ctx.common(p_mask)}
         f1, f2 = Prop("_c"), Prop("_p")
     elif variant == 1:
         f1, f2 = BOT, mv()
@@ -290,7 +283,7 @@ def _rule_C(model, rng, pool, agents, k) -> Instance:
         Imp(f1, _conj_over_agents(agents, lambda a: TrueReason(a, f1))),
         Imp(f1, f2),
     ]
-    return premises, Imp(f1, Common(f2)), model
+    return premises, Imp(f1, Common(f2)), valuation
 
 
 RULES: dict[str, Law] = {
@@ -315,7 +308,8 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     instantiations over the model. Per-trial seeds are derived from the law
     name and trial index, so reports are reproducible regardless of the order
     laws are run in. A trial whose premises fail is not informative and
-    checks no conclusion.
+    checks no conclusion. Each trial evaluates its premises and conclusion
+    with one evaluator, so a subformula they share is computed once.
     """
     if not _is_int(trials) or trials < 1:
         raise EvalError(f"the battery needs at least one trial, not {trials!r}")
@@ -327,24 +321,26 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     # own, then those of the injected ones it does not already bind.
     pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
     agents = [a.name for a in model.frame.agents]
+    ctx, universe = model.context, model.frame.universe
 
     for name, law in LAWS.items():
         failures: list[LawFailure] = []
         informative = 0
         for k in range(trials):
             rng.seed(f"{seed}:{name}:{k}")
-            premises, conclusion, trial_model = law(
-                _trial_setup(model, rng), rng, pool, agents, k
+            premises, conclusion, valuation = law(
+                ctx, _trial_setup(model.valuation, universe, rng), rng, pool, agents, k
             )
+            ev = _Evaluator(ctx, valuation)
             for p in premises:
-                if not check(trial_model, p).valid:
+                if universe & ~ev.go(p):
                     break
             else:
                 informative += 1
-                res = check(trial_model, conclusion)
-                if not res.valid:
+                missing = universe & ~ev.go(conclusion)
+                if missing:
                     failures.append(
-                        LawFailure(print_formula(conclusion), res.counterexamples)
+                        LawFailure(print_formula(conclusion), model.frame.names(missing))
                     )
         results.append(LawResult(name, trials, informative, tuple(failures)))
 

@@ -374,10 +374,11 @@ def _print(f: Formula, level: int) -> str:
 
 
 class Model:
-    """A frame plus a valuation of proposition names by world sets of it.
+    """A frame plus a valuation of proposition names by checked world sets.
 
     The operator context is built once per frame and shared by models derived
-    with ``with_valuation``; valuations are never mutated in place.
+    with ``with_valuation``; valuations are never mutated in place. The law
+    battery builds no trial models: it evaluates on the model's context.
     """
 
     def __init__(self, frame: Frame, valuation: Mapping[str, int] | None = None):
@@ -405,20 +406,20 @@ class Model:
 
 
 class _Evaluator:
-    """One ``evaluate`` call: the model's pieces (the frame's own name-to-agent
-    map serves as the set of agent names) and a memo of the extension
-    of every node evaluated so far, keyed on ``id(node)``. The nodes stay
-    alive for the whole call, so their ids are stable; keying on the nodes
-    would hash whole subtrees, since a frozen dataclass's hash recurses and
-    is not cached."""
+    """Evaluation over an operator context and a valuation of world sets
+    already checked, with a memo of the extension of every node evaluated so
+    far, keyed on ``id(node)``: one per ``evaluate`` call, and one per
+    law-battery trial for its premises and conclusion. The nodes stay alive
+    while it is used, so their ids are stable; keying on the nodes would hash
+    whole subtrees, since a frozen dataclass's hash recurses and is not cached."""
 
     __slots__ = ("valuation", "ctx", "universe", "agent_names", "memo")
 
-    def __init__(self, model: Model):
-        self.valuation = model.valuation
-        self.ctx = model.context
-        self.universe = model.frame.universe
-        self.agent_names = model.frame.agents_by_name
+    def __init__(self, ctx: OperatorContext, valuation: Mapping[str, int]):
+        self.valuation = valuation
+        self.ctx = ctx
+        self.universe = ctx.universe
+        self.agent_names = ctx.frame.agents_by_name
         self.memo: dict[int, int] = {}
 
     def go(self, f: Formula) -> int:
@@ -476,7 +477,7 @@ def evaluate(model: Model, f: Formula) -> int:
     frame; anything unbound is an error rather than an implicit empty set.
     A subformula shared by several parents is evaluated once per call.
     """
-    return _Evaluator(model).go(f)
+    return _Evaluator(model.context, model.valuation).go(f)
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,14 @@ class OperatorContext:
 
     def believes_via(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the agent has the witness as reason to believe the
-        target."""
-        return self.reason(agent, witness) & self.indicates(agent, witness, target)
+        target: ``reason`` and ``indicates`` in one pass over the evidence."""
+        self.frame.topology(agent).check_subset(target)
+        out = bad = 0
+        for e in self.supporting_evidence(agent, witness):
+            out |= e
+            if witness & e & ~target:
+                bad |= e
+        return out & ~bad
 
     def true_reason(self, agent: str, target: int) -> int:
         """Worlds where the agent has some true reason to believe the target.

@@ -1,7 +1,7 @@
 """Shared test helpers: random valid frames, random formulas that share
 subtrees, exhaustive basis enumeration, JSON document edits, and independent
 brute-force oracles for ranks, switching counts, limit verdicts, common
-knowledge, witness searches and formula evaluation."""
+knowledge, witness searches, formula evaluation and the law battery."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from limitknow.hierarchy import (
     limit_yes_set,
     max_switches,
 )
+from limitknow.laws import _INJECTED, LAWS, LawFailure, LawReport, LawResult
 from limitknow.logic import (
     BOT,
     TOP,
@@ -45,6 +46,8 @@ from limitknow.logic import (
     Reason,
     Top,
     TrueReason,
+    check,
+    print_formula,
 )
 from limitknow.operators import OperatorContext
 
@@ -390,3 +393,29 @@ def oracle_evaluate(model: Model, f: Formula) -> int:
     if isinstance(f, Common):
         return ctx.common(go(f.body))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def oracle_law_battery(model: Model, trials: int, seed: int) -> LawReport:
+    """``law_battery`` through the public API: each trial draws from a fresh
+    generator seeded with ``"{seed}:{law}:{trial}"``, its valuation becomes a
+    validated ``Model`` of the frame, and ``check`` takes every premise, then
+    the conclusion when they all hold."""
+    pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
+    agents = [a.name for a in model.frame.agents]
+    results = []
+    for name, law in LAWS.items():
+        failures, informative = [], 0
+        for k in range(trials):
+            rng = random.Random(f"{seed}:{name}:{k}")
+            drawn = {p: rng.randrange(model.frame.universe + 1) for p in _INJECTED}
+            premises, conclusion, valuation = law(
+                model.context, {**model.valuation, **drawn}, rng, pool, agents, k
+            )
+            trial = Model(model.frame, valuation)
+            if all(check(trial, p).valid for p in premises):
+                informative += 1
+                res = check(trial, conclusion)
+                if not res.valid:
+                    failures.append(LawFailure(print_formula(conclusion), res.counterexamples))
+        results.append(LawResult(name, trials, informative, tuple(failures)))
+    return LawReport(tuple(results))

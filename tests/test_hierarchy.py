@@ -11,6 +11,7 @@ from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, sub
 from limitknow.hierarchy import (
     INFINITE,
     Verdict,
+    _sized,
     _switches,
     chain_from_method,
     closed_rank,
@@ -365,10 +366,12 @@ def test_switches_match_the_pairwise_count_on_every_small_basis():
     cases = with_extras = 0
     for basis in bases:
         topology = generate_topology(basis)
+        sized = _sized(topology)
         extra = not set(basis) <= set(topology.neighborhoods)
         for method in all_methods(basis):
             for start in (YES, NO):
-                assert _switches(topology, method, start) == oracle_switches(basis, method, start)
+                count = _switches(topology, method, start, sized)
+                assert count == oracle_switches(basis, method, start)
                 cases += 1
                 with_extras += extra
     assert (cases, with_extras) == (57976, 48560)

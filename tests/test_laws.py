@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import types
 
 import pytest
 
@@ -18,11 +19,18 @@ from limitknow.logic import (
     Model,
     Prop,
     Top,
+    _Evaluator,
     check,
     print_formula,
 )
 from limitknow.operators import OperatorContext
-from randgen import all_valid_bases, height, random_frame, up_to_renaming
+from randgen import (
+    all_valid_bases,
+    height,
+    oracle_law_battery,
+    random_frame,
+    up_to_renaming,
+)
 
 
 def test_battery_reports_every_law(chain_model):
@@ -91,16 +99,61 @@ def test_battery_draws_are_pinned(fixtures_dir, monkeypatch):
         model = Model(*load_frame(json.load(fh)))
     records = []
 
-    def recording_check(m, f):
-        res = check(m, f)
-        records.append("|".join(map(str, (print_formula(f), sorted(m.valuation.items()), res.valid))))
-        return res
+    def recording_evaluator(ctx, valuation):
+        # The battery calls a trial evaluator's ``go`` on each premise and
+        # conclusion it checks; the inner evaluator recurses on itself.
+        ev = _Evaluator(ctx, valuation)
 
-    monkeypatch.setattr(laws, "check", recording_check)
+        def go(f):
+            ext = ev.go(f)
+            valid = not ctx.universe & ~ext
+            records.append("|".join(map(str, (print_formula(f), sorted(valuation.items()), valid))))
+            return ext
+
+        return types.SimpleNamespace(go=go)
+
+    monkeypatch.setattr(laws, "_Evaluator", recording_evaluator)
     for seed in range(3):
         law_battery(model, trials=6, seed=seed)
     assert len(records) == PINNED_RECORDS
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_the_battery_builds_no_model(chain_model, monkeypatch):
+    # A trial is a valuation on the model's context; nine trials reach the
+    # variant of rules G and C that binds operator results.
+    built = []
+    init = Model.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "__init__", counting_init)
+    assert law_battery(chain_model, trials=9, seed=2).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "true-reason-everywhere"])
+def test_battery_matches_the_oracle_on_random_frames(monkeypatch, broken):
+    # With S holding everywhere some laws fail, so failures and their
+    # counterexample names are compared too. Some models bind names that the
+    # battery injects or that rules G and C bind, which each trial rebinds.
+    if broken:
+        monkeypatch.setattr(
+            OperatorContext, "true_reason", lambda self, agent, p: self.frame.universe
+        )
+    rng = random.Random(23)
+    failures = 0
+    for trials in (1, 3, 7):
+        for names in (("p",), ("_m2", "p"), ("_p", "_c", "q")):
+            frame = random_frame(rng, max_worlds=5)
+            model = Model(frame, {n: rng.randint(0, frame.universe) for n in names})
+            seed = rng.randint(0, 999)
+            report = law_battery(model, trials, seed)
+            assert report == oracle_law_battery(model, trials, seed), (trials, names, seed)
+            failures += report.total_failures
+    assert (failures > 0) == broken
 
 
 def test_schema_instances_share_repeated_subformulas():
