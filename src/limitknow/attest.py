@@ -22,7 +22,7 @@ from functools import reduce
 from operator import and_
 
 from .frame import Frame, ResourceLimitError, _is_int, _is_names, load_frame_file, read_json
-from .hierarchy import Verdict, _chain_verdicts, _limit_yes, _sized, _switches, open_rank
+from .hierarchy import Verdict, _chain_verdicts, _switches, open_rank
 from .logic import Model, world_set
 from .operators import OperatorContext
 
@@ -47,11 +47,10 @@ def _check_protocol_shape(frame: Frame, protocol: Mapping[str, Mapping[int, Verd
     for name, verdicts in protocol.items():
         if not isinstance(verdicts, Mapping):
             raise ProtocolError(f"strategy for {name!r} must map evidence to verdicts")
-        try:  # sorted, not as sets: a chain's masks share few hash values
-            total = sorted(verdicts) == sorted(frame.agent(name).basis)
-        except TypeError:  # a key no mask orders against
-            total = False
-        if not total:
+        # int keys first (3.0 and True sort as 3 and 1), then sorted, not as
+        # sets: a chain's masks share few hash values
+        keys_ok = all([_is_int(e) for e in verdicts])
+        if not keys_ok or sorted(verdicts) != sorted(frame.agent(name).basis):
             raise ProtocolError(f"strategy for {name!r} is not total on the agent's basis")
         if any(v not in (ATTEST, DEFER) for v in verdicts.values()):
             raise ProtocolError(f"strategy for {name!r} has unknown verdicts")
@@ -119,10 +118,8 @@ def verify_protocol(
     limit_yes: dict[str, int] = {}
     bounds: dict[str, SwitchBoundCheck] = {}
     for spec in frame.agents:
-        method, topology = protocol[spec.name], frame.topology(spec.name)
-        sized = _sized(topology)
-        limit_yes[spec.name] = _limit_yes(sized, method)
-        switches = _switches(topology, method, ATTEST, sized)
+        yes, switches = _switches(frame.topology(spec.name), protocol[spec.name], ATTEST)
+        limit_yes[spec.name] = yes
         bounds[spec.name] = SwitchBoundCheck(switches, spec.tolerance)
     return VerifyReport(target, bounds, limit_yes)
 
@@ -251,11 +248,11 @@ def simulate(
     descending run of the agent's evidence at the world that ends at the
     least evidence there; any other is a ``ProtocolError``. Honest agents
     answer their strategy on each learned evidence; faulty agents emit seeded
-    random verdicts. The aggregator outputs each step's lower median, DEFER
-    ranking below ATTEST: it attests iff strictly more than half of the step's
-    outputs attest, and ties are defers (safety over liveness). Limits are the
-    final outputs, which honest streams realize because they end at minimal
-    evidence. A ``step_cap``, an int, fixes the horizon; it must cover the
+    random verdicts. The aggregator attests at a step iff strictly more than
+    half of the step's outputs attest, and ties are defers (safety over
+    liveness): it outputs the lower median, DEFER ranking below ATTEST. Limits
+    are the final outputs, which honest streams realize because they end at
+    minimal evidence. A ``step_cap``, an int, fixes the horizon; it must cover the
     streams, and past ``MAX_STEPS`` it is a ``ResourceLimitError``. A target
     with members outside the frame is a ``FrameError``.
     """
@@ -304,10 +301,9 @@ def simulate(
             chain += chain[-1:] * (horizon - len(chain))
             traces[name] = tuple([protocol[name][e] for e in chain])
 
-    median = (len(agent_names) - 1) // 2
+    # one verdict per agent and step; a strict majority attests
     aggregator = tuple([
-        sorted([traces[n][t] for n in agent_names], key=(DEFER, ATTEST).index)[median]
-        for t in range(horizon)
+        (DEFER, ATTEST)[2 * step.count(ATTEST) > len(step)] for step in zip(*traces.values())
     ])
 
     honest = [n for n in agent_names if n not in fault_set]

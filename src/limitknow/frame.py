@@ -469,11 +469,11 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
     for spec in agent_list:
         if not isinstance(spec, dict) or not {"name", "tolerance", "basis"} <= spec.keys():
             raise FrameError("each agent needs a 'name', a 'tolerance' and a 'basis'")
-        name, tolerance, basis = spec["name"], spec["tolerance"], spec["basis"]
-        if not isinstance(name, str) or not _is_int(tolerance) or not isinstance(basis, list):
-            raise FrameError(f"agent {name!r}: needs a string name, integer tolerance, basis list")
+        name, basis = spec["name"], spec["basis"]
+        if not isinstance(basis, list):  # Frame checks the name and the tolerance
+            raise FrameError(f"agent {name!r}: basis must be a list of evidence")
         basis = tuple([to_mask(e, f"basis of agent {name!r}") for e in basis])
-        agents.append(AgentSpec(name, basis, tolerance))
+        agents.append(AgentSpec(name, basis, spec["tolerance"]))
 
     for p in valuation:
         if p in ("top", "bot") or not _NAME.fullmatch(str(p)):

@@ -178,25 +178,28 @@ def limit_verdicts(method: Mapping[int, Verdict]) -> dict[int, Verdict]:
     ``FrameError``.
     """
     topology = _method(method)
-    yes = _limit_yes(_sized(topology), method)
+    yes = _limit_yes(topology, method)
     return {w: Verdict.YES if yes >> w & 1 else Verdict.NO for w in bits(topology.universe)}
 
 
 def limit_yes_set(method: Mapping[int, Verdict]) -> int:
     """Worlds whose limit verdict is Yes, as a mask."""
-    return _limit_yes(_sized(_method(method)), method)
+    return _limit_yes(_method(method), method)
 
 
-def _limit_yes(sized: dict[int, int], method: Mapping[int, Verdict]) -> int:
+def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
     """The worlds whose least evidence ``N(w)`` the method answers Yes, given
-    ``_sized`` of a topology its basis generates: per Yes element, those worlds."""
+    the topology its basis generates: per Yes element, those worlds."""
+    sized = _sized(topology)
     return sum([e & sized.get(e.bit_count(), 0) for e, v in method.items() if v == Verdict.YES])
 
 
 def _sized(topology: Topology) -> dict[int, int]:
-    """Per size, the worlds whose ``N(w)`` has it: ``e & sized[|e|]`` are the
-    worlds whose ``N(w)`` is ``e``, found without hashing masks (Python
-    hashes a chain's masks into 61 values)."""
+    """Per size, the worlds whose ``N(w)`` has it. For a world ``w``, a ``v``
+    in ``N(w)`` has ``N(v)`` inside ``N(w)``, so the two are equal exactly
+    when their sizes are: ``N(w) & sized[|N(w)|]`` is the T0 class of ``w``,
+    and ``e & sized[|e|]`` the worlds whose ``N(w)`` is the open ``e``. No
+    mask is hashed (Python hashes a chain's masks into 61 values)."""
     sized: dict[int, int] = {}
     for w, least in enumerate(topology.neighborhoods):
         k = least.bit_count()
@@ -212,19 +215,20 @@ def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     each a ``FrameError``."""
     if start not in (Verdict.YES, Verdict.NO):
         raise FrameError(f"a start verdict must be Verdict.YES or Verdict.NO, not {start!r:.40}")
-    topology = _method(method)
-    return _switches(topology, method, start, _sized(topology))
+    return _switches(_method(method), method, start)[1]
 
 
 def _switches(
-    topology: Topology, method: Mapping[int, Verdict], start: Verdict, sized: dict[int, int]
-) -> int:
-    """``max_switches`` of a method, given the topology its basis generates and its
-    ``_sized``, read off the alternation levels of the positions answering ``start``. A
-    world stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets a
+    topology: Topology, method: Mapping[int, Verdict], start: Verdict
+) -> tuple[int, int]:
+    """The worlds whose least evidence ``N(w)`` the method answers ``start``, and
+    ``max_switches`` of the method, given the topology its basis generates. The count
+    is read off the alternation levels of the positions answering ``start``. A world
+    stands for its least evidence ``N(w)``, an element that is no ``N(w)`` gets a
     position after the worlds, and a position's neighborhood is its element's worlds
     plus such positions inside it (alternation forces strict descent)."""
     n = len(topology.neighborhoods)
+    sized = _sized(topology)
     # an element's positions: the worlds whose N(w) it is, or else its own, n + its index
     spots = [e & sized.get(e.bit_count(), 0) or 1 << n + i for i, e in enumerate(method)]
     extras = [(e, s) for e, s in zip(method, spots) if s >> n]
@@ -233,7 +237,7 @@ def _switches(
     starts = sum([s for s, v in zip(spots, method.values()) if v == start])
     universe = topology.universe | sum([s for _, s in extras])
     ins, _ = _levels(Topology(universe, nbhds), starts, len(method))
-    return len([s for s in ins[1:] if s])
+    return starts & topology.universe, len([s for s in ins[1:] if s])
 
 
 def min_switches(frame: Frame, agent: str, w_set: int) -> int | float:
@@ -290,8 +294,8 @@ def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
     topology = _method(method)
-    sized = _sized(topology)
-    if _switches(topology, method, Verdict.YES, sized) > n:
+    yes, switches = _switches(topology, method, Verdict.YES)
+    if switches > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")
-    witness = open_rank(topology, _limit_yes(sized, method)).witness
+    witness = open_rank(topology, yes).witness
     return witness + (0,) * (n + 1 - len(witness))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .frame import Frame, ResourceLimitError, Topology, bits, submasks
-from .hierarchy import _levels, _supporting, open_rank
+from .frame import Frame, ResourceLimitError, Topology, submasks
+from .hierarchy import _levels, _sized, _supporting, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
@@ -134,24 +134,18 @@ class OperatorContext:
         """The topology whose interior operator is ``true_reason``: the
         agent's own topology for tolerance 0, else the one generated by the
         differences of opens (the Skula topology). Its minimal neighborhood
-        of w is ``N(w) & cl{w}`` with ``cl{w} = {v : w in N(v)}``, which is
-        the set of worlds whose minimal neighborhood equals ``N(w)``: v is in
-        both exactly when each lies in the other's neighborhood. Built once
-        per agent in linear time."""
+        of w is the T0 class ``{v : N(v) = N(w)}``, read as ``N(w) &
+        sized[|N(w)|]`` from ``hierarchy._sized``: built once per agent with
+        one bit count and one AND per world, hashing no mask."""
         spec = self.frame.agent(agent)
         base = self.frame.topology(agent)
         if spec.tolerance == 0:
             return base
         topo = self._skula.get(agent)
         if topo is None:
-            classes: dict[int, int] = {}
-            for w in bits(base.universe):
-                n = base.neighborhoods[w]
-                classes[n] = classes.get(n, 0) | (1 << w)
-            topo = Topology(
-                base.universe, tuple([classes[n] if n else 0 for n in base.neighborhoods])
-            )
-            self._skula[agent] = topo
+            sized = _sized(base)
+            classes = tuple([n & sized[n.bit_count()] for n in base.neighborhoods])
+            topo = self._skula[agent] = Topology(base.universe, classes)
         return topo
 
     def lewis_common(self, target: int) -> int:

@@ -1,5 +1,6 @@
 """Attestation protocols: verification, synthesis, streams, and simulation."""
 
+import itertools
 import json
 import os
 import random
@@ -109,6 +110,24 @@ def test_a_strategy_keyed_off_the_basis_is_not_total(keys):
     with pytest.raises(ProtocolError) as err:
         verify_protocol(frame, protocol, 0)
     assert str(err.value) == "strategy for 'a' is not total on the agent's basis"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param({3.0: ATTEST, 1: ATTEST}, id="float"),
+        pytest.param({3: ATTEST, True: ATTEST}, id="bool"),
+    ],
+)
+def test_a_strategy_keyed_by_a_number_that_is_no_int_mask_is_refused(table):
+    # 3.0 and True sort and compare as the masks 3 and 1, so comparing sorted
+    # keys alone accepts them.
+    frame = Frame(["x", "y"], [AgentSpec("a", (0b11, 0b01), 1)])
+    message = "strategy for 'a' is not total on the agent's basis"
+    with pytest.raises(ProtocolError, match=message):
+        verify_protocol(frame, {"a": table}, frame.universe)
+    with pytest.raises(ProtocolError, match=message):
+        simulate(frame, {"a": table}, "x", {"a": (0b11, 0b01)}, [], frame.universe, seed=0)
 
 
 def test_a_strategy_may_list_the_basis_in_any_order():
@@ -291,6 +310,24 @@ def test_simulate_byzantine_minority_cannot_force_attest():
     for seed in range(10):
         report = simulate(frame, protocol, "x", streams, ["c"], 0b100, seed=seed)
         assert report.aggregator_limit == DEFER
+
+
+def test_the_aggregator_attests_on_a_strict_majority_as_the_lower_median():
+    # Every verdict vector of 1-6 honest agents at a one-world frame: the
+    # aggregator's step is the lower median, DEFER ranking below ATTEST, and
+    # that attests exactly when a strict majority attests.
+    cases = 0
+    for n in range(1, 7):
+        names = [f"a{i}" for i in range(n)]
+        frame = Frame(["x"], [AgentSpec(name, (1,), 0) for name in names])
+        for verdicts in itertools.product((ATTEST, DEFER), repeat=n):
+            protocol = {name: {1: v} for name, v in zip(names, verdicts)}
+            report = simulate(frame, protocol, "x", dict.fromkeys(names, (1,)), [], 1, seed=0)
+            median = sorted(verdicts, key=(DEFER, ATTEST).index)[(n - 1) // 2]
+            assert report.aggregator_trace == (median,)
+            assert (median == ATTEST) == (2 * verdicts.count(ATTEST) > n)
+            cases += 1
+    assert cases == 126
 
 
 def test_simulate_shame_events():

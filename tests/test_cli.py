@@ -348,6 +348,26 @@ def test_malformed_model_is_one_error_line(capsys, tmp_path, path, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("name", ["a"], "agent names must be unique and non-empty strings"),
+        ("name", 5, "agent names must be unique and non-empty strings"),
+        ("tolerance", True, "agent a: tolerance must be an integer"),
+        ("tolerance", "1", "agent a: tolerance must be an integer"),
+        ("tolerance", -1, "agent a: tolerance must be >= 0"),
+    ],
+    ids=["list-name", "int-name", "bool-tolerance", "string-tolerance", "negative-tolerance"],
+)
+def test_an_agent_name_or_tolerance_is_checked_once_by_the_frame(
+    capsys, tmp_path, field, value, message
+):
+    # The loader leaves these fields to Frame, so its messages reach the CLI.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(with_field(MODEL3, ("agents", 0, field), value)))
+    assert run(capsys, "eval", "-m", str(model), "-f", "top") == (2, "", f"error: {message}\n")
+
+
 SCENARIO = {
     "frame": MODEL,
     "target": "@p",

@@ -95,6 +95,22 @@ def test_true_reason_matches_feasible_subset_union():
                 assert ctx.true_reason(a.name, target) == expected
 
 
+def test_true_reason_neighborhoods_are_the_t0_classes():
+    # The Skula neighborhood of each world, read by size off hierarchy's
+    # per-size table, against the brute-force T0 class {v : N(v) = N(w)}: at
+    # every world position of every valid basis of up to 4 worlds.
+    positions = 0
+    for n in (1, 2, 3, 4):
+        for basis in all_valid_bases(n):
+            frame = Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, 1)])
+            least = frame.topology("a").neighborhoods
+            classes = OperatorContext(frame).true_reason_topology("a").neighborhoods
+            for w in range(n):
+                assert classes[w] == sum([1 << v for v in range(n) if least[v] == least[w]])
+                positions += 1
+    assert positions == 23204
+
+
 def test_common_matches_meet_interior():
     rng = random.Random(33)
     for _ in range(60):

@@ -11,7 +11,6 @@ from limitknow.frame import AgentSpec, Frame, FrameError, generate_topology, sub
 from limitknow.hierarchy import (
     INFINITE,
     Verdict,
-    _sized,
     _switches,
     chain_from_method,
     closed_rank,
@@ -362,16 +361,20 @@ def test_switches_match_the_pairwise_count_on_every_small_basis():
     # N(w)) against the pairwise containment table over basis elements: every
     # method of every valid basis of up to 3 worlds and every 4-world basis of
     # at most 5 elements, from both starts; most bases have such elements.
+    # The worlds returned with it are the limit-Yes set at the Yes start and
+    # its complement at the No start.
     bases = [b for n in (1, 2, 3) for b in all_valid_bases(n)] + all_valid_bases(4, 5)
     cases = with_extras = 0
     for basis in bases:
         topology = generate_topology(basis)
-        sized = _sized(topology)
         extra = not set(basis) <= set(topology.neighborhoods)
         for method in all_methods(basis):
-            for start in (YES, NO):
-                count = _switches(topology, method, start, sized)
-                assert count == oracle_switches(basis, method, start)
+            yes = limit_yes_set(method)
+            for start, worlds in ((YES, yes), (NO, topology.universe & ~yes)):
+                assert _switches(topology, method, start) == (
+                    worlds,
+                    oracle_switches(basis, method, start),
+                )
                 cases += 1
                 with_extras += extra
     assert (cases, with_extras) == (57976, 48560)
