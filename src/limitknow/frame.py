@@ -188,7 +188,7 @@ class Topology:
     neighborhoods: tuple[int, ...]  # indexed by world position; 0 off-universe
 
     def check_subset(self, s: int) -> None:
-        if not _is_int(s):
+        if type(s) is not int and not _is_int(s):  # an exact int needs one test
             raise FrameError(f"a world set must be an integer mask, not {s!r:.40}")
         if s & ~self.universe:
             raise FrameError("world set has members outside this universe")
@@ -421,6 +421,12 @@ def _masks(values, noun: str) -> tuple[int, ...]:
     return values
 
 
+def _check_valuation_names(names: Iterable) -> None:
+    for p in names:
+        if p in ("top", "bot") or not _NAME.fullmatch(str(p)):
+            raise FrameError(f"valuation name {p!r} is not one a formula can refer to")
+
+
 def _is_names(value) -> bool:
     """A JSON list of strings (a bare string is not one)."""
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -475,9 +481,7 @@ def load_frame(data: Mapping) -> tuple[Frame, dict[str, int]]:
         basis = tuple([to_mask(e, f"basis of agent {name!r}") for e in basis])
         agents.append(AgentSpec(name, basis, spec["tolerance"]))
 
-    for p in valuation:
-        if p in ("top", "bot") or not _NAME.fullmatch(str(p)):
-            raise FrameError(f"valuation name {p!r} is not one a formula can refer to")
+    _check_valuation_names(valuation)
     masks = {str(p): to_mask(ws, f"valuation of {p!r}") for p, ws in valuation.items()}
     if unknown:
         raise FrameError("unknown world names: " + ", ".join(unknown))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import StrEnum
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .frame import Frame, FrameError, Topology, _is_int, _masks, bits, generate_topology
@@ -149,9 +150,11 @@ def _supporting(
     """The elements of ``basis`` that give reason to believe ``w_set``, by
     ``gives_reason``'s test: for some k up to the tolerance, outer level k
     misses the element (its closed rank is at most k) and inner level k meets
-    it (its open rank exceeds k)."""
-    ins, outs = _levels(topology, w_set, tolerance + 1)
-    return tuple([e for e in basis if any(i & e and not o & e for i, o in zip(ins, outs))])
+    it (its open rank exceeds k). One flag per element, set level by level."""
+    hit = [False] * len(basis)
+    for i, o in zip(*_levels(topology, w_set, tolerance + 1)):
+        hit = [h or (e & i and not e & o) for h, e in zip(hit, basis)]
+    return tuple([*compress(basis, hit)])
 
 
 # ---------------------------------------------------------------------------

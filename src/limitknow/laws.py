@@ -218,9 +218,18 @@ Law = Callable[..., Instance]  # called with the six arguments above, in order
 
 
 def _schema_law(build: Schema) -> Law:
+    """A law drawing an agent, then metavariables up to the last one that an
+    instance reads: unread ones would be a trial's last draws."""
+    probes = [Prop(f"_f{j}") for j in range(3)]
+    seen, stack = set(), [build("_", probes)]
+    while stack:
+        seen.add(node := stack.pop())
+        stack.extend([c for c in vars(node).values() if isinstance(c, Formula)])
+    draws = max([j + 1 for j, p in enumerate(probes) if p in seen])
+
     def law(ctx, valuation, rng, pool, agents, k):
         i = rng.choice(agents)
-        fs = [_metavariable(rng, pool, agents) for _ in range(3)]
+        fs = [_metavariable(rng, pool, agents) for _ in range(draws)]
         return [], build(i, fs), valuation
 
     return law
@@ -307,10 +316,9 @@ def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     """Check every axiom schema, inference rule, and derived rule on random
     instantiations over the model. Per-trial seeds are derived from the law
     name and trial index, so reports are reproducible regardless of the order
-    laws are run in. A trial whose premises fail is not informative and
-    checks no conclusion. Each trial evaluates its premises and conclusion
-    with one evaluator, so a subformula they share is computed once.
-    """
+    laws are run in. A schema draws only the metavariables it reads. A trial
+    whose premises fail is not informative. One evaluator per trial computes
+    a shared subformula once; each operator checks each operand it is handed."""
     if not _is_int(trials) or trials < 1:
         raise EvalError(f"the battery needs at least one trial, not {trials!r}")
     results: list[LawResult] = []

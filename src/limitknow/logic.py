@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping
 
-from .frame import _NAME, Frame, FrameError, _is_names, load_frame_file
+from .frame import _NAME, Frame, FrameError, _check_valuation_names, _is_names, load_frame_file
 from .operators import OperatorContext
 
 
@@ -374,12 +374,11 @@ def _print(f: Formula, level: int) -> str:
 
 
 class Model:
-    """A frame plus a valuation of proposition names by checked world sets.
-
-    The operator context is built once per frame and shared by models derived
-    with ``with_valuation``; valuations are never mutated in place. The law
-    battery builds no trial models: it evaluates on the model's context.
-    """
+    """A frame plus a valuation of checked world sets by names that a formula
+    can refer to (not ``top``, ``bot`` or ``"p q"``). The operator context is
+    built once per frame and shared by models derived with ``with_valuation``;
+    valuations are never mutated in place. The law battery builds no trial
+    models: it evaluates on the model's context."""
 
     def __init__(self, frame: Frame, valuation: Mapping[str, int] | None = None):
         if valuation is not None and not (
@@ -388,6 +387,7 @@ class Model:
             raise FrameError(f"a valuation must map names to world sets, not {valuation!r:.40}")
         self.frame = frame
         self.valuation: dict[str, int] = dict(valuation or {})
+        _check_valuation_names(self.valuation)
         for s in self.valuation.values():
             frame.check_subset(s)
 

@@ -1,6 +1,7 @@
 """Basis validation, topology generation, subspaces, hulls, and model files."""
 
 import random
+from enum import IntEnum
 from functools import reduce
 from operator import and_
 
@@ -305,6 +306,40 @@ def test_library_entry_points_reject_what_is_not_their_type(call):
 def test_an_unhashable_agent_name_is_an_unknown_agent(call, agent):
     with pytest.raises(FrameError, match="unknown agent"):
         call(sierpinski_frame(), agent)
+
+
+class _Mask(IntEnum):
+    U = U
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, s: f.check_subset(s), id="frame"),
+        pytest.param(lambda f, s: f.topology("a").check_subset(s), id="topology"),
+        pytest.param(lambda f, s: OperatorContext(f).reason("a", s), id="reason"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mask, error",
+    [
+        (U, None),
+        (_Mask.U, None),
+        (True, "a world set must be an integer mask, not True"),
+        (1.0, "a world set must be an integer mask, not 1.0"),
+        (-1, "world set has members outside this universe"),
+        (Z, "world set has members outside this universe"),
+    ],
+    ids=["int", "int-enum", "bool", "float", "negative", "past-universe"],
+)
+def test_mask_check_verdicts_are_pinned(call, mask, error):
+    # An exact int takes one type test; every other mask keeps its verdict.
+    frame = sierpinski_frame()
+    if error is None:
+        assert call(frame, mask) == call(frame, U)
+    else:
+        with pytest.raises(FrameError, match=f"^{error}$"):
+            call(frame, mask)
 
 
 def test_frame_errors_name_the_empty_element_and_the_uncovered_world():

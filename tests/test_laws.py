@@ -230,6 +230,28 @@ def used_metavariables(schema):
     return [p.name for p in METAVARIABLES if p in seen]
 
 
+SCHEMAS = {**AXIOMS, **DERIVED}
+
+
+@pytest.mark.parametrize("name, build", SCHEMAS.items(), ids=list(SCHEMAS))
+def test_a_schema_trial_draws_the_metavariables_up_to_the_last_it_reads(
+    chain_model, monkeypatch, name, build
+):
+    # The highest index read plus 1, not the number read: the schema indexes
+    # the drawn list.
+    last = used_metavariables(build("a", METAVARIABLES))[-1]
+    expected = [p.name for p in METAVARIABLES].index(last) + 1
+    drawn = []
+    metavariable = laws._metavariable
+    monkeypatch.setattr(laws, "_metavariable", lambda *a: drawn.append(a) or metavariable(*a))
+    pool, agents = [Prop("p"), Prop("_m0")], ["a"]
+    for k in range(5):
+        drawn.clear()
+        rng = random.Random(k)
+        laws.LAWS[name](chain_model.context, chain_model.valuation, rng, pool, agents, k)
+        assert len(drawn) == expected
+
+
 def at_tolerances(n_worlds, bases, tolerances):
     """The frame of these agent bases at every vector of the given
     tolerances, leaving out those above an agent's height: past the height a

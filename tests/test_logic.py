@@ -1,6 +1,7 @@
 """Parser, printer, evaluator, and validity checking."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -294,8 +295,17 @@ def test_monotone_replacement_for_s_and_c():
 
 def test_valuation_outside_universe_is_rejected():
     frame = random_frame(random.Random(23), max_worlds=3)
-    with pytest.raises(Exception):
+    with pytest.raises(FrameError, match="world set has members outside this universe"):
         Model(frame, {"p": frame.universe + 1})
+
+
+@pytest.mark.parametrize("name", ["top", "bot", "p q", "1x", "", "p-q"])
+def test_valuation_names_must_be_ones_a_formula_can_refer_to(chain_model, name):
+    # A model file refuses such a name, and so does a Model built in code:
+    # bound to "top", a name would print as the constant and parse back as it.
+    message = f"valuation name {name!r} is not one a formula can refer to"
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+        Model(chain_model.frame, {"p": 1, name: 1})
 
 
 @pytest.mark.parametrize("value", [True, "1", 1.0], ids=["bool", "string", "float"])
