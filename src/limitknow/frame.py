@@ -208,6 +208,7 @@ class Topology:
     def meeting(self, s: int, x: int) -> int:
         """The worlds of ``s`` whose neighborhood meets ``x``."""
         self.check_subset(s)
+        self.check_subset(x)
         out = 0
         for w in bits(s):
             if self.neighborhoods[w] & x:
@@ -219,6 +220,26 @@ class Topology:
         stays inside it."""
         self.check_subset(s)
         return s & ~self.meeting(s, self.universe & ~s)
+
+    def rooted(self, opens: Iterable[int]) -> list[int]:
+        """For each open ``e``, the worlds whose neighborhood ``N(w)`` is ``e``.
+        A ``w`` in ``e`` has ``N(w)`` inside ``e``, so the two are equal exactly
+        when their sizes are: those worlds are ``e & sized[|e|]``, over a
+        per-size table of worlds built once per call. Of ``N(w)`` that is the
+        T0 class ``{v : N(v) = N(w)}``. A set that is not open is no ``N(w)``,
+        which the first of those worlds shows. No mask is hashed (Python
+        hashes a chain's masks into 61 values)."""
+        opens = _as_tuple(opens, "opens")
+        sized: dict[int, int] = {}
+        for w, least in enumerate(self.neighborhoods):
+            k = least.bit_count()
+            sized[k] = sized.get(k, 0) | 1 << w
+        out = []
+        for e in opens:
+            self.check_subset(e)
+            r = e & sized.get(e.bit_count(), 0)
+            out.append(r if r and self.neighborhoods[(r & -r).bit_length() - 1] == e else 0)
+        return out
 
     @property
     def opens(self) -> tuple[int, ...]:
@@ -317,7 +338,7 @@ class Frame:
     def index(self, world: str) -> int:
         try:
             return self._index[world]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise FrameError(f"unknown world {world!r}") from None
 
     def mask(self, names: Sequence[str]) -> int:

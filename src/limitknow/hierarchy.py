@@ -192,22 +192,9 @@ def limit_yes_set(method: Mapping[int, Verdict]) -> int:
 
 def _limit_yes(topology: Topology, method: Mapping[int, Verdict]) -> int:
     """The worlds whose least evidence ``N(w)`` the method answers Yes, given
-    the topology its basis generates: per Yes element, those worlds."""
-    sized = _sized(topology)
-    return sum([e & sized.get(e.bit_count(), 0) for e, v in method.items() if v == Verdict.YES])
-
-
-def _sized(topology: Topology) -> dict[int, int]:
-    """Per size, the worlds whose ``N(w)`` has it. For a world ``w``, a ``v``
-    in ``N(w)`` has ``N(v)`` inside ``N(w)``, so the two are equal exactly
-    when their sizes are: ``N(w) & sized[|N(w)|]`` is the T0 class of ``w``,
-    and ``e & sized[|e|]`` the worlds whose ``N(w)`` is the open ``e``. No
-    mask is hashed (Python hashes a chain's masks into 61 values)."""
-    sized: dict[int, int] = {}
-    for w, least in enumerate(topology.neighborhoods):
-        k = least.bit_count()
-        sized[k] = sized.get(k, 0) | 1 << w
-    return sized
+    the topology its basis generates: per Yes element, the worlds
+    ``Topology.rooted`` there."""
+    return sum(topology.rooted([e for e, v in method.items() if v == Verdict.YES]))
 
 
 def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
@@ -231,9 +218,8 @@ def _switches(
     position after the worlds, and a position's neighborhood is its element's worlds
     plus such positions inside it (alternation forces strict descent)."""
     n = len(topology.neighborhoods)
-    sized = _sized(topology)
     # an element's positions: the worlds whose N(w) it is, or else its own, n + its index
-    spots = [e & sized.get(e.bit_count(), 0) or 1 << n + i for i, e in enumerate(method)]
+    spots = [r or 1 << n + i for i, r in enumerate(topology.rooted(method))]
     extras = [(e, s) for e, s in zip(method, spots) if s >> n]
     elements = topology.neighborhoods + tuple([e if s >> n else 0 for e, s in zip(method, spots)])
     nbhds = tuple([e | sum([s for x, s in extras if x & ~e == 0]) for e in elements])

@@ -375,10 +375,9 @@ def _print(f: Formula, level: int) -> str:
 
 class Model:
     """A frame plus a valuation of checked world sets by names that a formula
-    can refer to (not ``top``, ``bot`` or ``"p q"``). The operator context is
-    built once per frame and shared by models derived with ``with_valuation``;
-    valuations are never mutated in place. The law battery builds no trial
-    models: it evaluates on the model's context."""
+    can refer to (not ``top``, ``bot`` or ``"p q"``), and the operator context
+    built once for it. The law battery builds no trial models: it evaluates
+    on the model's context."""
 
     def __init__(self, frame: Frame, valuation: Mapping[str, int] | None = None):
         if valuation is not None and not (
@@ -394,11 +393,6 @@ class Model:
     @cached_property
     def context(self) -> OperatorContext:
         return OperatorContext(self.frame)
-
-    def with_valuation(self, valuation: Mapping[str, int]) -> "Model":
-        out = Model(self.frame, valuation)
-        out.__dict__["context"] = self.context
-        return out
 
     @classmethod
     def from_file(cls, path: str) -> "Model":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .frame import Frame, ResourceLimitError, Topology, submasks
-from .hierarchy import _levels, _sized, _supporting, open_rank
+from .hierarchy import _levels, _supporting, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
 
@@ -134,17 +134,15 @@ class OperatorContext:
         """The topology whose interior operator is ``true_reason``: the
         agent's own topology for tolerance 0, else the one generated by the
         differences of opens (the Skula topology). Its minimal neighborhood
-        of w is the T0 class ``{v : N(v) = N(w)}``, read as ``N(w) &
-        sized[|N(w)|]`` from ``hierarchy._sized``: built once per agent with
-        one bit count and one AND per world, hashing no mask."""
+        of w is the T0 class ``{v : N(v) = N(w)}``, the worlds that
+        ``Topology.rooted`` reads at ``N(w)``: built once per agent."""
         spec = self.frame.agent(agent)
         base = self.frame.topology(agent)
         if spec.tolerance == 0:
             return base
         topo = self._skula.get(agent)
         if topo is None:
-            sized = _sized(base)
-            classes = tuple([n & sized[n.bit_count()] for n in base.neighborhoods])
+            classes = tuple(base.rooted(base.neighborhoods))
             topo = self._skula[agent] = Topology(base.universe, classes)
         return topo
 

@@ -96,18 +96,24 @@ def test_true_reason_matches_feasible_subset_union():
 
 
 def test_true_reason_neighborhoods_are_the_t0_classes():
-    # The Skula neighborhood of each world, read by size off hierarchy's
-    # per-size table, against the brute-force T0 class {v : N(v) = N(w)}: at
-    # every world position of every valid basis of up to 4 worlds.
+    # The Skula neighborhood of each world, read by Topology.rooted, against
+    # the brute-force T0 class {v : N(v) = N(w)}: at every world position of
+    # every valid basis of up to 4 worlds. On the same bases, rooted of each
+    # world set e, open or not, is the brute-force {w : N(w) = e}.
     positions = 0
     for n in (1, 2, 3, 4):
         for basis in all_valid_bases(n):
             frame = Frame([f"w{i}" for i in range(n)], [AgentSpec("a", basis, 1)])
-            least = frame.topology("a").neighborhoods
+            topology = frame.topology("a")
+            least = topology.neighborhoods
             classes = OperatorContext(frame).true_reason_topology("a").neighborhoods
             for w in range(n):
                 assert classes[w] == sum([1 << v for v in range(n) if least[v] == least[w]])
                 positions += 1
+            sets = range(1 << n)
+            assert topology.rooted(sets) == [
+                sum([1 << w for w in range(n) if least[w] == e]) for e in sets
+            ]
     assert positions == 23204
 
 

@@ -268,6 +268,13 @@ SIERPINSKI_CHAIN = (U | V, U)
         pytest.param(lambda: nested_difference("ab"), id="string-chain"),
         pytest.param(lambda: nested_difference((0b11, 1.0)), id="float-chain-member"),
         pytest.param(lambda: sierpinski_frame().mask("uv"), id="string-world-names"),
+        pytest.param(lambda: sierpinski_frame().index(["x"]), id="list-world-name"),
+        pytest.param(lambda: sierpinski_frame().mask([["x"]]), id="list-world-name-in-mask"),
+        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, "1"), id="string-meets"),
+        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, None), id="none-meets"),
+        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, Z), id="meets-past-universe"),
+        pytest.param(lambda: sierpinski_frame().topology("a").rooted([U, 1.0]), id="float-rooted"),
+        pytest.param(lambda: sierpinski_frame().topology("a").rooted([Z]), id="rooted-past-universe"),
         pytest.param(lambda: sierpinski_frame().with_tolerances("a"), id="string-tolerances"),
         pytest.param(lambda: method_from_chain(SIERPINSKI_CHAIN, "ab"), id="string-method-basis"),
         pytest.param(

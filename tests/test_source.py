@@ -119,15 +119,15 @@ def test_value_types_store_no_field_another_one_determines():
 
 
 def test_attest_leaves_the_witness_search_and_the_neighborhoods_to_their_owners():
-    # operators owns the witness search and hierarchy the reading of N(w),
-    # whose per-size table and limit-Yes reading attest gets from _switches.
+    # operators owns the witness search and Topology.rooted the reading of
+    # N(w); attest gets limit-Yes sets only through hierarchy's _switches.
     tree = ast.parse(Path(attest.__file__).read_text())
     found = [
         n.lineno
         for n in ast.walk(tree)
         if (isinstance(n, ast.Name) and n.id == "submasks")
-        or (isinstance(n, ast.Attribute) and n.attr in ("submasks", "neighborhoods"))
-        or (isinstance(n, ast.alias) and n.name in ("submasks", "_sized", "_limit_yes"))
+        or (isinstance(n, ast.Attribute) and n.attr in ("submasks", "neighborhoods", "rooted"))
+        or (isinstance(n, ast.alias) and n.name in ("submasks", "_limit_yes"))
     ]
     assert found == []
 
