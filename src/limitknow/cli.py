@@ -23,14 +23,17 @@ from .logic import MODALITIES, EvalError, Model, ParseError, check, evaluate, pa
 OK, PROPERTY_FAILED, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
 
 
-def _names(model: Model, mask: int) -> list[str]:
-    return list(model.frame.names(mask))
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print the report: with ``--json``, ``payload`` plus ``"schema": 1`` as
+    one line of JSON with sorted keys (``python -m json.tool`` indents it);
+    otherwise the text lines.
+
+    No ``indent``: given one, CPython 3.11's ``json`` encodes with its
+    pure-Python encoder instead of the C one.
+    """
     if args.json:
         payload["schema"] = 1
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -45,7 +48,7 @@ def _cmd_check(args) -> int:
     result = check(model, parse(args.formula))
     _emit(
         args,
-        {"valid": result.valid, "counterexamples": list(result.counterexamples)},
+        {"valid": result.valid, "counterexamples": result.counterexamples},
         ["valid"]
         if result.valid
         else [f"invalid at: {', '.join(result.counterexamples)}"],
@@ -56,7 +59,7 @@ def _cmd_check(args) -> int:
 def _cmd_eval(args) -> int:
     model = Model.from_file(args.model)
     ext = evaluate(model, parse(args.formula))
-    names = _names(model, ext)
+    names = model.frame.names(ext)
     _emit(args, {"extension": names}, ["{" + ", ".join(names) + "}"])
     return OK
 
@@ -72,24 +75,25 @@ def _cmd_rank(args) -> int:
         return "infinite" if r.is_infinite else r.rank
 
     def chain(r):
-        return None if r.witness is None else [_names(model, o) for o in r.witness]
+        # Lists, not tuples: the text lines print a chain's repr.
+        return None if r.witness is None else [list(model.frame.names(o)) for o in r.witness]
 
+    members, open_chain, closed_chain = model.frame.names(s), chain(open_r), chain(closed_r)
     _emit(
         args,
         {
-            "set": _names(model, s),
+            "set": members,
             "open_rank": render(open_r),
-            "open_witness": chain(open_r),
+            "open_witness": open_chain,
             "closed_rank": render(closed_r),
-            "closed_witness": chain(closed_r),
+            "closed_witness": closed_chain,
         },
         [
-            f"set: {{{', '.join(_names(model, s))}}}",
-            f"open rank: {render(open_r)}"
-            + (f", witness {chain(open_r)}" if open_r.witness else ""),
+            f"set: {{{', '.join(members)}}}",
+            f"open rank: {render(open_r)}" + (f", witness {open_chain}" if open_r.witness else ""),
             f"closed rank: {render(closed_r)}"
             + (
-                f", witness (for the complement) {chain(closed_r)}"
+                f", witness (for the complement) {closed_chain}"
                 if closed_r.witness
                 else ""
             ),
@@ -130,7 +134,7 @@ def _cmd_ops(args) -> int:
     # Past the checks, the given flags are the ones the operator takes.
     operands = [x for x in (args.agent, w, p) if x is not None]
     out = getattr(model.context, _OPS[op])(*operands)
-    names = _names(model, out)
+    names = model.frame.names(out)
     _emit(args, {"op": op, "result": names}, ["{" + ", ".join(names) + "}"])
     return OK
 
@@ -147,7 +151,7 @@ def _cmd_synth(args) -> int:
         return PROPERTY_FAILED
     tables = {
         agent: [
-            {"evidence": _names(model, e), "verdict": v}
+            {"evidence": model.frame.names(e), "verdict": v}
             for e, v in sorted(verdicts.items())
         ]
         for agent, verdicts in protocol.items()
@@ -157,14 +161,11 @@ def _cmd_synth(args) -> int:
         lines.append(f"agent {agent}:")
         for row in rows:
             lines.append(f"  {{{', '.join(row['evidence'])}}} -> {row['verdict']}")
-    lines.append(f"success set: {{{', '.join(_names(model, success))}}}")
+    success_names = model.frame.names(success)
+    lines.append(f"success set: {{{', '.join(success_names)}}}")
     _emit(
         args,
-        {
-            "feasible": True,
-            "strategies": tables,
-            "success_set": _names(model, success),
-        },
+        {"feasible": True, "strategies": tables, "success_set": success_names},
         lines,
     )
     return OK

@@ -435,7 +435,7 @@ def _masks(values, noun: str) -> tuple[int, ...]:
     """``values`` as a tuple of masks: non-negative ints, ``noun`` naming one
     in an error."""
     values = _as_tuple(values, f"{noun}s")
-    if not all([_is_int(v) for v in values]):
+    if not all([type(v) is int or _is_int(v) for v in values]):  # an exact int: one test
         raise FrameError(f"a {noun} is not an integer mask")
     if min(values, default=0) < 0:
         raise FrameError(f"a {noun} is a negative mask")

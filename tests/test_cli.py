@@ -249,6 +249,42 @@ def test_json_payloads_are_schema_stable(capsys):
     ]
 
 
+SCENARIO_FILE = os.path.join(os.path.dirname(__file__), "fixtures", "scenario3.json")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "-m", MODEL, "-f", "S[a] p -> p"], 0),
+        (["check", "-m", MODEL, "-f", "p"], 1),
+        (["eval", "-m", MODEL, "-f", "C p"], 0),
+        (["rank", "-m", MODEL, "-a", "a", "-s", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "R", "-a", "a", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "S", "-a", "a", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "I", "-a", "a", "-w", "z", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "B", "-a", "a", "-w", "z", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "G", "-w", "z", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "C", "-p", "x,z"], 0),
+        (["ops", "-m", MODEL, "--op", "L", "-p", "x,z"], 0),
+        (["synth", "-m", MODEL, "-p", "p", "--target", "z"], 0),
+        (["synth", "-m", MODEL, "-p", "p", "--target", "x,z"], 1),
+        (["simulate", "-s", SCENARIO_FILE], 0),
+        (["laws", "-m", MODEL, "--trials", "2"], 0),
+    ],
+    ids=[
+        "check-valid", "check-invalid", "eval", "rank", "ops-R", "ops-S", "ops-I", "ops-B",
+        "ops-G", "ops-C", "ops-L", "synth-feasible", "synth-infeasible", "simulate", "laws",
+    ],
+)
+def test_json_reports_are_one_line_with_sorted_keys(capsys, argv, code):
+    # One line from the C encoder: default separators, keys sorted, no indent.
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, err) == (code, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload["schema"] == 1
+
+
 def test_world_set_fallback_reports_unknown_names(capsys):
     code, _, err = run(capsys, "rank", "-m", MODEL, "-a", "a", "-s", "x,ghost")
     assert code == 2 and "ghost" in err

@@ -349,6 +349,28 @@ def test_mask_check_verdicts_are_pinned(call, mask, error):
             call(frame, mask)
 
 
+@pytest.mark.parametrize(
+    "element, error",
+    [
+        (_Mask.U, None),
+        (True, "a basis element is not an integer mask"),
+        (1.0, "a basis element is not an integer mask"),
+        (-1, "a basis element is a negative mask"),
+    ],
+    ids=["int-enum", "bool", "float", "negative"],
+)
+def test_basis_element_verdicts_are_pinned(element, error):
+    # An exact int takes one type test; every other element keeps its verdict.
+    def build(e):
+        return Frame(["u", "v"], [AgentSpec("a", (e, U | V), 0)])
+
+    if error is None:
+        assert build(element).topology("a").neighborhoods == build(U).topology("a").neighborhoods
+    else:
+        with pytest.raises(FrameError, match=f"^{error}$"):
+            build(element)
+
+
 def test_frame_errors_name_the_empty_element_and_the_uncovered_world():
     with pytest.raises(FrameError, match="agent a: invalid basis: basis element is empty"):
         Frame(["u", "v"], [AgentSpec("a", (0, U | V), 0)])

@@ -176,6 +176,23 @@ def test_the_syntax_tables_name_every_operator():
     assert all(callable(getattr(OperatorContext, m)) for m in cli._OPS.values())
 
 
+def test_cli_encodes_reports_in_one_json_dumps_call_without_indent():
+    """Every ``--json`` report goes through one ``json.dumps`` call, and it
+    takes no ``indent``: given one, CPython 3.11's ``json`` encodes with its
+    pure-Python encoder instead of the C one."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "dumps"
+        and getattr(n.func.value, "id", None) == "json"
+    ]
+    assert len(calls) == 1
+    assert [k.arg for k in calls[0].keywords] == ["sort_keys"] and len(calls[0].args) == 1
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
