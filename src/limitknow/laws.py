@@ -162,7 +162,7 @@ def _random_formula(
     rng: random.Random, pool: Sequence[Formula], agents: Sequence[str], depth: int
 ) -> Formula:
     # The roll is drawn even at depth 0, and every modal kind draws an agent,
-    # G and C included: each draw shifts the rest of the trial's stream.
+    # G and C included: each draw shifts the rest of the law's stream.
     roll = rng.random()
     if depth <= 0 or roll < 0.45:
         leaf = rng.randrange(len(pool) + 2)
@@ -180,11 +180,11 @@ def _random_formula(
     return kind(*args)
 
 
-def _trial_setup(valuation: dict[str, int], universe: int, rng: random.Random) -> dict[str, int]:
+def _trial_setup(valuation: dict[str, int], worlds: int, rng: random.Random) -> dict[str, int]:
     """A copy of the model's valuation with the injected propositions
-    ``_m0``-``_m3`` bound to fresh random world sets of the universe (so a
-    name the model already binds keeps its position)."""
-    return {**valuation, **{p: rng.randrange(universe + 1) for p in _INJECTED}}
+    ``_m0``-``_m3`` bound to uniform random subsets of the ``worlds`` worlds
+    (so a name the model already binds keeps its position)."""
+    return {**valuation, **{p: rng.getrandbits(worlds) for p in _INJECTED}}
 
 
 def _metavariable(
@@ -206,7 +206,7 @@ def _conj_over_agents(agents: Sequence[str], make: Callable[[str], Formula]) -> 
 # laws
 #
 # A law turns one trial (the model's operator context, the trial valuation,
-# the seeded generator, the pool of atoms, the agent names, the trial index)
+# the law's generator, the pool of atoms, the agent names, the trial index)
 # into premises, a conclusion and the valuation to check them on. A schema is
 # a law with no premises. Rules build one variant in three with provably
 # valid premises (a valid formula for the premise-only rules, a semantically
@@ -219,7 +219,7 @@ Law = Callable[..., Instance]  # called with the six arguments above, in order
 
 def _schema_law(build: Schema) -> Law:
     """A law drawing an agent, then metavariables up to the last one that an
-    instance reads: unread ones would be a trial's last draws."""
+    instance reads: an unread one would be drawn for nothing."""
     probes = [Prop(f"_f{j}") for j in range(3)]
     seen, stack = set(), [build("_", probes)]
     while stack:
@@ -261,8 +261,8 @@ def _rule_G(ctx, valuation, rng, pool, agents, k) -> Instance:
     variant = k % 3
     if variant == 0:
         # A generated-knowledge extension satisfies both premises exactly.
-        w_mask = rng.randrange(ctx.universe + 1)
-        p_mask = rng.randrange(ctx.universe + 1)
+        w_mask = rng.getrandbits(ctx.universe.bit_length())
+        p_mask = rng.getrandbits(ctx.universe.bit_length())
         g_mask = ctx.generates(w_mask, p_mask)
         valuation = {**valuation, "_w": w_mask, "_p": p_mask, "_g": g_mask}
         f1, f2, f3 = Prop("_w"), Prop("_p"), Prop("_g")
@@ -281,7 +281,7 @@ def _rule_C(ctx, valuation, rng, pool, agents, k) -> Instance:
     mv = lambda: _metavariable(rng, pool, agents)
     variant = k % 3
     if variant == 0:
-        p_mask = rng.randrange(ctx.universe + 1)
+        p_mask = rng.getrandbits(ctx.universe.bit_length())
         valuation = {**valuation, "_p": p_mask, "_c": ctx.common(p_mask)}
         f1, f2 = Prop("_c"), Prop("_p")
     elif variant == 1:
@@ -314,30 +314,29 @@ ALL_LAW_NAMES = tuple(LAWS)
 
 def law_battery(model: Model, trials: int = 20, seed: int = 0) -> LawReport:
     """Check every axiom schema, inference rule, and derived rule on random
-    instantiations over the model. Per-trial seeds are derived from the law
-    name and trial index, so reports are reproducible regardless of the order
-    laws are run in. A schema draws only the metavariables it reads. A trial
-    whose premises fail is not informative. One evaluator per trial computes
-    a shared subformula once; each operator checks each operand it is handed."""
+    instantiations over the model. Each law draws its trials in order from
+    one generator seeded with ``"{seed}:{law}"``, so t trials check the first
+    t instances of any longer battery. A trial whose premises fail is not
+    informative. One evaluator per trial computes a shared subformula once;
+    each operator checks each operand it is handed."""
     if not _is_int(trials) or trials < 1:
         raise EvalError(f"the battery needs at least one trial, not {trials!r}")
+    if not _is_int(seed):
+        raise EvalError(f"the battery's seed must be an int, not {seed!r}")
     results: list[LawResult] = []
-    # One generator, reseeded per trial: ``seed`` sets the same state (and
-    # clears ``gauss_next``) as a fresh ``random.Random`` with that seed.
-    rng = random.Random()
     # Every trial model binds the same names in the same order: the model's
     # own, then those of the injected ones it does not already bind.
     pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
     agents = [a.name for a in model.frame.agents]
-    ctx, universe = model.context, model.frame.universe
+    ctx, universe, worlds = model.context, model.frame.universe, len(model.frame.worlds)
 
     for name, law in LAWS.items():
         failures: list[LawFailure] = []
         informative = 0
+        rng = random.Random(f"{seed}:{name}")  # seeding costs more than a trial's draws
         for k in range(trials):
-            rng.seed(f"{seed}:{name}:{k}")
             premises, conclusion, valuation = law(
-                ctx, _trial_setup(model.valuation, universe, rng), rng, pool, agents, k
+                ctx, _trial_setup(model.valuation, worlds, rng), rng, pool, agents, k
             )
             ev = _Evaluator(ctx, valuation)
             for p in premises:

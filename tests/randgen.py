@@ -396,8 +396,9 @@ def oracle_evaluate(model: Model, f: Formula) -> int:
 
 
 def oracle_law_battery(model: Model, trials: int, seed: int) -> LawReport:
-    """``law_battery`` through the public API: each trial draws from a fresh
-    generator seeded with ``"{seed}:{law}:{trial}"``, its valuation becomes a
+    """``law_battery`` through the public API: each law's trials draw in
+    order from a fresh generator seeded with ``"{seed}:{law}"``, a world set
+    as ``getrandbits`` of the world count, each trial's valuation becomes a
     validated ``Model`` of the frame, and ``check`` takes every premise, then
     the conclusion when they all hold."""
     pool = [Prop(p) for p in {**model.valuation, **dict.fromkeys(_INJECTED)}]
@@ -405,9 +406,9 @@ def oracle_law_battery(model: Model, trials: int, seed: int) -> LawReport:
     results = []
     for name, law in LAWS.items():
         failures, informative = [], 0
+        rng = random.Random(f"{seed}:{name}")
         for k in range(trials):
-            rng = random.Random(f"{seed}:{name}:{k}")
-            drawn = {p: rng.randrange(model.frame.universe + 1) for p in _INJECTED}
+            drawn = {p: rng.getrandbits(len(model.frame.worlds)) for p in _INJECTED}
             premises, conclusion, valuation = law(
                 model.context, {**model.valuation, **drawn}, rng, pool, agents, k
             )

@@ -226,14 +226,14 @@ def test_laws_failure_exits_one_with_the_failing_instances(capsys, monkeypatch):
     failing = [r for r in payload["results"] if r["failures"]]
     assert [r["name"] for r in failing] == ["ax_S2"]
     assert failing[0]["failures"][0] == {
-        "instantiation": "S[a] _m3 -> _m3",
-        "counterexamples": ["x", "y"],
+        "instantiation": "S[a] _m1 -> _m1",
+        "counterexamples": ["z"],
     }
     code, out, _ = run(capsys, "laws", "-m", MODEL, "--trials", "4")
     assert code == 1
-    assert "ax_S2                  trials=4    informative=4    3 FAILURES\n" in out
-    assert "    S[a] _m3 -> _m3  fails at x, y\n" in out
-    assert out.endswith("\n3 failures\n")
+    assert "ax_S2                  trials=4    informative=4    4 FAILURES\n" in out
+    assert "    S[a] _m1 -> _m1  fails at z\n" in out
+    assert out.endswith("\n4 failures\n")
 
 
 def test_json_payloads_are_schema_stable(capsys):

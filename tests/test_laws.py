@@ -2,15 +2,14 @@
 
 import hashlib
 import itertools
-import json
-import os
 import random
+import re
 import types
 
 import pytest
 
 from limitknow import laws
-from limitknow.frame import AgentSpec, Frame, load_frame, submasks
+from limitknow.frame import AgentSpec, Frame, submasks
 from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
 from limitknow.logic import (
     Bot,
@@ -73,8 +72,8 @@ def test_battery_reports_failures_of_a_broken_operator(chain_model, monkeypatch)
     report = law_battery(chain_model, trials=4)
     failing = [r for r in report.results if not r.ok]
     assert [r.name for r in failing] == ["ax_S2"]
-    assert not report.ok and report.total_failures == len(failing[0].failures) == 3
-    assert failing[0].failures[0] == laws.LawFailure("S[a] _m3 -> _m3", ("x", "y"))
+    assert not report.ok and report.total_failures == len(failing[0].failures) == 4
+    assert failing[0].failures[0] == laws.LawFailure("S[a] _m1 -> _m1", ("z",))
 
 
 def test_indication_reflexivity_instance(chain_model):
@@ -89,34 +88,80 @@ def test_reports_are_reproducible(chain_model):
 
 
 # The instances the battery checked on tests/fixtures/model3.json for seeds
-# 0-2 at 6 trials, as recorded before its trial-invariant work was hoisted.
+# 0-2 at 6 trials, as recorded when each law first drew its trials from one
+# stream and its world sets by ``getrandbits``.
 PINNED_RECORDS = 555
-PINNED_DIGEST = "d65d2c11486d988920b1e37ce3ab3b10f46380a81f3574abca5603dbf996fd9a"
+PINNED_DIGEST = "27151da508ad9f4e90058763923b4cb9e3c645830a09d0a56349bf02b156ee7b"
 
 
-def test_battery_draws_are_pinned(fixtures_dir, monkeypatch):
-    with open(os.path.join(fixtures_dir, "model3.json")) as fh:
-        model = Model(*load_frame(json.load(fh)))
-    records = []
+def record_trials(monkeypatch):
+    """Make the battery's trial evaluators record their trials, in the order
+    the battery runs them, into the list returned: per trial its valuation
+    and, for each premise and conclusion checked, the formula, the sorted
+    valuation and the verdict."""
+    trials = []
 
     def recording_evaluator(ctx, valuation):
         # The battery calls a trial evaluator's ``go`` on each premise and
         # conclusion it checks; the inner evaluator recurses on itself.
         ev = _Evaluator(ctx, valuation)
+        checked = []
+        trials.append((valuation, checked))
 
         def go(f):
             ext = ev.go(f)
             valid = not ctx.universe & ~ext
-            records.append("|".join(map(str, (print_formula(f), sorted(valuation.items()), valid))))
+            checked.append("|".join(map(str, (print_formula(f), sorted(valuation.items()), valid))))
             return ext
 
         return types.SimpleNamespace(go=go)
 
     monkeypatch.setattr(laws, "_Evaluator", recording_evaluator)
+    return trials
+
+
+def test_battery_draws_are_pinned(chain_model, monkeypatch):
+    trials = record_trials(monkeypatch)
     for seed in range(3):
-        law_battery(model, trials=6, seed=seed)
+        law_battery(chain_model, trials=6, seed=seed)
+    records = [r for _, checked in trials for r in checked]
     assert len(records) == PINNED_RECORDS
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_a_shorter_battery_checks_the_first_instances_of_a_longer_one(chain_model, monkeypatch):
+    trials = record_trials(monkeypatch)
+    law_battery(chain_model, trials=3, seed=5)
+    short = trials[:]
+    trials.clear()
+    law_battery(chain_model, trials=7, seed=5)
+    assert len(short) == 3 * len(ALL_LAW_NAMES) and len(trials) == 7 * len(ALL_LAW_NAMES)
+    for j, name in enumerate(ALL_LAW_NAMES):
+        assert short[3 * j : 3 * j + 3] == trials[7 * j : 7 * j + 3], name
+
+
+def test_a_law_result_does_not_depend_on_the_other_laws_or_their_order(chain_model, monkeypatch):
+    # With S holding everywhere ax_S2 fails, so its failures are compared too.
+    monkeypatch.setattr(OperatorContext, "true_reason", lambda self, agent, p: self.frame.universe)
+    forward = law_battery(chain_model, trials=6, seed=8)
+    assert forward.total_failures > 0
+    every = laws.LAWS
+    monkeypatch.setattr(laws, "LAWS", dict(reversed(every.items())))
+    backward = law_battery(chain_model, trials=6, seed=8)
+    assert backward.results == forward.results[::-1]
+    for result in forward.results:
+        monkeypatch.setattr(laws, "LAWS", {result.name: every[result.name]})
+        assert law_battery(chain_model, trials=6, seed=8).results == (result,)
+
+
+def test_drawn_world_sets_stay_in_the_universe_and_reach_every_subset(chain_model, monkeypatch):
+    # Three worlds: the injected masks are 3-bit draws, and so are the masks
+    # that rules G and C draw for their fixed-point variant.
+    trials = record_trials(monkeypatch)
+    law_battery(chain_model, trials=9, seed=0)
+    assert {valuation[p] for valuation, _ in trials for p in laws._INJECTED} == set(range(8))
+    drawn = {valuation[p] for valuation, _ in trials for p in ("_w", "_p") if p in valuation}
+    assert drawn and drawn <= set(range(8))
 
 
 def test_the_battery_builds_no_model(chain_model, monkeypatch):
@@ -195,23 +240,17 @@ def test_kind_draw_matches_choices():
     assert set(seen) == set(laws._KINDS)
 
 
-def test_reseeding_matches_a_fresh_generator():
-    used = random.Random(99)
-    for k in range(20):
-        used.gauss(0, 1)  # leaves a second normal deviate in gauss_next
-        used.seed(f"0:ax_R:{k}")
-        fresh = random.Random(f"0:ax_R:{k}")
-        for _ in range(25):
-            assert used.random() == fresh.random()
-            assert used.randrange(1000) == fresh.randrange(1000)
-            assert used.choice("abcdefg") == fresh.choice("abcdefg")
-            assert used.gauss(0, 1) == fresh.gauss(0, 1)
-
-
 @pytest.mark.parametrize("trials", [0, -3, True, "3", 1.5])
 def test_the_battery_needs_at_least_one_trial(chain_model, trials):
     with pytest.raises(EvalError, match=f"at least one trial, not {trials!r}$"):
         law_battery(chain_model, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [None, "1", 1.0, [1], True])
+def test_the_battery_needs_an_int_seed(chain_model, seed):
+    # A seed goes into each law's seed string, where "1" would draw what 1 draws.
+    with pytest.raises(EvalError, match=re.escape(f"seed must be an int, not {seed!r}") + "$"):
+        law_battery(chain_model, trials=1, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,30 @@ def test_cli_encodes_reports_in_one_json_dumps_call_without_indent():
     assert [k.arg for k in calls[0].keywords] == ["sort_keys"] and len(calls[0].args) == 1
 
 
+def test_the_battery_seeds_no_generator_inside_its_trial_loop():
+    """``law_battery`` seeds one generator per law: seeding a Mersenne
+    Twister costs more than all the draws of a trial, so no ``.seed(`` or
+    ``Random(`` call may sit inside the loop over ``range(trials)``."""
+    tree = ast.parse(Path(laws.__file__).read_text())
+    battery = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "law_battery"
+    )
+
+    def seeding(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) in ("seed", "Random")
+        ]
+
+    loops = [
+        n for n in ast.walk(battery) if isinstance(n, ast.For) and ast.unparse(n.iter) == "range(trials)"
+    ]
+    assert len(loops) == 1 and seeding(battery)
+    assert seeding(loops[0]) == []
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
