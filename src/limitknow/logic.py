@@ -19,7 +19,9 @@ Otherwise they parse as plain proposition names. The tables ``INFIX`` and
 
 A formula may nest at most ``MAX_DEPTH`` levels deep, counting each operator,
 modality and pair of parentheses as one level and an atom alone as one;
-deeper input is a ``ParseError``.
+deeper input is a ``ParseError``. A formula built in code too deep for the
+interpreter's stack is an ``EvalError`` from ``evaluate``, ``check`` and
+``print_formula``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """An unbound proposition or agent, or a battery of fewer than one trial."""
+    """An unbound proposition or agent, a formula nested too deep to evaluate
+    or print, or a battery of fewer than one trial or with no int seed."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,54 +53,58 @@ class EvalError(ValueError):
 
 
 class Formula:
+    """A syntax-tree node: a plain dataclass, compared and hashed by structure.
+    Nothing assigns to a node once built, since formulas share subtrees and
+    the evaluator's memo is keyed on node identity."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Reason(Formula):
     """R[i] phi: the agent has reason simpliciter to believe phi."""
 
@@ -105,7 +112,7 @@ class Reason(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Indicates(Formula):
     """I[i @ phi1] phi2: phi1 indicates phi2 to the agent."""
 
@@ -114,7 +121,7 @@ class Indicates(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BelievesVia(Formula):
     """B[i @ phi1] phi2: the agent has phi1 as reason to believe phi2."""
 
@@ -123,7 +130,7 @@ class BelievesVia(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TrueReason(Formula):
     """S[i] phi: the agent has some true reason to believe phi."""
 
@@ -131,7 +138,7 @@ class TrueReason(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Generates(Formula):
     """G[phi1] phi2: phi1 generates common inductive knowledge of phi2."""
 
@@ -139,7 +146,7 @@ class Generates(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Common(Formula):
     """C phi: phi is common inductive knowledge."""
 
@@ -340,7 +347,12 @@ def _depth(f: Formula) -> int:
 
 def print_formula(f: Formula) -> str:
     """Render with the fewest parentheses that still round-trip."""
-    return _print(f, 0)
+    try:
+        return _print(f, 0)
+    except RecursionError:
+        raise EvalError(
+            f"formula nests too deep to print (parse allows {MAX_DEPTH} levels)"
+        ) from None
 
 
 def _print(f: Formula, level: int) -> str:
@@ -405,7 +417,7 @@ class _Evaluator:
     far, keyed on ``id(node)``: one per ``evaluate`` call, and one per
     law-battery trial for its premises and conclusion. The nodes stay alive
     while it is used, so their ids are stable; keying on the nodes would hash
-    whole subtrees, since a frozen dataclass's hash recurses and is not cached."""
+    whole subtrees, since a node's hash recurses and is not cached."""
 
     __slots__ = ("valuation", "ctx", "universe", "agent_names", "memo")
 
@@ -427,15 +439,17 @@ class _Evaluator:
         return out
 
     def agent(self, name: str) -> str:
-        if name not in self.agent_names:
-            raise EvalError(f"unknown agent {name!r}")
+        try:
+            self.agent_names[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise EvalError(f"unknown agent {name!r}") from None
         return name
 
 
 def _prop(ev: _Evaluator, f: Prop) -> int:
     try:
         return ev.valuation[f.name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise EvalError(f"unbound proposition {f.name!r}") from None
 
 
@@ -471,7 +485,12 @@ def evaluate(model: Model, f: Formula) -> int:
     frame; anything unbound is an error rather than an implicit empty set.
     A subformula shared by several parents is evaluated once per call.
     """
-    return _Evaluator(model.context, model.valuation).go(f)
+    try:
+        return _Evaluator(model.context, model.valuation).go(f)
+    except RecursionError:
+        raise EvalError(
+            f"formula nests too deep to evaluate (parse allows {MAX_DEPTH} levels)"
+        ) from None
 
 
 @dataclass(frozen=True)

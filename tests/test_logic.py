@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from limitknow.logic import (
     TOP,
     And,
     BelievesVia,
+    Bot,
     Common,
     EvalError,
     Formula,
@@ -27,6 +29,7 @@ from limitknow.logic import (
     ParseError,
     Prop,
     Reason,
+    Top,
     TrueReason,
     check,
     evaluate,
@@ -105,6 +108,21 @@ def test_depth_limit(chain_model, nest):
     assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [evaluate, check, lambda model, f: print_formula(f)],
+    ids=["evaluate", "check", "print_formula"],
+)
+def test_a_formula_built_in_code_too_deep_for_the_stack_is_an_eval_error(chain_model, entry):
+    # Only parse bounds the depth; the evaluator and printer recurse per level.
+    deep = Prop("p")
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = Not(deep)
+    message = f"formula nests too deep to .* \\(parse allows {MAX_DEPTH} levels\\)$"
+    with pytest.raises(EvalError, match=message):
+        entry(chain_model, deep)
+
+
 # ---------------------------------------------------------------------------
 # printer round-trip
 
@@ -139,6 +157,91 @@ def _formulas():
 @settings(max_examples=300, deadline=None)
 def test_print_parse_round_trip(formula):
     assert parse(print_formula(formula)) == formula
+
+
+# ---------------------------------------------------------------------------
+# nodes: plain dataclasses that nothing mutates, compared by structure
+
+
+def _p():
+    return Prop("p")
+
+
+def _q():
+    return Prop("q")
+
+
+# A fresh node of each class, built from fresh children, with its repr and
+# its __match_args__, which the parser and printer read.
+NODES = [
+    (lambda: Prop("p"), "Prop(name='p')", ("name",)),
+    (lambda: Top(), "Top()", ()),
+    (lambda: Bot(), "Bot()", ()),
+    (lambda: Not(_p()), "Not(body=Prop(name='p'))", ("body",)),
+    (lambda: And(_p(), _q()), "And(left=Prop(name='p'), right=Prop(name='q'))", ("left", "right")),
+    (lambda: Or(_p(), _q()), "Or(left=Prop(name='p'), right=Prop(name='q'))", ("left", "right")),
+    (lambda: Imp(_p(), _q()), "Imp(left=Prop(name='p'), right=Prop(name='q'))", ("left", "right")),
+    (lambda: Iff(_p(), _q()), "Iff(left=Prop(name='p'), right=Prop(name='q'))", ("left", "right")),
+    (lambda: Reason("a", _p()), "Reason(agent='a', body=Prop(name='p'))", ("agent", "body")),
+    (
+        lambda: Indicates("a", _p(), _q()),
+        "Indicates(agent='a', witness=Prop(name='p'), body=Prop(name='q'))",
+        ("agent", "witness", "body"),
+    ),
+    (
+        lambda: BelievesVia("a", _p(), _q()),
+        "BelievesVia(agent='a', witness=Prop(name='p'), body=Prop(name='q'))",
+        ("agent", "witness", "body"),
+    ),
+    (
+        lambda: TrueReason("a", _p()),
+        "TrueReason(agent='a', body=Prop(name='p'))",
+        ("agent", "body"),
+    ),
+    (
+        lambda: Generates(_p(), _q()),
+        "Generates(witness=Prop(name='p'), body=Prop(name='q'))",
+        ("witness", "body"),
+    ),
+    (lambda: Common(_p()), "Common(body=Prop(name='p'))", ("body",)),
+]
+_NODE_IDS = [text.partition("(")[0] for _, text, _ in NODES]
+
+
+def test_the_node_table_has_every_formula_class():
+    assert len(NODES) == 14
+    assert {type(make()) for make, _, _ in NODES} == set(Formula.__subclasses__())
+
+
+@pytest.mark.parametrize("make, text, match_args", NODES, ids=_NODE_IDS)
+def test_nodes_compare_and_hash_by_structure(make, text, match_args):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and b in {a} and len({a, b}) == 1
+    assert repr(a) == text
+    assert type(a).__match_args__ == match_args
+    # Any field changed makes an unequal node.
+    for field in match_args:
+        other = Prop("r") if isinstance(getattr(a, field), Formula) else "r"
+        changed = type(a)(*[other if f == field else getattr(a, f) for f in match_args])
+        assert changed != a
+
+
+def test_node_equality_tells_classes_apart():
+    p, q = _p(), _q()
+    assert And(p, q) != Or(p, q) and Top() != Bot()
+    assert Prop("p") != ("p",) and Top() != ()
+    pairs = 0
+    for make_x, _, fields_x in NODES:
+        for make_y, _, fields_y in NODES:
+            x, y = make_x(), make_y()
+            if type(x) is not type(y) and fields_x == fields_y:
+                y = type(y)(*[getattr(x, f) for f in fields_x])
+                assert x != y and len({x: 1, y: 2}) == 2
+                pairs += 1
+    # Top/Bot, the four connectives, Reason/TrueReason, Indicates/BelievesVia, Not/Common
+    assert pairs == 2 * (1 + 6 + 1 + 1 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +324,23 @@ def test_unbound_names_are_errors(chain_model):
         for f in (And(Or(p, bad), Not(bad)), Iff(bad, And(bad, p)), Common(And(p, bad))):
             with pytest.raises(EvalError, match=message):
                 evaluate(chain_model, f)
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (Reason(["a"], Prop("p")), "unknown agent ['a']"),
+        (Indicates({}, Prop("p"), Prop("p")), "unknown agent {}"),
+        (TrueReason({"a"}, Prop("p")), "unknown agent {'a'}"),
+        (Prop(["p"]), "unbound proposition ['p']"),
+        (Not(Prop({})), "unbound proposition {}"),
+    ],
+    ids=["list-agent", "dict-agent", "set-agent", "list-name", "dict-name"],
+)
+def test_an_unhashable_name_in_a_formula_built_in_code_is_an_eval_error(chain_model, f, message):
+    for entry in (evaluate, check):
+        with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+            entry(chain_model, f)
 
 
 def _outcome(evaluator, model, f):

@@ -102,6 +102,64 @@ def test_library_value_types_hold_no_hidden_state():
     assert found == []
 
 
+FORMULA_FIELDS = {"name", "body", "left", "right", "agent", "witness"}
+
+
+def mutations(tree):
+    """Line numbers of every write to or deletion of an attribute named like
+    a formula field, except ``self.<field>`` inside an ``__init__``, and of
+    every call to ``setattr`` or to a ``__setattr__`` method."""
+    in_init = set()
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+            in_init |= {
+                id(n) for n in ast.walk(f)
+                if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "self"
+            }
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            if n.attr in FORMULA_FIELDS and id(n) not in in_init:
+                found.append(n.lineno)
+        elif isinstance(n, ast.Call):
+            if getattr(n.func, "id", getattr(n.func, "attr", None)) in ("setattr", "__setattr__"):
+                found.append(n.lineno)
+    return found
+
+
+def test_library_mutates_no_formula_node():
+    # Formula nodes are plain dataclasses: formulas share subtrees and the
+    # evaluator's memo is keyed on node identity, so a node never changes.
+    found = []
+    for path in sorted(Path(limitknow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in mutations(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("f.body = g", True),
+        ("f.left, f.right = g, h", True),
+        ("f.agent += 'x'", True),
+        ("f.name: str = 'p'", True),
+        ("del f.witness", True),
+        ("for f.body in gs: pass", True),
+        ("def rename(self):\n    self.name = 'p'", True),
+        ("setattr(f, 'body', g)", True),
+        ("object.__setattr__(f, 'body', g)", True),
+        ("f.__setattr__('body', g)", True),
+        ("class A:\n    def __init__(self, name):\n        self.name = name", False),
+        ("g = f.body", False),
+        ("f.count = 1", False),
+        ("getattr(f, 'body')", False),
+    ],
+)
+def test_the_mutation_guard_flags_writes_to_formula_fields(source, flagged):
+    assert bool(mutations(ast.parse(source))) == flagged
+
+
 def test_value_types_store_no_field_another_one_determines():
     # A rank is its witness's length, a basis is valid when its report lists
     # no violation, and a scenario's valuation was read only to build it. A
