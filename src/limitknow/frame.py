@@ -195,7 +195,7 @@ class Topology:
 
     def is_open(self, s: int) -> bool:
         self.check_subset(s)
-        return not self.meeting(s, self.universe & ~s)
+        return not self._meeting(s, self.universe & ~s)
 
     def hull(self, s: int) -> int:
         """The least open superset of ``s``."""
@@ -209,6 +209,9 @@ class Topology:
         """The worlds of ``s`` whose neighborhood meets ``x``."""
         self.check_subset(s)
         self.check_subset(x)
+        return self._meeting(s, x)
+
+    def _meeting(self, s: int, x: int) -> int:
         out = 0
         for w in bits(s):
             if self.neighborhoods[w] & x:
@@ -219,7 +222,7 @@ class Topology:
         """The greatest open subset of ``s``: the worlds whose neighborhood
         stays inside it."""
         self.check_subset(s)
-        return s & ~self.meeting(s, self.universe & ~s)
+        return s & ~self._meeting(s, self.universe & ~s)
 
     def rooted(self, opens: Iterable[int]) -> list[int]:
         """For each open ``e``, the worlds whose neighborhood ``N(w)`` is ``e``.

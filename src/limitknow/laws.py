@@ -184,7 +184,10 @@ def _trial_setup(valuation: dict[str, int], worlds: int, rng: random.Random) -> 
     """A copy of the model's valuation with the injected propositions
     ``_m0``-``_m3`` bound to uniform random subsets of the ``worlds`` worlds
     (so a name the model already binds keeps its position)."""
-    return {**valuation, **{p: rng.getrandbits(worlds) for p in _INJECTED}}
+    out = valuation.copy()
+    for p in _INJECTED:
+        out[p] = rng.getrandbits(worlds)
+    return out
 
 
 def _metavariable(

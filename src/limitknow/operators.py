@@ -13,10 +13,29 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .frame import Frame, ResourceLimitError, Topology, submasks
+from .frame import AgentSpec, Frame, FrameError, ResourceLimitError, Topology, submasks
 from .hierarchy import _levels, _supporting, open_rank
 
 WITNESS_CAP = 16  # worlds; a witness search enumerates 2^worlds subsets
+
+
+class _Agent:
+    """One agent's frame data, true-reason topology and supporting evidence."""
+
+    __slots__ = ("topology", "basis", "tolerance", "true_topology", "supporting")
+
+    def __init__(self, frame: Frame, spec: AgentSpec):
+        self.topology, self.basis = frame.topology(spec.name), spec.basis
+        self.tolerance, self.true_topology, self.supporting = spec.tolerance, None, {}
+
+    def evidence(self, w_set: int) -> tuple[int, ...]:
+        # Only an exact int is looked up before the check (True and 1.0 hash
+        # like 1); one found was checked when it was stored.
+        if type(w_set) is int and (ev := self.supporting.get(w_set)) is not None:
+            return ev
+        self.topology.check_subset(w_set)
+        ev = self.supporting[w_set] = _supporting(self.topology, self.basis, self.tolerance, w_set)
+        return ev
 
 
 class OperatorContext:
@@ -30,8 +49,14 @@ class OperatorContext:
     def __init__(self, frame: Frame):
         self.frame = frame
         self.universe = frame.universe
-        self._skula: dict[str, Topology] = {}
-        self._supporting: dict[tuple[str, int], tuple[int, ...]] = {}
+        self._agents = {a.name: _Agent(frame, a) for a in frame.agents}  # in frame order
+
+    def _agent(self, name: str, first: int = 0) -> _Agent:
+        try:
+            return self._agents[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            self.frame.check_subset(first)  # a world set checked before the agent
+            raise FrameError(f"unknown agent {name!r}") from None
 
     # -- cached frame data -------------------------------------------------
 
@@ -44,14 +69,7 @@ class OperatorContext:
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
         the set, each by ``gives_reason``'s test."""
-        self.frame.check_subset(w_set)  # before the cache: True and 1.0 hash like 1
-        spec = self.frame.agent(agent)  # before the cache, which cannot hash a list name
-        key = (agent, w_set)
-        ev = self._supporting.get(key)
-        if ev is None:
-            ev = _supporting(self.frame.topology(agent), spec.basis, spec.tolerance, w_set)
-            self._supporting[key] = ev
-        return ev
+        return self._agent(agent, w_set).evidence(w_set)
 
     # -- the operators -------------------------------------------------------
 
@@ -66,9 +84,10 @@ class OperatorContext:
     def indicates(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the witness indicates the target to the agent: every
         supporting evidence confines the witness inside the target."""
-        self.frame.topology(agent).check_subset(target)
+        rec = self._agent(agent)
+        self.frame.check_subset(target)
         bad = 0
-        for e in self.supporting_evidence(agent, witness):
+        for e in rec.evidence(witness):
             if witness & e & ~target:
                 bad |= e
         return self.universe & ~bad
@@ -76,9 +95,10 @@ class OperatorContext:
     def believes_via(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the agent has the witness as reason to believe the
         target: ``reason`` and ``indicates`` in one pass over the evidence."""
-        self.frame.topology(agent).check_subset(target)
+        rec = self._agent(agent)
+        self.frame.check_subset(target)
         out = bad = 0
-        for e in self.supporting_evidence(agent, witness):
+        for e in rec.evidence(witness):
             out |= e
             if witness & e & ~target:
                 bad |= e
@@ -106,12 +126,26 @@ class OperatorContext:
 
         Computed as the greatest fixed point of one monotone map (which
         commutes with intersections, so its descending iteration from the
-        full space reaches the same limit in finitely many steps).
+        full space reaches the same limit in finitely many steps). A step
+        from X is the meet of the agents' reason unions but the elements
+        whose part of the witness leaves the target and X.
         """
-        first = self.everyone_believes_via(witness, target)
+        self.frame.check_subset(target)
+        reasons, pairs = self.universe, []
+        for rec in self._agents.values():
+            out = 0
+            for e in rec.evidence(witness):
+                out |= e
+                if witness & e:
+                    pairs.append((witness & e, e))
+            reasons &= out
         x = self.universe
         while True:
-            nxt = first & self.everyone_believes_via(witness, x)
+            bad, kept = 0, target & x
+            for part, e in pairs:
+                if part & ~kept:
+                    bad |= e
+            nxt = reasons & ~bad
             if nxt == x:
                 return x
             x = nxt
@@ -121,11 +155,12 @@ class OperatorContext:
         fixed point of X -> target AND everyone's true reason for X, iterated
         downward from the target itself (the map's image always sits inside
         the target)."""
+        topologies = [self.true_reason_topology(a.name) for a in self.frame.agents]
         x = target
         while True:
             nxt = target
-            for a in self.frame.agents:
-                nxt &= self.true_reason(a.name, x)
+            for topology in topologies:
+                nxt &= topology.interior(x)
             if nxt == x:
                 return x
             x = nxt
@@ -136,15 +171,13 @@ class OperatorContext:
         differences of opens (the Skula topology). Its minimal neighborhood
         of w is the T0 class ``{v : N(v) = N(w)}``, the worlds that
         ``Topology.rooted`` reads at ``N(w)``: built once per agent."""
-        spec = self.frame.agent(agent)
-        base = self.frame.topology(agent)
-        if spec.tolerance == 0:
-            return base
-        topo = self._skula.get(agent)
-        if topo is None:
-            classes = tuple(base.rooted(base.neighborhoods))
-            topo = self._skula[agent] = Topology(base.universe, classes)
-        return topo
+        rec = self._agent(agent)
+        if rec.true_topology is None:
+            base = rec.topology
+            if rec.tolerance:
+                base = Topology(base.universe, tuple(base.rooted(base.neighborhoods)))
+            rec.true_topology = base
+        return rec.true_topology
 
     def lewis_common(self, target: int) -> int:
         """Worlds where some true witness generates common inductive knowledge
@@ -183,10 +216,9 @@ class OperatorContext:
     def feasible(self, v: int) -> bool:
         """Can every agent decide the set within tolerance: is its open rank at
         most tolerance + 1, its inner level tolerance + 1 empty or missing?"""
-        for a in self.frame.agents:
-            topology = self.frame.topology(a.name)
-            ins, outs = _levels(topology, v, a.tolerance + 1)
-            if len(ins) > a.tolerance and topology.meeting(ins[-1], outs[-1]):
+        for rec in self._agents.values():
+            ins, outs = _levels(rec.topology, v, rec.tolerance + 1)
+            if len(ins) > rec.tolerance and rec.topology.meeting(ins[-1], outs[-1]):
                 return False
         return True
 

@@ -1,7 +1,8 @@
 """Shared test helpers: random valid frames, random formulas that share
 subtrees, exhaustive basis enumeration, JSON document edits, and independent
 brute-force oracles for ranks, switching counts, limit verdicts, common
-knowledge, witness searches, formula evaluation and the law battery."""
+knowledge and its round loops, witness searches, formula evaluation and the
+law battery, and staircase frames whose fixed points take many rounds."""
 
 from __future__ import annotations
 
@@ -347,6 +348,59 @@ def common_via_interior(ctx: OperatorContext, target: int) -> int:
         if o & ~target == 0:
             out |= o
     return out
+
+
+def oracle_generates(ctx: OperatorContext, witness: int, target: int) -> tuple[int, int]:
+    """G as full rounds of ``everyone_believes_via``, which asks every agent
+    in turn, from the whole space: ``(fixed point, rounds)``."""
+    first = ctx.everyone_believes_via(witness, target)
+    x, rounds = ctx.universe, 0
+    while True:
+        rounds += 1
+        nxt = first & ctx.everyone_believes_via(witness, x)
+        if nxt == x:
+            return x, rounds
+        x = nxt
+
+
+def oracle_common(ctx: OperatorContext, target: int) -> tuple[int, int]:
+    """C as full rounds of every agent's ``true_reason`` from the target:
+    ``(fixed point, rounds)``."""
+    x, rounds = target, 0
+    while True:
+        rounds += 1
+        nxt = target
+        for a in ctx.frame.agents:
+            nxt &= ctx.true_reason(a.name, x)
+        if nxt == x:
+            return x, rounds
+        x = nxt
+
+
+def staircase_frame(n: int, tolerances: tuple[int, int], tree: bool = False) -> Frame:
+    """Two agents whose least evidence pairs the worlds with an offset of one
+    (a: {0,1}, {2,3}, ...; b: {0}, {1,2}, ... over the first half of the
+    worlds, then singletons), so removing world 0 from a set spreads one
+    world per round of ``C`` and ``G`` through that half and stops. With
+    ``tree``, each agent's leaves sit under a halving tree of unions."""
+    universe = (1 << n) - 1
+    a = [(3 << i) & universe for i in range(0, n, 2)]
+    b = [1] + [3 << i for i in range(1, n // 2, 2)]
+    b += [1 << w for w in range(sum(b).bit_length(), n)]
+    bases = []
+    for leaves in (a, b):
+        basis = set(leaves)
+        if tree:
+            level = leaves
+            while len(level) > 1:
+                level = [level[i] | (level[i + 1] if i + 1 < len(level) else 0)
+                         for i in range(0, len(level), 2)]
+                basis.update(level)
+        bases.append(tuple(sorted(basis)))
+    return Frame(
+        [f"w{i}" for i in range(n)],
+        [AgentSpec(name, basis, tol) for name, basis, tol in zip("ab", bases, tolerances)],
+    )
 
 
 def oracle_evaluate(model: Model, f: Formula) -> int:

@@ -1,8 +1,10 @@
 """The epistemic operators: pointwise examples, Kuratowski laws, fixed-point
 characterizations, and tolerance invariance."""
 
+import inspect
 import itertools
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -122,6 +124,117 @@ def test_a_world_set_that_is_not_an_int_mask_is_a_frame_error(call):
         call(chain_ctx(1))
 
 
+# The order in which each public OperatorContext method checks its
+# arguments: the first bad one in this order decides the error.
+CHECK_ORDER = {
+    "two_open_family": ("agent",),
+    "supporting_evidence": ("w_set", "agent"),
+    "reason": ("w_set", "agent"),
+    "indicates": ("agent", "target", "witness"),
+    "believes_via": ("agent", "target", "witness"),
+    "true_reason": ("agent", "target"),
+    "everyone_believes_via": ("target", "witness"),
+    "generates": ("target", "witness"),
+    "common": ("target",),
+    "true_reason_topology": ("agent",),
+    "lewis_common": ("target",),
+    "witnesses": ("common",),
+    "feasible": ("v",),
+    "min_tolerance": ("agent", "target"),
+}
+BAD_SETS = [
+    (True, "a world set must be an integer mask, not True"),
+    (1.0, "a world set must be an integer mask, not 1.0"),
+    (0b1000, "world set has members outside this universe"),
+]
+
+
+def test_the_check_order_table_names_every_public_method_and_parameter():
+    public = {n for n, f in vars(OperatorContext).items() if callable(f) and not n.startswith("_")}
+    assert set(CHECK_ORDER) == public
+    for name, order in CHECK_ORDER.items():
+        params = list(inspect.signature(getattr(OperatorContext, name)).parameters)[1:]
+        assert sorted(order) == sorted(params), name
+
+
+def bad_calls(name):
+    """Every call of the method with at least two bad arguments (the one, for
+    a method of one), each world set a different kind of bad one, with the
+    error message that the first bad argument in ``CHECK_ORDER`` raises."""
+    order = CHECK_ORDER[name]
+    params = list(inspect.signature(getattr(OperatorContext, name)).parameters)[1:]
+    for k in range(min(2, len(params)), len(params) + 1):
+        for bad in itertools.combinations(params, k):
+            sets = [p for p in bad if p != "agent"]
+            for values in itertools.permutations(BAD_SETS, len(sets)):
+                chosen = dict(zip(sets, values), agent=("zz", "unknown agent 'zz'"))
+                args = [chosen[p][0] if p in bad else "a" if p == "agent" else 0b110 for p in params]
+                yield args, chosen[next(p for p in order if p in bad)][1]
+
+
+def warm(ctx):
+    """Fill every cache with answers for the exact ints 1 and 0b110, which
+    ``True`` and ``1.0`` equal."""
+    for w_set in (1, 0b110):
+        ctx.supporting_evidence("a", w_set)
+        ctx.reason("a", w_set)
+        ctx.indicates("a", w_set, w_set)
+        ctx.believes_via("a", w_set, w_set)
+        ctx.true_reason("a", w_set)
+        ctx.generates(w_set, w_set)
+        ctx.common(w_set)
+
+
+@pytest.mark.parametrize("warmed", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", sorted(CHECK_ORDER))
+def test_the_first_bad_argument_decides_the_error(name, warmed):
+    # A record-first lookup would report supporting_evidence("zz", True) and
+    # reason("zz", 8) as an unknown agent; they report the world set.
+    calls = list(bad_calls(name))
+    assert calls
+    for args, message in calls:
+        ctx = chain_ctx(1, agents=("a", "b"))
+        if warmed:
+            warm(ctx)
+        with pytest.raises(FrameError) as info:
+            list(getattr(ctx, name)(*args) or ())  # witnesses is a generator
+        assert str(info.value) == message, (name, args)
+
+
+class _Mask(IntEnum):
+    ONE = 1
+    PAST = 0b1000
+
+
+@pytest.mark.parametrize(
+    "call, agent",
+    [
+        pytest.param(lambda ctx, a, s: ctx.supporting_evidence(a, s), True, id="supporting_evidence"),
+        pytest.param(lambda ctx, a, s: ctx.reason(a, s), True, id="reason"),
+        pytest.param(lambda ctx, a, s: ctx.indicates(a, s, 0b110), True, id="indicates"),
+        pytest.param(lambda ctx, a, s: ctx.believes_via(a, s, 0b110), True, id="believes_via"),
+        pytest.param(lambda ctx, a, s: ctx.generates(s, 0b110), False, id="generates"),
+    ],
+)
+def test_a_cached_exact_int_answers_for_no_other_value(call, agent):
+    # The supporting-evidence cache is read before the check, for an exact
+    # int only: True and 1.0 hash like 1.
+    ctx = chain_ctx(1, agents=("a", "b"))
+    answer = call(ctx, "a", 1)
+    assert call(ctx, "a", _Mask.ONE) == answer  # an int subclass is a world set
+    for value, message in BAD_SETS + [
+        (_Mask.PAST, "world set has members outside this universe"),
+        (-1, "world set has members outside this universe"),
+    ]:
+        with pytest.raises(FrameError) as info:
+            call(ctx, "a", value)
+        assert str(info.value) == message
+    if agent:
+        with pytest.raises(FrameError, match="unknown agent"):
+            call(ctx, ["a"], 1)
+    assert call(ctx, "a", 1) == answer
+
+
 def test_a_negative_mask_is_a_frame_error():
     # A negative int has infinitely many set bits: no world set, universe or evidence.
     for call in (
@@ -230,6 +343,39 @@ def test_generates_agrees_with_direct_iteration():
             x = ctx.everyone_believes_via(witness, x)
             acc &= x
         assert ctx.generates(witness, target) == acc
+
+
+def test_generates_and_common_match_their_round_loops():
+    # One pass over a flat evidence list per round of G, and each agent's
+    # true-reason topology fetched once for C, against full rounds of
+    # everyone_believes_via and true_reason on a context of their own.
+    rng = random.Random(30)
+    for _ in range(300):
+        frame = random_frame(rng, max_worlds=7, max_agents=3, max_tolerance=3)
+        ctx, oracle = OperatorContext(frame), OperatorContext(frame)
+        for _ in range(4):
+            witness = rng.randint(0, frame.universe)
+            target = rng.randint(0, frame.universe)
+            assert ctx.generates(witness, target) == randgen.oracle_generates(oracle, witness, target)[0]
+            assert ctx.common(target) == randgen.oracle_common(oracle, target)[0]
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["staircase", "tree"])
+@pytest.mark.parametrize("n", [9, 16, 33])
+def test_generates_and_common_match_their_round_loops_on_staircases(n, tree):
+    u = (1 << n) - 1
+    for tolerances in ((0, 0), (1, 2), (0, 3)):
+        frame = randgen.staircase_frame(n, tolerances, tree)
+        ctx, oracle = OperatorContext(frame), OperatorContext(frame)
+        common, rounds = randgen.oracle_common(oracle, u & ~1)
+        assert common and rounds > n // 2
+        assert ctx.common(u & ~1) == common
+        for witness in (u, u & ~(1 << (n - 2)), u & ~0b10):
+            for target in (u & ~1, u & ~(1 << n // 2)):
+                generated = randgen.oracle_generates(oracle, witness, target)[0]
+                assert ctx.generates(witness, target) == generated
+        if not tree:  # a tree's root turns bad with its first removed world
+            assert randgen.oracle_generates(oracle, u, u & ~1)[1] > n // 2
 
 
 def test_generated_step_map_is_monotone():

@@ -340,3 +340,41 @@ def test_tracer_sees_frame_validation():
     finally:
         tracer.uninstall()
     assert tracer.summary(1, 0.0)["frame.validate_basis_calls"] >= 1
+
+
+def operator_calls(tree):
+    """The names of the methods called on a ``ctx`` name or attribute."""
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and "ctx" in (getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None))
+    }
+
+
+def test_the_evaluator_calls_only_operator_methods_the_tracer_wraps():
+    # The per-layer operator spans wrap public OperatorContext methods by
+    # name: a rule that reached the operators another way would hide its
+    # modal nodes from them.
+    traced = {
+        attr.split(".")[1]
+        for _, _, attr in load_tracing().TARGETS
+        if attr.startswith("OperatorContext.")
+    }
+    called = operator_calls(ast.parse(Path(logic.__file__).read_text()))
+    assert {"reason", "believes_via", "generates", "common"} <= called
+    assert called <= traced, called - traced
+
+
+@pytest.mark.parametrize(
+    "source, called",
+    [
+        ("ev.ctx.reason(a, s)", {"reason"}),
+        ("ctx.common(s)", {"common"}),
+        ("ev.ctx._agent(a).evidence(s)", {"_agent"}),
+        ("ev.go(f.body)", set()),
+    ],
+)
+def test_the_operator_call_guard_reads_calls_on_a_context(source, called):
+    assert operator_calls(ast.parse(source)) == called
