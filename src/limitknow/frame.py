@@ -125,6 +125,55 @@ def _meets(elements: Sequence[int], universe: int) -> list[int]:
     return meets
 
 
+def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] | None:
+    """Each world position's least element (0 off ``universe``), from one pass
+    over the elements in ascending size; None if a check of ``validate_basis``
+    fails. By induction on size, a passed element contains ``M(v)``, the first
+    element holding ``v``, for each of its worlds: a world first met in ``e``
+    has ``M(v) = e``, and each other must lie in a smaller passed element
+    inside ``e``, found by climbing path-compressed ``up`` links from
+    ``M(v)``. Then every element at ``w`` contains ``M(w)``: ``N(w) = M(w)``.
+    A ``v`` in ``e`` with ``M(v)`` not inside ``e`` has no least element: it
+    would lie inside ``M(v)``, and none smaller holds ``v``. Sorting by value
+    first puts equal elements side by side, hashing no mask."""
+    order = sorted(elements)
+    order.sort(key=int.bit_count)
+    owner = [-1] * universe.bit_length()  # index into order of each M(w)
+    up = [0] * len(order)  # a later element containing this one; 0 for none
+    outside = ~universe
+    todo = universe
+    last = 0  # an empty first element equals it
+    for i, e in enumerate(order):
+        if e == last or e & outside:
+            return None
+        last = e
+        new = e & todo
+        if new & (new - 1):
+            for w in bits(new):
+                owner[w] = i
+        elif new:  # one world: no iterator
+            owner[new.bit_length() - 1] = i
+        todo ^= new
+        rest = e ^ new
+        if rest:
+            off = ~e
+        while rest:
+            j = owner[(rest & -rest).bit_length() - 1]
+            if order[j] & off:
+                return None
+            top = j
+            while (k := up[top]) and not order[k] & off:
+                top = k
+            while j != top:  # the whole climbed path now links to e
+                up[j], j = i, up[j]
+            up[top] = i
+            rest &= ~order[top]
+    if todo:
+        return None
+    order.append(0)  # owner -1, a position off the universe, reads 0
+    return tuple([order[j] for j in owner])
+
+
 def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     """Check the two basis conditions (cover, local directedness) plus the
     ingestion rules (non-empty, within universe, no duplicates), and report
@@ -133,6 +182,8 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     Violations are data, not faults: the report lists every failed condition
     with a witness. A universe or element that is not a non-negative int is
     no set at all, and a ``FrameError``, as is a basis that is no sequence.
+    A valid basis passes one ascending pass (``_least_evidence``); one it
+    refuses is scanned per (world, element) incidence for the violations.
     The elements at a world are directed there exactly when their
     intersection is itself an element (a finite directed family has a least
     member, and any member below all of them is their intersection), so the
@@ -140,6 +191,9 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     """
     elements = _masks(elements, "basis element")
     _masks((universe,), "universe")
+    least = _least_evidence(elements, universe)
+    if least is not None:
+        return BasisReport((), least)
     found: list[BasisViolation] = []
     seen: set[int] = set()
     for e in elements:

@@ -113,13 +113,6 @@ class OperatorContext:
         """
         return self.true_reason_topology(agent).interior(target)
 
-    def everyone_believes_via(self, witness: int, target: int) -> int:
-        """One step of everyone-believes with a shared witness."""
-        out = self.universe
-        for a in self.frame.agents:
-            out &= self.believes_via(a.name, witness, target)
-        return out
-
     def generates(self, witness: int, target: int) -> int:
         """Worlds where the witness generates common inductive knowledge of
         the target: the intersection of all iterated everyone-believes steps.

@@ -350,14 +350,23 @@ def common_via_interior(ctx: OperatorContext, target: int) -> int:
     return out
 
 
+def everyone_believes_via(ctx: OperatorContext, witness: int, target: int) -> int:
+    """One step of everyone-believes with a shared witness: the meet of every
+    agent's ``believes_via``."""
+    out = ctx.universe
+    for a in ctx.frame.agents:
+        out &= ctx.believes_via(a.name, witness, target)
+    return out
+
+
 def oracle_generates(ctx: OperatorContext, witness: int, target: int) -> tuple[int, int]:
     """G as full rounds of ``everyone_believes_via``, which asks every agent
     in turn, from the whole space: ``(fixed point, rounds)``."""
-    first = ctx.everyone_believes_via(witness, target)
+    first = everyone_believes_via(ctx, witness, target)
     x, rounds = ctx.universe, 0
     while True:
         rounds += 1
-        nxt = first & ctx.everyone_believes_via(witness, x)
+        nxt = first & everyone_believes_via(ctx, witness, x)
         if nxt == x:
             return x, rounds
         x = nxt

@@ -316,13 +316,112 @@ def pairwise_validate(elements, universe):
 
 
 def test_validate_basis_matches_pairwise_on_every_small_family():
+    # The ascending pass answers exactly the valid families; the rest fall
+    # back to the scan that lists the violations.
     universe = 0b111
     masks = range(0, 16)  # includes the empty set and a bit outside
-    for size in range(0, 4):
+    valid = 0
+    for size in range(0, 5):
         for family in itertools.product(masks, repeat=size):
-            assert frame_module.validate_basis(family, universe) == pairwise_validate(
-                family, universe
-            )
+            expected = pairwise_validate(family, universe)
+            assert frame_module.validate_basis(family, universe) == expected
+            assert (frame_module._least_evidence(family, universe) is not None) == expected.ok
+            valid += expected.ok
+    assert valid == 679  # the 54 valid bases of 3 worlds with at most 4 elements, in every order
+
+
+@pytest.mark.parametrize(
+    "family, universe",
+    [((0b01, 0b10, 0b11, 0b11), 0b11), ((1, 2, 4, 3, 5, 6, 3), 0b111)],
+    ids=["chain", "every-pair"],
+)
+def test_a_duplicate_element_is_reported_though_it_passes_the_covering_test(family, universe):
+    # The later copy lies inside an element already checked: itself.
+    report = frame_module.validate_basis(family, universe)
+    assert report.violations == (BasisViolation("duplicate-element", element=0b11),)
+
+
+def test_positions_off_a_universe_with_holes_have_no_least_evidence():
+    assert frame_module.validate_basis((0b101, 0b100), 0b101).neighborhoods == (0b101, 0, 0b100)
+    assert generate_topology((0b100,)).neighborhoods == (0, 0, 0b100)
+
+
+def permuted(family, perm):
+    return tuple([sum([1 << perm[w] for w in bits(e)]) for e in family])
+
+
+def halving_tree(n, leaf):
+    """Nested partitions of n worlds: halve intervals down to blocks of at
+    most ``leaf``."""
+    out = []
+
+    def split(lo, hi):
+        out.append(((1 << hi) - 1) & ~((1 << lo) - 1))
+        if hi - lo > leaf:
+            split(lo, (lo + hi) // 2)
+            split((lo + hi) // 2, hi)
+
+    split(0, n)
+    return tuple(out)
+
+
+def big_families(n):
+    """Valid bases over n worlds whose checks nest deeply: the two opposed
+    chains (suffixes and prefixes), both under a world permutation, and a
+    halving tree down to single worlds, plain and permuted."""
+    rng = random.Random(n)
+    frame = chain_frame(n)
+    perm = rng.sample(range(n), n)
+    suffix, prefix = frame.agent("a").basis, frame.agent("b").basis
+    tree = halving_tree(n, 1)
+    return {
+        "suffix": suffix,
+        "prefix": prefix,
+        "permuted-suffix": permuted(suffix, perm),
+        "permuted-prefix": permuted(prefix, perm),
+        "tree": tree,
+        "permuted-tree": permuted(tree, perm),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_validate_basis_matches_the_scan_on_deep_families(n, monkeypatch):
+    # The scan is what validate_basis runs on a refused basis; it matches
+    # pairwise_validate above, which is too slow past 64 worlds.
+    universe = (1 << n) - 1
+    rng = random.Random(n + 1)
+    for name, family in big_families(n).items():
+        family = rng.sample(family, len(family))
+        report = frame_module.validate_basis(family, universe)
+        with monkeypatch.context() as m:
+            m.setattr(frame_module, "_least_evidence", lambda *args: None)
+            assert report == frame_module.validate_basis(family, universe), name
+        assert report.ok, name
+        if n == 64:
+            assert report == pairwise_validate(family, universe), name
+
+
+def test_the_ascending_pass_refuses_every_broken_deep_family():
+    n = 32
+    universe = (1 << n) - 1
+    rng = random.Random(31)
+    for name, family in big_families(n).items():
+        a, b = rng.sample(range(n), 2)
+        wider = tuple([e for e in family if e & (e - 1)])  # no single world
+        broken = {
+            # Not directed at a or at b, since no element is one world there;
+            # or, where each one's least element holds the other, a duplicate.
+            "crossing": wider + (1 << a | 1 << b,),
+            "duplicate": family + (family[n // 2],),
+            "outside": family + (1 << n,),
+            "uncovered": tuple([e & ~0b100000 for e in family if e & ~0b100000]),
+        }
+        for how, bad in broken.items():
+            bad = rng.sample(bad, len(bad))
+            expected = pairwise_validate(bad, universe)
+            assert frame_module.validate_basis(bad, universe) == expected, (name, how)
+            assert not expected.ok, (name, how)
+            assert frame_module._least_evidence(bad, universe) is None, (name, how)
 
 
 def test_validate_basis_matches_pairwise_on_random_families():

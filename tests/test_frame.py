@@ -442,16 +442,20 @@ def test_a_topology_is_a_value():
 
 def test_topology_reuses_the_neighborhoods_validation_computed(monkeypatch):
     calls = []
-    original = frame_module._meets
+    original = frame_module._least_evidence
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def refuse(*args):
+        raise AssertionError("_meets ran on a valid basis")
+
     rng = random.Random(41)
     for _ in range(25):
         built = random_frame(rng)  # randgen validates its bases as it draws them
-        monkeypatch.setattr(frame_module, "_meets", counting)
+        monkeypatch.setattr(frame_module, "_least_evidence", counting)
+        monkeypatch.setattr(frame_module, "_meets", refuse)
         frame = Frame(built.worlds, built.agents)
         assert len(calls) == len(frame.agents)  # one pass per agent
         calls.clear()

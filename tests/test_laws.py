@@ -1,5 +1,6 @@
 """The soundness battery as a regression suite over the whole engine."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -12,12 +13,17 @@ from limitknow import laws
 from limitknow.frame import AgentSpec, Frame, submasks
 from limitknow.laws import ALL_LAW_NAMES, AXIOMS, DERIVED, law_battery
 from limitknow.logic import (
+    BelievesVia,
     Bot,
+    Common,
     EvalError,
     Formula,
+    Generates,
+    Imp,
     Model,
     Prop,
     Top,
+    TrueReason,
     _Evaluator,
     check,
     print_formula,
@@ -319,7 +325,7 @@ def sampled_two_agent_frames():
     return [rng.choice(at_tolerances(3, bases, range(3))) for bases in rng.sample(pairs, 10)]
 
 
-def check_every_schema(frames):
+def check_every_schema(frames, schemas=SCHEMAS):
     """Check each axiom and derived law for every agent on every assignment
     of world sets to the metavariables it uses (a schema is valid on a frame
     exactly when it holds on all of them); count the frames and checks."""
@@ -327,7 +333,7 @@ def check_every_schema(frames):
     for frame in frames:
         ctx = OperatorContext(frame)
         sets = list(submasks(frame.universe))
-        for name, build in {**AXIOMS, **DERIVED}.items():
+        for name, build in schemas.items():
             for agent in frame.agents:
                 schema = build(agent.name, METAVARIABLES)
                 used = used_metavariables(schema)
@@ -354,3 +360,72 @@ def check_every_schema(frames):
 )
 def test_every_schema_holds_on_every_assignment(frames, counts):
     assert check_every_schema(frames()) == counts
+
+
+def rule_schemas(agents):
+    """``rule_G`` and ``rule_C`` over the metavariables, as the battery
+    builds them: each rule's premises and its conclusion."""
+    w, p, g = METAVARIABLES
+    every = lambda make: laws._conj_over_agents(agents, make)
+    return {
+        "rule_G": (
+            [Imp(g, every(lambda a: BelievesVia(a, w, g))), Imp(g, every(lambda a: BelievesVia(a, w, p)))],
+            Imp(g, Generates(w, p)),
+        ),
+        "rule_C": ([Imp(w, every(lambda a: TrueReason(a, w))), Imp(w, p)], Imp(w, Common(p))),
+    }
+
+
+def check_rules(frames):
+    """Check ``rule_G`` and ``rule_C`` on every assignment of world sets to
+    their metavariables: where the premises hold at every world, so must the
+    conclusion. Count the frames, the assignments, and those whose premises
+    hold. The rules stay alive while their evaluator runs: its memo is keyed
+    on the ids of the nodes."""
+    checks = held = 0
+    for frame in frames:
+        ctx = OperatorContext(frame)
+        sets = list(submasks(frame.universe))
+        for name, (premises, conclusion) in rule_schemas([a.name for a in frame.agents]).items():
+            used = used_metavariables(conclusion)
+            for values in itertools.product(sets, repeat=len(used)):
+                evaluator = _Evaluator(ctx, dict(zip(used, values)))
+                checks += 1
+                if all(evaluator.go(f) == frame.universe for f in premises):
+                    held += 1
+                    assert evaluator.go(conclusion) == frame.universe, (name, frame, values)
+    return len(frames), checks, held
+
+
+G_AND_C = {name: AXIOMS[name] for name in ("ax_G1", "ax_G2", "ax_C1", "ax_C2")}
+
+
+@pytest.mark.parametrize(
+    "frames, counts",
+    [
+        (lambda: every_frame((1, 2, 3), 1, range(4)), (67, 33000, 6772)),
+        (lambda: every_frame((1, 2), 2, range(3)), (64, 4848, 1652)),
+        (sampled_two_agent_frames, (10, 5760, 1098)),
+    ],
+    ids=["one-agent", "two-agents-up-to-2-worlds", "two-agents-3-world-sample"],
+)
+def test_rules_G_and_C_hold_on_every_assignment(frames, counts):
+    assert check_rules(frames()) == counts
+
+
+@functools.cache
+def two_agent_3_world_frames():
+    return every_frame((3,), 2, range(3))
+
+
+# Every eighth frame of the full set per case, so that each case stays
+# within a few seconds; a frame takes 288 schema checks and 576 rule checks.
+@pytest.mark.parametrize(
+    "part, held",
+    enumerate([44712, 44812, 44884, 44766, 44798, 44612, 44374, 44452]),
+)
+def test_G_and_C_hold_on_every_two_agent_3_world_frame(part, held):
+    assert len(two_agent_3_world_frames()) == 3603  # up to renaming
+    frames = two_agent_3_world_frames()[part::8]
+    assert check_every_schema(frames, G_AND_C) == (len(frames), 288 * len(frames))
+    assert check_rules(frames) == (len(frames), 576 * len(frames), held)

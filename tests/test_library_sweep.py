@@ -119,7 +119,6 @@ CALLS = {
     "Topology.rooted": (BASIS,),
     "OperatorContext.believes_via": ("a", Y | Z, Y | Z),
     "OperatorContext.common": (Y | Z,),
-    "OperatorContext.everyone_believes_via": (Y | Z, Y | Z),
     "OperatorContext.feasible": (Y | Z,),
     "OperatorContext.generates": (Y | Z, Y | Z),
     "OperatorContext.indicates": ("a", Y | Z, Y | Z),
