@@ -11,6 +11,8 @@ context only caches frame-derived data, so concurrent readers are safe.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
 from .frame import AgentSpec, Frame, FrameError, ResourceLimitError, Topology, submasks
@@ -50,6 +52,7 @@ class OperatorContext:
         self.frame = frame
         self.universe = frame.universe
         self._agents = {a.name: _Agent(frame, a) for a in frame.agents}  # in frame order
+        self._joint: list[tuple[int, int]] | None = None  # common's (J(w), {w}) pairs
 
     def _agent(self, name: str, first: int = 0) -> _Agent:
         try:
@@ -117,11 +120,11 @@ class OperatorContext:
         """Worlds where the witness generates common inductive knowledge of
         the target: the intersection of all iterated everyone-believes steps.
 
-        Computed as the greatest fixed point of one monotone map (which
-        commutes with intersections, so its descending iteration from the
-        full space reaches the same limit in finitely many steps). A step
-        from X is the meet of the agents' reason unions but the elements
-        whose part of the witness leaves the target and X.
+        Everyone believes, with the witness as reason, on the meet of the
+        agents' reason unions but the elements whose part of the witness
+        leaves the target and X; ``_greatest`` iterates that step. Every
+        supporting element meets the witness, since it meets a level and
+        every level lies inside the witness.
         """
         self.frame.check_subset(target)
         reasons, pairs = self.universe, []
@@ -129,34 +132,42 @@ class OperatorContext:
             out = 0
             for e in rec.evidence(witness):
                 out |= e
-                if witness & e:
-                    pairs.append((witness & e, e))
+                pairs.append((witness & e, e))
             reasons &= out
-        x = self.universe
-        while True:
-            bad, kept = 0, target & x
-            for part, e in pairs:
-                if part & ~kept:
-                    bad |= e
-            nxt = reasons & ~bad
-            if nxt == x:
-                return x
-            x = nxt
+        return self._greatest(reasons, target, pairs)
 
     def common(self, target: int) -> int:
         """Worlds where the target is common inductive knowledge: the greatest
-        fixed point of X -> target AND everyone's true reason for X, iterated
-        downward from the target itself (the map's image always sits inside
-        the target)."""
-        topologies = [self.true_reason_topology(a.name) for a in self.frame.agents]
-        x = target
-        while True:
-            nxt = target
-            for topology in topologies:
-                nxt &= topology.interior(x)
-            if nxt == x:
-                return x
-            x = nxt
+        X inside the target on which every agent has true reason for X. A world
+        leaves X exactly when some agent's true-reason neighborhood of it
+        does, so ``_greatest`` runs over one pair per world: the OR ``J(w)``
+        of those neighborhoods and the world itself, built on the first
+        call."""
+        self.frame.check_subset(target)
+        if self._joint is None:
+            least = [self.true_reason_topology(a.name).neighborhoods for a in self.frame.agents]
+            joint = reduce(lambda j, n: [*map(or_, j, n)], least)
+            self._joint = [*zip(joint, map((1).__lshift__, range(len(joint))))]
+        return self._greatest(target, target, self._joint)
+
+    def _greatest(self, base: int, target: int, pairs: list[tuple[int, int]]) -> int:
+        """The greatest fixed point of X -> ``base`` minus every owner whose
+        part meets the complement of ``target & X``, for (part, owner) pairs.
+
+        The map is monotone and its image lies inside ``base``, so iterating
+        it down from ``base`` stays above every fixed point and stops at the
+        greatest; an empty X stops it at once, since the iteration only
+        descends. The complement is formed once per round, as a non-negative
+        mask.
+        """
+        x, nxt = None, base
+        while nxt and nxt != x:
+            x, out, bad = nxt, self.universe & ~(target & nxt), 0
+            for part, owner in pairs:
+                if part & out:
+                    bad |= owner
+            nxt = base & ~bad
+        return nxt
 
     def true_reason_topology(self, agent: str) -> Topology:
         """The topology whose interior operator is ``true_reason``: the

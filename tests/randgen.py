@@ -2,7 +2,8 @@
 subtrees, exhaustive basis enumeration, JSON document edits, and independent
 brute-force oracles for ranks, switching counts, limit verdicts, common
 knowledge and its round loops, witness searches, formula evaluation and the
-law battery, and staircase frames whose fixed points take many rounds."""
+law battery, staircase frames whose fixed points take many rounds, and
+opposed chains."""
 
 from __future__ import annotations
 
@@ -231,10 +232,6 @@ def oracle_all_ranks(topology: Topology) -> dict[int, int]:
     return ranks
 
 
-def oracle_open_rank(topology: Topology, s: int) -> int | float:
-    return oracle_all_ranks(topology).get(s, INFINITE)
-
-
 def oracle_feasible_sets(frame: Frame) -> list[int]:
     """Every non-empty world set that each agent decides within tolerance
     (open rank at most tolerance + 1), with ranks from ``oracle_all_ranks``."""
@@ -409,6 +406,19 @@ def staircase_frame(n: int, tolerances: tuple[int, int], tree: bool = False) -> 
     return Frame(
         [f"w{i}" for i in range(n)],
         [AgentSpec(name, basis, tol) for name, basis, tol in zip("ab", bases, tolerances)],
+    )
+
+
+def opposed_chains_frame(n: int, tolerances: tuple[int, int]) -> Frame:
+    """Two agents on nested chains that run opposite ways: a's evidence is
+    every suffix of the worlds, b's every prefix."""
+    universe = (1 << n) - 1
+    suffixes = tuple(sorted(universe & ~((1 << k) - 1) for k in range(n)))
+    prefixes = tuple((1 << k) - 1 for k in range(1, n + 1))
+    return Frame(
+        [f"w{i}" for i in range(n)],
+        [AgentSpec(name, basis, tol)
+         for name, basis, tol in zip("ab", (suffixes, prefixes), tolerances)],
     )
 
 

@@ -360,10 +360,11 @@ def test_generates_and_common_match_their_round_loops():
 
 
 @pytest.mark.parametrize("tree", [False, True], ids=["staircase", "tree"])
-@pytest.mark.parametrize("n", [9, 16, 33])
+@pytest.mark.parametrize("n", [9, 16, 33, 64, 129, 256])
 def test_generates_and_common_match_their_round_loops_on_staircases(n, tree):
+    # Past 128 worlds C of all-but-world-0 takes more than 64 rounds.
     u = (1 << n) - 1
-    for tolerances in ((0, 0), (1, 2), (0, 3)):
+    for tolerances in ((0, 0), (1, 1), (0, 1), (1, 2), (0, 3)):
         frame = randgen.staircase_frame(n, tolerances, tree)
         ctx, oracle = OperatorContext(frame), OperatorContext(frame)
         common, rounds = randgen.oracle_common(oracle, u & ~1)
@@ -375,6 +376,81 @@ def test_generates_and_common_match_their_round_loops_on_staircases(n, tree):
                 assert ctx.generates(witness, target) == generated
         if not tree:  # a tree's root turns bad with its first removed world
             assert randgen.oracle_generates(oracle, u, u & ~1)[1] > n // 2
+
+
+def _pin_fixed_points(frame, targets, witnesses, interior=False):
+    """``common`` and ``generates`` against the round loops on a separate
+    context, and ``common`` against the exhaustive interior when asked."""
+    ctx, oracle = OperatorContext(frame), OperatorContext(frame)
+    for target in targets:
+        assert ctx.common(target) == randgen.oracle_common(oracle, target)[0]
+        if interior:
+            assert ctx.common(target) == common_via_interior(oracle, target)
+        for witness in witnesses:
+            generated = randgen.oracle_generates(oracle, witness, target)[0]
+            assert ctx.generates(witness, target) == generated
+
+
+def _edge_sets(n):
+    u = (1 << n) - 1
+    targets = [0, u, u & ~1, u & ~(1 << n // 2), u >> 1, u & ~(1 << (n - 1))]
+    witnesses = [0, u, u & ~1, u & ~(1 << (n - 2)), u & ~0b10, 1 << n // 2]
+    return targets, witnesses
+
+
+@pytest.mark.parametrize("tolerances", [(0, 0), (1, 1), (0, 1)])
+def test_fixed_points_match_the_round_loops_and_interior_on_small_staircases(tolerances):
+    for n, tree in ((9, False), (12, False), (12, True)):
+        targets, witnesses = _edge_sets(n)
+        frame = randgen.staircase_frame(n, tolerances, tree)
+        _pin_fixed_points(frame, targets, witnesses, interior=True)
+
+
+@pytest.mark.parametrize("tolerances", [(0, 0), (1, 1), (0, 1), (1, 0)])
+def test_fixed_points_match_the_round_loops_on_opposed_chains(tolerances):
+    for n, interior in ((10, True), (64, False), (200, False)):
+        targets, witnesses = _edge_sets(n)
+        frame = randgen.opposed_chains_frame(n, tolerances)
+        _pin_fixed_points(frame, targets, witnesses, interior)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: randgen.staircase_frame(n, (0, 1), True),
+    lambda n: randgen.opposed_chains_frame(n, (1, 0)),
+], ids=["tree", "chains"])
+def test_the_empty_and_full_sets_fix_common_and_generates(make):
+    for n in (1, 2, 9, 64):
+        frame = make(n)
+        ctx, u = OperatorContext(frame), frame.universe
+        assert (ctx.common(0), ctx.common(u)) == (0, u)
+        assert ctx.generates(u, u) == u
+        for s in (0, u, u >> 1, 1):
+            assert ctx.generates(0, s) == ctx.generates(s, 0) == 0
+
+
+def test_a_warm_context_answers_like_a_fresh_one():
+    rng = random.Random(32)
+    for frame in (randgen.staircase_frame(40, (0, 1), True),
+                  randgen.opposed_chains_frame(40, (1, 0))):
+        u, warm = frame.universe, OperatorContext(frame)
+        for _ in range(200):
+            # Mostly near-full sets, whose fixed points take many rounds.
+            target = u & ~(1 << rng.randrange(40)) if rng.random() < 0.5 else rng.getrandbits(40)
+            witness = u & ~rng.getrandbits(3) if rng.random() < 0.5 else rng.getrandbits(40)
+            assert warm.common(target) == OperatorContext(frame).common(target)
+            assert warm.generates(witness, target) == OperatorContext(frame).generates(witness, target)
+
+
+def test_every_supporting_element_meets_the_set():
+    # ``generates`` pairs every supporting element with its part of the
+    # witness and filters no empty part; this keeps every part non-empty.
+    rng = random.Random(320)
+    for _ in range(300):
+        frame = random_frame(rng, max_worlds=7)
+        ctx = OperatorContext(frame)
+        for s in [0, frame.universe] + [rng.randint(0, frame.universe) for _ in range(4)]:
+            for a in frame.agents:
+                assert all(e & s for e in ctx.supporting_evidence(a.name, s))
 
 
 def test_generated_step_map_is_monotone():

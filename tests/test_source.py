@@ -12,7 +12,7 @@ import pytest
 
 import limitknow
 import limitknow.cli  # the tracer patches modules found in sys.modules
-from limitknow import attest, cli, hierarchy, laws, logic
+from limitknow import attest, cli, hierarchy, laws, logic, operators
 from limitknow.operators import OperatorContext
 
 
@@ -219,6 +219,17 @@ def test_hierarchy_has_one_hull_derivative_loop():
     tree = ast.parse(Path(hierarchy.__file__).read_text())
     hulls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "hull"]
     assert len(hulls) == 1
+
+
+def test_operators_have_one_fixed_point_loop():
+    # G and C share one greatest-fixed-point routine, so a round loop or a
+    # worklist anywhere else would be a second copy of the iteration.
+    tree = ast.parse(Path(operators.__file__).read_text())
+    loops = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.While)]
+    greatest = next(
+        f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_greatest"
+    )
+    assert len(loops) == 1 and any(isinstance(n, ast.While) for n in ast.walk(greatest))
 
 
 def test_the_syntax_tables_name_every_operator():
