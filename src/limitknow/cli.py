@@ -212,65 +212,120 @@ def _cmd_laws(args) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by later ones."""
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The CLI's parser, and for each subcommand its ``run`` function and its
+    options by option string: the ``Action`` objects that the parser's own
+    ``add_argument`` calls returned. Built on the first call and shared by
+    later ones."""
     parser = argparse.ArgumentParser(
         prog="limitknow",
         description="finite-frame engine for inductive knowledge operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, model=True):
+    def command(name, run, help, model=True):
+        """Declare a subcommand and return its ``add_argument``, which also
+        files each action under its option strings."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        options = {}
+        commands[name] = (run, options)
+
+        def option(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+
         if model:
-            p.add_argument("-m", "--model", required=True, help="model JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+            option("-m", "--model", required=True, help="model JSON file")
+        option("--json", action="store_true", help="machine-readable output")
+        return option
 
-    p = sub.add_parser("check", help="check a formula for validity")
-    common(p)
-    p.add_argument("-f", "--formula", required=True)
-    p.set_defaults(run=_cmd_check)
+    option = command("check", _cmd_check, "check a formula for validity")
+    option("-f", "--formula", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a formula to a world set")
-    common(p)
-    p.add_argument("-f", "--formula", required=True)
-    p.set_defaults(run=_cmd_eval)
+    option = command("eval", _cmd_eval, "evaluate a formula to a world set")
+    option("-f", "--formula", required=True)
 
-    p = sub.add_parser("rank", help="open/closed rank of a world set")
-    common(p)
-    p.add_argument("-a", "--agent", required=True)
-    p.add_argument("-s", "--set", required=True, help="worlds or @formula")
-    p.set_defaults(run=_cmd_rank)
+    option = command("rank", _cmd_rank, "open/closed rank of a world set")
+    option("-a", "--agent", required=True)
+    option("-s", "--set", required=True, help="worlds or @formula")
 
-    p = sub.add_parser("ops", help="apply one epistemic operator")
-    common(p)
-    p.add_argument("-a", "--agent")
-    p.add_argument("--op", required=True, choices=sorted(_OPS))
-    p.add_argument("-p", "--set", required=True, help="operand worlds or @formula")
-    p.add_argument("-w", "--witness", help="witness worlds or @formula (I/B/G)")
-    p.set_defaults(run=_cmd_ops)
+    option = command("ops", _cmd_ops, "apply one epistemic operator")
+    option("-a", "--agent")
+    option("--op", required=True, choices=sorted(_OPS))
+    option("-p", "--set", required=True, help="operand worlds or @formula")
+    option("-w", "--witness", help="witness worlds or @formula (I/B/G)")
 
-    p = sub.add_parser("synth", help="synthesize an attestation protocol")
-    common(p)
-    p.add_argument("-p", "--prop", required=True, help="proposition worlds or @formula")
-    p.add_argument("--target", help="success-set worlds")
-    p.set_defaults(run=_cmd_synth)
+    option = command("synth", _cmd_synth, "synthesize an attestation protocol")
+    option("-p", "--prop", required=True, help="proposition worlds or @formula")
+    option("--target", help="success-set worlds")
 
-    p = sub.add_parser("simulate", help="run a simulation scenario file")
-    common(p, model=False)
-    p.add_argument("-s", "--scenario", required=True)
-    p.set_defaults(run=_cmd_simulate)
+    option = command("simulate", _cmd_simulate, "run a simulation scenario file", model=False)
+    option("-s", "--scenario", required=True)
 
-    p = sub.add_parser("laws", help="run the soundness battery")
-    common(p)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_laws)
+    option = command("laws", _cmd_laws, "run the soundness battery")
+    option("--trials", type=int, default=20)
+    option("--seed", type=int, default=0)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
+    return _build()[0]
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from the declared options when the call is plain; else None.
+
+    Plain: every token is a ``str``, the first names a subcommand, and each
+    later one is an exact option string of it, either a flag or followed by
+    a value that does not start with ``-``; no option repeats, every required
+    one is given, and each value converts with its action's ``type`` (a
+    ``ValueError`` means not plain) and lies in its ``choices``. Options not
+    given take their defaults. Anything else (help, abbreviations,
+    ``--opt=value``, repeats, ``--``, negative numbers, usage errors) is
+    argparse's to read, and argparse alone prints help and errors.
+    """
+    found = _build()[1].get(argv[0]) if argv and isinstance(argv[0], str) else None
+    if found is None:
+        return None
+    run, options = found
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token) if isinstance(token, str) else None
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:  # a store_true flag
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=argv[0], run=run, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (FrameError, ParseError, EvalError, ProtocolError) as exc:

@@ -187,7 +187,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Token:
     kind: str  # name | op | end
     text: str

@@ -1,10 +1,15 @@
 """CLI subcommands: dispatch, exit codes, and stable JSON payloads."""
 
+import importlib
+import itertools
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
+from limitknow import cli
 from limitknow.attest import MAX_STEPS
 from limitknow.cli import build_parser, main
 from limitknow.logic import Model
@@ -552,3 +557,148 @@ def test_repeated_calls_share_no_state_through_the_parser(capsys, tmp_path):
     code, out, err = first[1]
     assert (code, out) == (2, "") and "required: -f/--formula" in err
     assert [code for code, _, _ in first[2:4]] == [0, 0]
+
+
+# Each subcommand's options as groups of tokens, in each of their spellings.
+# The values of --op and --trials go through choices and type, and three
+# spellings are usage errors: a value outside the choices, one that fails
+# its type, and one that starts with "-".
+OPTION_GROUPS = {
+    "check": [
+        (["-m", MODEL], ["--model", MODEL]),
+        (["-f", "p"], ["--formula", "p"], ["-f", "-p"]),
+        (["--json"],),
+    ],
+    "eval": [(["-m", MODEL],), (["-f", "C p"], ["--formula", "C p"]), (["--json"],)],
+    "rank": [
+        (["-m", MODEL],),
+        (["-a", "a"], ["--agent", "a"]),
+        (["-s", "x,z"], ["--set", "x,z"]),
+        (["--json"],),
+    ],
+    "ops": [
+        (["-m", MODEL],),
+        (["--op", "G"], ["--op", "R"], ["--op", "X"]),
+        (["-p", "@p"], ["--set", ""]),
+        (["-a", "a"], ["--agent", ""]),
+        (["-w", "z"], ["--witness", "@R[a] p"]),
+        (["--json"],),
+    ],
+    "synth": [
+        (["-m", MODEL],),
+        (["-p", "p"], ["--prop", "@p"]),
+        (["--target", "z"],),
+        (["--json"],),
+    ],
+    "simulate": [(["-s", SCENARIO_FILE], ["--scenario", SCENARIO_FILE]), (["--json"],)],
+    "laws": [
+        (["-m", MODEL],),
+        (["--trials", "7"], ["--trials", "20"], ["--trials", "x"]),
+        (["--seed", "3"],),
+        (["--json"],),
+    ],
+}
+
+
+def parsed(argv):
+    """``build_parser().parse_args(argv)``, or None when it exits."""
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_GROUPS))
+def test_the_plain_reader_matches_argparse_in_every_order(capsys, command):
+    # Every subset of the option groups in every order, each group in each
+    # spelling: the reader answers exactly when argparse accepts the call,
+    # which here is when every required option is given in a plain
+    # spelling, and it answers as argparse does.
+    groups = OPTION_GROUPS[command]
+    answered = 0
+    for k in range(len(groups) + 1):
+        for chosen in itertools.permutations(groups, k):
+            for spelling in range(3):
+                argv = [command] + [t for g in chosen for t in g[spelling % len(g)]]
+                want = parsed(argv)
+                got = cli._read_plain(argv)
+                assert (got is None) == (want is None), argv
+                if want is not None:
+                    assert vars(got) == vars(want), argv
+                    answered += 1
+    capsys.readouterr()
+    assert answered > 0
+
+
+NOT_PLAIN = {
+    "empty": [],
+    "help": ["-h"],
+    "command-help": ["check", "-h"],
+    "unknown-command": ["prove", "-m", MODEL, "-f", "p"],
+    "abbreviation": ["check", "--mod", MODEL, "-f", "p"],
+    "equals": ["check", f"--model={MODEL}", "-f", "p"],
+    "attached": ["check", f"-m{MODEL}", "-f", "p"],
+    "repeated-option": ["check", "-m", MODEL, "-m", MODEL, "-f", "p"],
+    "repeated-flag": ["check", "-m", MODEL, "-f", "p", "--json", "--json"],
+    "negative-trials": ["laws", "-m", MODEL, "--trials", "-3"],
+    "negative-seed": ["laws", "-m", MODEL, "--trials", "2", "--seed", "-5"],
+    "bad-type": ["laws", "-m", MODEL, "--trials", "x"],
+    "bad-choice": ["ops", "-m", MODEL, "--op", "X", "-p", "x"],
+    "extra-token": ["check", "-m", MODEL, "-f", "p", "p"],
+    "missing-required": ["check", "-m", MODEL],
+    "double-dash": ["check", "-m", MODEL, "--", "-f", "p"],
+    "option-as-value": ["check", "-m", MODEL, "-f", "-p"],
+    "not-a-str": ["check", "-m", MODEL, "-f", 5],
+}
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN.values(), ids=NOT_PLAIN.keys())
+def test_the_plain_reader_declines_every_other_call(argv):
+    assert cli._read_plain(argv) is None
+
+
+def outcome(capsys, argv):
+    """What ``main(argv)`` does: the code it returns, the ``SystemExit``
+    code, or the exception it raises, with stdout and stderr."""
+    try:
+        result = ("return", main(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except Exception as exc:  # compared, not swallowed: both sides must raise alike
+        result = ("raise", type(exc), str(exc))
+    return result, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN.values(), ids=NOT_PLAIN.keys())
+def test_main_answers_a_declined_call_as_argparse_does(capsys, monkeypatch, argv):
+    mine = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert mine == outcome(capsys, argv)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """bench/gen.py, and the oracle it imports, loaded without writing any
+    bytecode under bench/ and dropped from ``sys.modules`` at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(str(BENCH))
+        try:
+            return importlib.import_module("gen")
+        finally:
+            sys.modules.pop("gen", None)
+            sys.modules.pop("oracle", None)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["cli-small", "cli-large"])
+def test_benchmark_traffic_takes_the_plain_path(bench_gen, tmp_path, workload, seed):
+    ops, _ = bench_gen.make_cli(workload, seed, str(tmp_path), tiny=True)
+    assert ops
+    for op in ops:
+        got = cli._read_plain(op["argv"])
+        assert got is not None, op["argv"]
+        assert vars(got) == vars(build_parser().parse_args(op["argv"]))
