@@ -257,15 +257,9 @@ def simulate(
     with members outside the frame is a ``FrameError``.
     """
     _check_protocol_shape(frame, protocol)
-    frame.check_subset(target)
     w = frame.position(world)
     world_name = frame.worlds[w]
-    if not (isinstance(faults, (list, tuple)) and all([isinstance(f, str) for f in faults])):
-        raise ProtocolError(f"faults must be a sequence of agent names, not {faults!r:.40}")
-    fault_set = set(faults)
     agent_names = [a.name for a in frame.agents]
-    if fault_set - set(agent_names):
-        raise ProtocolError(f"unknown fault agents: {sorted(fault_set - set(agent_names))}")
     if not isinstance(streams, Mapping) or set(streams) != set(agent_names):
         raise ProtocolError("streams must cover exactly the frame's agents")
     for name, chain in streams.items():
@@ -278,6 +272,12 @@ def simulate(
             and chain[-1] == frame.topology(name).hull(1 << w)  # N(w), the least evidence
         ):
             raise ProtocolError(f"stream for {name!r} is no evidence stream at {world_name!r}")
+    if not (isinstance(faults, (list, tuple)) and all([isinstance(f, str) for f in faults])):
+        raise ProtocolError(f"faults must be a sequence of agent names, not {faults!r:.40}")
+    fault_set = set(faults)
+    if fault_set - set(agent_names):
+        raise ProtocolError(f"unknown fault agents: {sorted(fault_set - set(agent_names))}")
+    frame.check_subset(target)
 
     horizon = max(len(chain) for chain in streams.values())
     if step_cap is not None:

@@ -127,10 +127,10 @@ def _cmd_ops(args) -> int:
         raise FrameError(f"operator {op} does not take --agent")
     if takes_witness and args.witness is None:
         raise FrameError(f"operator {op} needs --witness")
+    if not takes_witness and args.witness is not None:
+        raise FrameError(f"operator {op} does not take --witness")
     p = world_set(model, args.set)
     w = None if args.witness is None else world_set(model, args.witness)
-    if not takes_witness and w is not None:
-        raise FrameError(f"operator {op} does not take --witness")
     # Past the checks, the given flags are the ones the operator takes.
     operands = [x for x in (args.agent, w, p) if x is not None]
     out = getattr(model.context, _OPS[op])(*operands)
@@ -322,9 +322,15 @@ def _read_plain(argv) -> argparse.Namespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line, ``sys.argv[1:]`` by default. An ``argv`` that is
+    a string, or holds a token that is not one, is a usage error (exit 2)."""
+    if isinstance(argv, str):
+        build_parser().error("argv must be a list of strings, not one string")
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
+        if not all([isinstance(token, str) for token in argv]):
+            build_parser().error("every command-line argument must be a string")
         args = build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -359,11 +359,11 @@ class Frame:
 
     def __init__(self, worlds: Sequence[str], agents: Sequence[AgentSpec]):
         worlds = _as_tuple(worlds, "worlds")
-        agents = _as_tuple(agents, "agents")
         if not worlds:
             raise FrameError("frame needs at least one world")
         if any(not isinstance(w, str) or not w for w in worlds) or len(set(worlds)) != len(worlds):
             raise FrameError("world names must be unique and non-empty strings")
+        agents = _as_tuple(agents, "agents")
         if not agents:
             raise FrameError("frame needs at least one agent")
         for a in agents:
@@ -429,7 +429,7 @@ class Frame:
         inside it (cover follows from directedness); a test oracle that no
         operator calls."""
         basis = self.agent(agent).basis
-        if evidence not in basis:
+        if not _is_int(evidence) or evidence not in basis:  # 3.0 == 3
             raise FrameError("subspace root is not a basis element")
         return generate_topology(tuple([e for e in basis if e & ~evidence == 0]))
 
@@ -445,8 +445,9 @@ class Frame:
 
     def evidence_at(self, agent: str, world: int | str) -> tuple[int, ...]:
         """All basis elements of ``agent`` containing the world."""
+        basis = self.agent(agent).basis
         w = self.position(world)
-        return tuple([e for e in self.agent(agent).basis if (e >> w) & 1])
+        return tuple([e for e in basis if (e >> w) & 1])
 
     def with_tolerances(self, tolerances: Mapping[str, int]) -> "Frame":
         """A frame with the same worlds and bases but the tolerances that a

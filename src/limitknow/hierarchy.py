@@ -105,8 +105,8 @@ def _levels(topology: Topology, s: int, depth: int) -> tuple[list[int], list[int
     before, so a pass scans only the last. For an open ``e``, ``open_rank(s
     & e)`` and ``open_rank(e & ~s)`` count the ``ins`` and the ``outs`` that
     meet ``e``, up to ``depth``; an infinite rank never empties its levels.
+    The caller has checked ``s``.
     """
-    topology.check_subset(s)
     ins, outs = [s], [topology.universe & ~s]
     while len(ins) < depth and ins[-1] and outs[-1]:
         i, o = ins[-1], outs[-1]
@@ -138,10 +138,11 @@ def gives_reason(frame: Frame, agent: str, w_set: int, evidence: int) -> bool:
     its subsets. Neither rank matters past the tolerance, so both are read
     off the first tolerance + 1 alternation levels of ``w_set``.
     """
-    spec = frame.agent(agent)
+    spec, topology = frame.agent(agent), frame.topology(agent)
+    topology.check_subset(w_set)
     if not _is_int(evidence) or evidence not in spec.basis:  # 3.0 == 3
         raise FrameError(f"not a basis element of agent {agent!r}")
-    return bool(_supporting(frame.topology(agent), (evidence,), spec.tolerance, w_set))
+    return bool(_supporting(topology, (evidence,), spec.tolerance, w_set))
 
 
 def _supporting(
@@ -203,9 +204,10 @@ def max_switches(method: Mapping[int, Verdict], start: Verdict) -> int:
     from ``start``. Returned as an int, 0 when no evidence answers ``start``.
     A start that is no verdict and a basis ``limit_verdicts`` rejects are
     each a ``FrameError``."""
+    topology = _method(method)
     if start not in (Verdict.YES, Verdict.NO):
         raise FrameError(f"a start verdict must be Verdict.YES or Verdict.NO, not {start!r:.40}")
-    return _switches(_method(method), method, start)[1]
+    return _switches(topology, method, start)[1]
 
 
 def _switches(
@@ -280,9 +282,9 @@ def chain_from_method(method: Mapping[int, Verdict], n: int) -> tuple[int, ...]:
     set, and the witness has at most n+1 opens (the set's rank) because the
     method switches at most n times after saying Yes.
     """
+    topology = _method(method)
     if not _is_int(n):  # a negative n fails the switch check below
         raise FrameError(f"switch bound must be an integer, not {n!r:.40}")
-    topology = _method(method)
     yes, switches = _switches(topology, method, Verdict.YES)
     if switches > n:
         raise FrameError(f"method exceeds {n} switches after saying Yes")

@@ -75,73 +75,51 @@ class LawReport:
 # ---------------------------------------------------------------------------
 # schema tables
 
-Schema = Callable[[str, Sequence[Formula]], Formula]
+# A schema takes the agent, then one formula per metavariable it reads.
+Schema = Callable[..., Formula]
 
 # A subformula that a schema repeats is built once and reused, so that the
 # trial evaluator's memo computes it once; printing is structural, so the
 # rendered instance is the same as with two equal copies.
 AXIOMS: dict[str, Schema] = {
-    "ax_R": lambda i, f: Iff((r := Reason(i, f[0])), Reason(i, r)),
-    "ax_I1": lambda i, f: Indicates(i, f[0], f[0]),
-    "ax_I2": lambda i, f: Imp(
-        Indicates(i, f[0], (ind := Indicates(i, f[0], f[1]))), ind
+    "ax_R": lambda i, p: Iff((rp := Reason(i, p)), Reason(i, rp)),
+    "ax_I1": lambda i, p: Indicates(i, p, p),
+    "ax_I2": lambda i, p, q: Imp(Indicates(i, p, (ind := Indicates(i, p, q))), ind),
+    "ax_I3": lambda i, p, q: Imp(Indicates(i, Reason(i, p), q), Indicates(i, p, q)),
+    "ax_I4": lambda i, p, q: Imp(Indicates(i, p, q), Indicates(i, p, Reason(i, And(p, q)))),
+    "ax_I5": lambda i, p, q, r: Imp(
+        And(Indicates(i, p, q), Indicates(i, And(p, q), r)), Indicates(i, p, r)
     ),
-    "ax_I3": lambda i, f: Imp(
-        Indicates(i, Reason(i, f[0]), f[1]), Indicates(i, f[0], f[1])
+    "ax_I6": lambda i, p, q, r: Imp(
+        And(Indicates(i, p, q), Indicates(i, p, Imp(q, r))), Indicates(i, p, r)
     ),
-    "ax_I4": lambda i, f: Imp(
-        Indicates(i, f[0], f[1]), Indicates(i, f[0], Reason(i, And(f[0], f[1])))
-    ),
-    "ax_I5": lambda i, f: Imp(
-        And(Indicates(i, f[0], f[1]), Indicates(i, And(f[0], f[1]), f[2])),
-        Indicates(i, f[0], f[2]),
-    ),
-    "ax_I6": lambda i, f: Imp(
-        And(Indicates(i, f[0], f[1]), Indicates(i, f[0], Imp(f[1], f[2]))),
-        Indicates(i, f[0], f[2]),
-    ),
-    "ax_B1": lambda i, f: Iff(
-        BelievesVia(i, f[0], f[1]), And(Reason(i, f[0]), Indicates(i, f[0], f[1]))
-    ),
-    "ax_B2": lambda i, f: Imp(BelievesVia(i, f[0], f[1]), Reason(i, And(f[0], f[1]))),
-    "ax_S1": lambda i, f: Imp(
-        And(f[0], BelievesVia(i, f[0], f[1])), TrueReason(i, f[1])
-    ),
-    "ax_S2": lambda i, f: Imp(TrueReason(i, f[0]), f[0]),
-    "ax_S3": lambda i, f: Iff((s := TrueReason(i, f[0])), TrueReason(i, s)),
-    "ax_S4": lambda i, f: Iff(
-        And(TrueReason(i, f[0]), TrueReason(i, f[1])), TrueReason(i, And(f[0], f[1]))
-    ),
-    "ax_G1": lambda i, f: Imp(Generates(f[0], f[1]), BelievesVia(i, f[0], f[1])),
-    "ax_G2": lambda i, f: Imp(
-        (g := Generates(f[0], f[1])), BelievesVia(i, f[0], g)
-    ),
-    "ax_C1": lambda i, f: Imp(Common(f[0]), f[0]),
-    "ax_C2": lambda i, f: Imp((c := Common(f[0])), TrueReason(i, c)),
+    "ax_B1": lambda i, p, q: Iff(BelievesVia(i, p, q), And(Reason(i, p), Indicates(i, p, q))),
+    "ax_B2": lambda i, p, q: Imp(BelievesVia(i, p, q), Reason(i, And(p, q))),
+    "ax_S1": lambda i, p, q: Imp(And(p, BelievesVia(i, p, q)), TrueReason(i, q)),
+    "ax_S2": lambda i, p: Imp(TrueReason(i, p), p),
+    "ax_S3": lambda i, p: Iff((s := TrueReason(i, p)), TrueReason(i, s)),
+    "ax_S4": lambda i, p, q: Iff(And(TrueReason(i, p), TrueReason(i, q)), TrueReason(i, And(p, q))),
+    "ax_G1": lambda i, p, q: Imp(Generates(p, q), BelievesVia(i, p, q)),
+    "ax_G2": lambda i, p, q: Imp((g := Generates(p, q)), BelievesVia(i, p, g)),
+    "ax_C1": lambda i, p: Imp(Common(p), p),
+    "ax_C2": lambda i, p: Imp((c := Common(p)), TrueReason(i, c)),
 }
 
 # Pre-theoretic consequences checked alongside the axioms: belief via a fixed
 # witness is closed under modus ponens and conjunction, so is indication, and
 # belief from a true witness reflects and is truthful.
 DERIVED: dict[str, Schema] = {
-    "derived_b_mp": lambda i, f: Imp(
-        And(BelievesVia(i, f[0], f[1]), BelievesVia(i, f[0], Imp(f[1], f[2]))),
-        BelievesVia(i, f[0], f[2]),
+    "derived_b_mp": lambda i, p, q, r: Imp(
+        And(BelievesVia(i, p, q), BelievesVia(i, p, Imp(q, r))), BelievesVia(i, p, r)
     ),
-    "derived_b_conj": lambda i, f: Imp(
-        And(BelievesVia(i, f[0], f[1]), BelievesVia(i, f[0], f[2])),
-        BelievesVia(i, f[0], And(f[1], f[2])),
+    "derived_b_conj": lambda i, p, q, r: Imp(
+        And(BelievesVia(i, p, q), BelievesVia(i, p, r)), BelievesVia(i, p, And(q, r))
     ),
-    "derived_i_conj": lambda i, f: Imp(
-        And(Indicates(i, f[0], f[1]), Indicates(i, f[0], f[2])),
-        Indicates(i, f[0], And(f[1], f[2])),
+    "derived_i_conj": lambda i, p, q, r: Imp(
+        And(Indicates(i, p, q), Indicates(i, p, r)), Indicates(i, p, And(q, r))
     ),
-    "derived_b_reflection": lambda i, f: Imp(
-        BelievesVia(i, f[0], (b := BelievesVia(i, f[0], f[1]))), b
-    ),
-    "derived_b_truth": lambda i, f: Imp(
-        And(f[0], BelievesVia(i, f[0], f[1])), f[1]
-    ),
+    "derived_b_reflection": lambda i, p, q: Imp(BelievesVia(i, p, (b := BelievesVia(i, p, q))), b),
+    "derived_b_truth": lambda i, p, q: Imp(And(p, BelievesVia(i, p, q)), q),
 }
 
 # ---------------------------------------------------------------------------
@@ -221,19 +199,13 @@ Law = Callable[..., Instance]  # called with the six arguments above, in order
 
 
 def _schema_law(build: Schema) -> Law:
-    """A law drawing an agent, then metavariables up to the last one that an
-    instance reads: an unread one would be drawn for nothing."""
-    probes = [Prop(f"_f{j}") for j in range(3)]
-    seen, stack = set(), [build("_", probes)]
-    while stack:
-        seen.add(node := stack.pop())
-        stack.extend([c for c in vars(node).values() if isinstance(c, Formula)])
-    draws = max([j + 1 for j, p in enumerate(probes) if p in seen])
+    """A law drawing an agent, then one metavariable per parameter of the
+    schema after the agent."""
+    draws = build.__code__.co_argcount - 1
 
     def law(ctx, valuation, rng, pool, agents, k):
         i = rng.choice(agents)
-        fs = [_metavariable(rng, pool, agents) for _ in range(draws)]
-        return [], build(i, fs), valuation
+        return [], build(i, *[_metavariable(rng, pool, agents) for _ in range(draws)]), valuation
 
     return law
 

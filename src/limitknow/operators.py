@@ -43,9 +43,9 @@ class _Agent:
 class OperatorContext:
     """Operator evaluation over one frame, with per-agent caches.
 
-    Caches hold each agent's true-reason neighborhoods and the evidence that
-    supports each queried witness set. Rebuilding a context from the same
-    frame yields identical caches.
+    Caches hold each agent's true-reason neighborhoods, the evidence that
+    supports each queried witness set, and ``common``'s ``joint`` table.
+    Rebuilding a context from the same frame yields identical caches.
     """
 
     def __init__(self, frame: Frame):
@@ -54,11 +54,10 @@ class OperatorContext:
         self._agents = {a.name: _Agent(frame, a) for a in frame.agents}  # in frame order
         self._joint: list[tuple[int, int]] | None = None  # common's (J(w), {w}) pairs
 
-    def _agent(self, name: str, first: int = 0) -> _Agent:
+    def _agent(self, name: str) -> _Agent:
         try:
             return self._agents[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            self.frame.check_subset(first)  # a world set checked before the agent
             raise FrameError(f"unknown agent {name!r}") from None
 
     # -- cached frame data -------------------------------------------------
@@ -72,7 +71,7 @@ class OperatorContext:
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
         the set, each by ``gives_reason``'s test."""
-        return self._agent(agent, w_set).evidence(w_set)
+        return self._agent(agent).evidence(w_set)
 
     # -- the operators -------------------------------------------------------
 
@@ -87,10 +86,10 @@ class OperatorContext:
     def indicates(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the witness indicates the target to the agent: every
         supporting evidence confines the witness inside the target."""
-        rec = self._agent(agent)
+        evidence = self._agent(agent).evidence(witness)
         self.frame.check_subset(target)
         bad = 0
-        for e in rec.evidence(witness):
+        for e in evidence:
             if witness & e & ~target:
                 bad |= e
         return self.universe & ~bad
@@ -98,10 +97,10 @@ class OperatorContext:
     def believes_via(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the agent has the witness as reason to believe the
         target: ``reason`` and ``indicates`` in one pass over the evidence."""
-        rec = self._agent(agent)
+        evidence = self._agent(agent).evidence(witness)
         self.frame.check_subset(target)
         out = bad = 0
-        for e in rec.evidence(witness):
+        for e in evidence:
             out |= e
             if witness & e & ~target:
                 bad |= e
@@ -126,7 +125,6 @@ class OperatorContext:
         supporting element meets the witness, since it meets a level and
         every level lies inside the witness.
         """
-        self.frame.check_subset(target)
         reasons, pairs = self.universe, []
         for rec in self._agents.values():
             out = 0
@@ -134,6 +132,7 @@ class OperatorContext:
                 out |= e
                 pairs.append((witness & e, e))
             reasons &= out
+        self.frame.check_subset(target)
         return self._greatest(reasons, target, pairs)
 
     def common(self, target: int) -> int:
@@ -220,6 +219,7 @@ class OperatorContext:
     def feasible(self, v: int) -> bool:
         """Can every agent decide the set within tolerance: is its open rank at
         most tolerance + 1, its inner level tolerance + 1 empty or missing?"""
+        self.frame.check_subset(v)
         for rec in self._agents.values():
             ins, outs = _levels(rec.topology, v, rec.tolerance + 1)
             if len(ins) > rec.tolerance and rec.topology.meeting(ins[-1], outs[-1]):
@@ -231,4 +231,4 @@ class OperatorContext:
         feasibly decidable for the agent. That set is open in the agent's
         true-reason topology, a union of differences of opens, so its rank is
         finite."""
-        return max(open_rank(self.frame.topology(agent), self.common(target)).rank - 1, 0)
+        return max(open_rank(self._agent(agent).topology, self.common(target)).rank - 1, 0)

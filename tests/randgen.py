@@ -1,9 +1,9 @@
-"""Shared test helpers: random valid frames, random formulas that share
-subtrees, exhaustive basis enumeration, JSON document edits, and independent
-brute-force oracles for ranks, switching counts, limit verdicts, common
-knowledge and its round loops, witness searches, formula evaluation and the
-law battery, staircase frames whose fixed points take many rounds, and
-opposed chains."""
+"""Shared test helpers: random valid frames, the 3-world chain frame, warm
+operator contexts, random formulas that share subtrees, exhaustive basis
+enumeration, JSON document edits, and independent brute-force oracles for
+ranks, switching counts, limit verdicts, common knowledge and its round
+loops, witness searches, formula evaluation and the law battery, staircase
+frames whose fixed points take many rounds, and opposed chains."""
 
 from __future__ import annotations
 
@@ -124,6 +124,28 @@ def random_frame(
             basis = tuple(sorted(set(basis) | {(1 << n) - 1}))
         agents.append(AgentSpec(f"a{k}", basis, rng.randint(0, max_tolerance)))
     return Frame(worlds, agents)
+
+
+CHAIN = (0b111, 0b110, 0b100)  # {x,y,z}, {y,z}, {z}
+
+
+def chain_frame(tolerance: int = 1, agents=("a", "b")) -> Frame:
+    """Worlds x, y, z, and the basis ``CHAIN`` for each agent."""
+    return Frame(["x", "y", "z"], [AgentSpec(a, CHAIN, tolerance) for a in agents])
+
+
+def warm(ctx: OperatorContext) -> OperatorContext:
+    """Fill every cache of agent a with answers for the exact ints 1 and
+    0b110, which ``True`` and ``1.0`` equal."""
+    for w_set in (1, 0b110):
+        ctx.supporting_evidence("a", w_set)
+        ctx.reason("a", w_set)
+        ctx.indicates("a", w_set, w_set)
+        ctx.believes_via("a", w_set, w_set)
+        ctx.true_reason("a", w_set)
+        ctx.generates(w_set, w_set)
+        ctx.common(w_set)
+    return ctx
 
 
 _UNARY = (Not, Common)

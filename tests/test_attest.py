@@ -23,13 +23,7 @@ from limitknow.attest import (
 from limitknow.frame import AgentSpec, Frame, FrameError, load_frame_file, submasks
 from limitknow.hierarchy import limit_yes_set, open_rank
 from limitknow.operators import OperatorContext
-from randgen import random_frame
-
-CHAIN = (0b111, 0b110, 0b100)
-
-
-def chain_frame(tolerance=1, agents=("a", "b")):
-    return Frame(["x", "y", "z"], [AgentSpec(a, CHAIN, tolerance) for a in agents])
+from randgen import CHAIN, chain_frame, random_frame
 
 
 def constant_protocol(frame, verdict):

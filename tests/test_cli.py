@@ -147,8 +147,10 @@ def test_ops_reads_an_empty_agent_as_an_agent_name(capsys):
     ids=["R", "S", "C", "L"],
 )
 def test_ops_rejects_a_witness_it_does_not_take(capsys, op, flags):
-    code, out, err = run(capsys, "ops", "-m", MODEL, "--op", op, "-p", "x", "-w", "x", *flags)
-    assert (code, out, err) == (2, "", f"error: operator {op} does not take --witness\n")
+    # The flag is refused before any world set is read, a bad formula included.
+    for witness in ("x", "@p &"):
+        code, out, err = run(capsys, "ops", "-m", MODEL, "--op", op, "-p", "x", "-w", witness, *flags)
+        assert (code, out, err) == (2, "", f"error: operator {op} does not take --witness\n")
 
 
 def test_synth_infeasible_names_the_rank(capsys):
@@ -509,7 +511,7 @@ EMPTY_SET = "error: not a world list (unknown: []) and not an evaluable formula:
     [
         ["synth", "-m", MODEL, "-p", "p", "--target", ""],
         ["ops", "-m", MODEL, "-a", "a", "--op", "I", "-p", "x", "-w", ""],
-        ["ops", "-m", MODEL, "-a", "a", "--op", "R", "-p", "x", "-w", ""],
+        ["ops", "-m", MODEL, "-a", "a", "--op", "B", "-p", "x", "-w", ""],
         ["ops", "-m", MODEL, "--op", "C", "-p", ""],
         ["rank", "-m", MODEL, "-a", "a", "-s", ""],
     ],
@@ -674,6 +676,22 @@ def test_main_answers_a_declined_call_as_argparse_does(capsys, monkeypatch, argv
     mine = outcome(capsys, argv)
     monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
     assert mine == outcome(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "-m", MODEL, "-f", 5], "every command-line argument must be a string"),
+        (f"check -m {MODEL} -f p", "argv must be a list of strings, not one string"),
+    ],
+    ids=["not-a-str-token", "one-string"],
+)
+def test_main_refuses_an_argv_that_is_no_list_of_strings(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.startswith("usage: limitknow") and err.endswith(f"limitknow: error: {message}\n")
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -276,6 +276,7 @@ SIERPINSKI_CHAIN = (U | V, U)
         pytest.param(lambda: sierpinski_frame().topology("a").rooted([U, 1.0]), id="float-rooted"),
         pytest.param(lambda: sierpinski_frame().topology("a").rooted([Z]), id="rooted-past-universe"),
         pytest.param(lambda: sierpinski_frame().with_tolerances("a"), id="string-tolerances"),
+        pytest.param(lambda: sierpinski_frame().subspace("a", 3.0), id="float-subspace-root"),
         pytest.param(lambda: method_from_chain(SIERPINSKI_CHAIN, "ab"), id="string-method-basis"),
         pytest.param(
             lambda: method_from_chain(SIERPINSKI_CHAIN, (3.0, 1)), id="float-method-element"

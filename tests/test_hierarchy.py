@@ -26,6 +26,7 @@ from limitknow.hierarchy import (
 from randgen import (
     all_methods,
     all_valid_bases,
+    chain_frame,
     oracle_all_ranks,
     oracle_min_switches,
     oracle_switches,
@@ -33,10 +34,6 @@ from randgen import (
 )
 
 YES, NO = Verdict.YES, Verdict.NO
-
-
-def chain_frame():
-    return Frame(["x", "y", "z"], [AgentSpec("a", (0b111, 0b110, 0b100), 1)])
 
 
 def sierpinski_frame(tolerance=1):
@@ -217,7 +214,7 @@ def test_gives_reason_when_evidence_entails_the_set():
 
 
 def test_gives_reason_chain_fixture():
-    frame = chain_frame()
+    frame = chain_frame(agents=("a",))
     w = 0b101  # {x,z}
     assert not gives_reason(frame, "a", w, 0b111)  # tolerance 1
     deeper = Frame(frame.worlds, [AgentSpec("a", frame.agent("a").basis, 2)])
@@ -231,7 +228,7 @@ def test_gives_reason_sierpinski():
 
 def test_gives_reason_rejects_non_evidence():
     with pytest.raises(FrameError):
-        gives_reason(chain_frame(), "a", 0b1, 0b001)
+        gives_reason(chain_frame(agents=("a",)), "a", 0b1, 0b001)
     with pytest.raises(FrameError, match="not a basis element of agent 'a'"):
         gives_reason(sierpinski_frame(), "a", 1, 3.0)  # equal to the element 3
 
@@ -411,7 +408,7 @@ def test_verify_protocol_counts_switches_on_opposed_chains():
 
 
 def test_min_switches_examples():
-    frame = chain_frame()
+    frame = chain_frame(agents=("a",))
     assert min_switches(frame, "a", 0b111) == 0
     assert min_switches(frame, "a", 0b101) == 2
     assert min_switches(sierpinski_frame(), "a", 0b01) == 1
@@ -494,7 +491,7 @@ def test_chain_from_method_validates_its_basis_once(monkeypatch):
 def test_verify_protocol_and_max_switches_validate_no_basis_twice(monkeypatch):
     # verify_protocol and synthesize read the frame's validated bases;
     # max_switches validates the method's basis once.
-    frame = chain_frame()
+    frame = chain_frame(agents=("a",))
     method = {0b111: NO, 0b110: YES, 0b100: NO}
     calls = []
     original = frame_module.validate_basis

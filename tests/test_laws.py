@@ -83,7 +83,7 @@ def test_battery_reports_failures_of_a_broken_operator(chain_model, monkeypatch)
 
 
 def test_indication_reflexivity_instance(chain_model):
-    inst = AXIOMS["ax_I1"]("a", [Prop("p"), Prop("p"), Prop("p")])
+    inst = AXIOMS["ax_I1"]("a", Prop("p"))
     assert check(chain_model, inst).valid
 
 
@@ -214,7 +214,7 @@ def test_schema_instances_share_repeated_subformulas():
     metavariables = [Prop("p"), Prop("q"), Prop("r")]
     for name, build in {**AXIOMS, **DERIVED}.items():
         nodes = {}
-        stack = [build("a", metavariables)]
+        stack = [instance(build, "a", metavariables)]
         while stack:
             node = stack.pop()
             if id(node) not in nodes:
@@ -265,6 +265,12 @@ def test_the_battery_needs_an_int_seed(chain_model, seed):
 METAVARIABLES = [Prop("_f0"), Prop("_f1"), Prop("_f2")]
 
 
+def instance(build, agent, metavariables=METAVARIABLES):
+    """The schema at the agent and the first metavariables, one for each
+    parameter after the agent."""
+    return build(agent, *metavariables[: build.__code__.co_argcount - 1])
+
+
 def used_metavariables(schema):
     """The metavariables that a schema instance mentions, in order."""
     seen, stack = set(), [schema]
@@ -282,10 +288,10 @@ SCHEMAS = {**AXIOMS, **DERIVED}
 def test_a_schema_trial_draws_the_metavariables_up_to_the_last_it_reads(
     chain_model, monkeypatch, name, build
 ):
-    # The highest index read plus 1, not the number read: the schema indexes
-    # the drawn list.
-    last = used_metavariables(build("a", METAVARIABLES))[-1]
-    expected = [p.name for p in METAVARIABLES].index(last) + 1
+    # A schema names the metavariables it reads: one parameter each after the
+    # agent, and an instance reads every one of them.
+    expected = build.__code__.co_argcount - 1
+    assert used_metavariables(instance(build, "a")) == [p.name for p in METAVARIABLES[:expected]]
     drawn = []
     metavariable = laws._metavariable
     monkeypatch.setattr(laws, "_metavariable", lambda *a: drawn.append(a) or metavariable(*a))
@@ -335,7 +341,7 @@ def check_every_schema(frames, schemas=SCHEMAS):
         sets = list(submasks(frame.universe))
         for name, build in schemas.items():
             for agent in frame.agents:
-                schema = build(agent.name, METAVARIABLES)
+                schema = instance(build, agent.name)
                 used = used_metavariables(schema)
                 for values in itertools.product(sets, repeat=len(used)):
                     extension = _Evaluator(ctx, dict(zip(used, values))).go(schema)

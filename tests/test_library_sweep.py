@@ -3,10 +3,12 @@ value of the wrong type or out of range: the call returns, or it raises one
 of the library's own errors, so no ``TypeError``, ``KeyError`` or other
 crash escapes. A value returned is not compared (``Frame.mask({})`` is the
 empty set). An argument that is a library object instead fails as Python
-fails on a wrong type."""
+fails on a wrong type. With two data arguments bad, the first in signature
+order decides the error."""
 
 import ast
 import dataclasses
+import itertools
 import json
 from collections.abc import Iterator
 from pathlib import Path
@@ -33,6 +35,7 @@ from limitknow import (
     parse,
     synthesize,
 )
+from randgen import warm
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MODEL_FILE = str(FIXTURES / "model3.json")
@@ -194,3 +197,48 @@ def test_the_sweep_covers_every_export_and_public_method():
         if not name.startswith("_") and callable(value)
     }
     assert set(CALLS) == (exported - {"INFINITE"}) | methods
+
+
+# The one check that ties an argument to a later one: it runs once that later
+# one, the basis, is checked.
+TIED = "chain member is not open in the basis's topology"
+
+
+def error(fn, args):
+    """The library error that a call raises, as its type and message; None
+    when the call returns."""
+    try:
+        call(fn, args)
+    except LIBRARY_ERRORS as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_the_first_bad_argument_in_signature_order_decides_the_error(name):
+    # For data arguments i < j that each fail alone, the call with both bad
+    # fails as the call with only i bad does. An operator call runs on a
+    # fresh context and on a warm one, whose caches hold the exact ints that
+    # True and 1.0 equal.
+    args = CALLS[name]
+    data = [i for i, a in enumerate(args) if not isinstance(a, OBJECTS)]
+    if len(data) < 2:
+        return  # no two arguments to order
+    owner, _, attr = name.rpartition(".")
+    fns = [lambda: function(name)]
+    if owner == "OperatorContext":
+        ctx = warm(OperatorContext(FRAME))
+        fns.append(lambda: getattr(ctx, attr))
+    wrong = []
+    for fn in fns:
+        alone = {}  # (i, k) -> the error of the call with only argument i bad, as BAD[k]
+        for i, (k, bad) in itertools.product(data, enumerate(BAD)):
+            if (found := error(fn(), [*args[:i], bad, *args[i + 1 :]])) is not None:
+                alone[i, k] = found
+        for (i, k), (j, m) in itertools.product(alone, alone):
+            if i < j and alone[i, k][1] != TIED:
+                both = [*args]
+                both[i], both[j] = BAD[k], BAD[m]
+                if (found := error(fn(), both)) != alone[i, k]:
+                    wrong.append((i, BAD[k], j, BAD[m], found))
+    assert wrong == []

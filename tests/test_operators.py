@@ -15,17 +15,11 @@ from limitknow.attest import synthesize, verify_protocol
 from limitknow.logic import MODALITIES
 from limitknow.operators import OperatorContext
 import randgen
-from randgen import all_valid_bases, common_via_interior, random_frame
-
-CHAIN = ("chain", (0b111, 0b110, 0b100))
+from randgen import all_valid_bases, chain_frame, common_via_interior, random_frame, warm
 
 
 def chain_ctx(tolerance, agents=("a",)):
-    frame = Frame(
-        ["x", "y", "z"],
-        [AgentSpec(a, CHAIN[1], tolerance) for a in agents],
-    )
-    return OperatorContext(frame)
+    return OperatorContext(chain_frame(tolerance, agents))
 
 
 def test_reason_preserves_universe():
@@ -124,23 +118,7 @@ def test_a_world_set_that_is_not_an_int_mask_is_a_frame_error(call):
         call(chain_ctx(1))
 
 
-# The order in which each public OperatorContext method checks its
-# arguments: the first bad one in this order decides the error.
-CHECK_ORDER = {
-    "two_open_family": ("agent",),
-    "supporting_evidence": ("w_set", "agent"),
-    "reason": ("w_set", "agent"),
-    "indicates": ("agent", "target", "witness"),
-    "believes_via": ("agent", "target", "witness"),
-    "true_reason": ("agent", "target"),
-    "generates": ("target", "witness"),
-    "common": ("target",),
-    "true_reason_topology": ("agent",),
-    "lewis_common": ("target",),
-    "witnesses": ("common",),
-    "feasible": ("v",),
-    "min_tolerance": ("agent", "target"),
-}
+PUBLIC = sorted(n for n, f in vars(OperatorContext).items() if callable(f) and not n.startswith("_"))
 BAD_SETS = [
     (True, "a world set must be an integer mask, not True"),
     (1.0, "a world set must be an integer mask, not 1.0"),
@@ -148,19 +126,10 @@ BAD_SETS = [
 ]
 
 
-def test_the_check_order_table_names_every_public_method_and_parameter():
-    public = {n for n, f in vars(OperatorContext).items() if callable(f) and not n.startswith("_")}
-    assert set(CHECK_ORDER) == public
-    for name, order in CHECK_ORDER.items():
-        params = list(inspect.signature(getattr(OperatorContext, name)).parameters)[1:]
-        assert sorted(order) == sorted(params), name
-
-
 def bad_calls(name):
     """Every call of the method with at least two bad arguments (the one, for
     a method of one), each world set a different kind of bad one, with the
-    error message that the first bad argument in ``CHECK_ORDER`` raises."""
-    order = CHECK_ORDER[name]
+    error message that the first bad argument in signature order raises."""
     params = list(inspect.signature(getattr(OperatorContext, name)).parameters)[1:]
     for k in range(min(2, len(params)), len(params) + 1):
         for bad in itertools.combinations(params, k):
@@ -168,27 +137,14 @@ def bad_calls(name):
             for values in itertools.permutations(BAD_SETS, len(sets)):
                 chosen = dict(zip(sets, values), agent=("zz", "unknown agent 'zz'"))
                 args = [chosen[p][0] if p in bad else "a" if p == "agent" else 0b110 for p in params]
-                yield args, chosen[next(p for p in order if p in bad)][1]
-
-
-def warm(ctx):
-    """Fill every cache with answers for the exact ints 1 and 0b110, which
-    ``True`` and ``1.0`` equal."""
-    for w_set in (1, 0b110):
-        ctx.supporting_evidence("a", w_set)
-        ctx.reason("a", w_set)
-        ctx.indicates("a", w_set, w_set)
-        ctx.believes_via("a", w_set, w_set)
-        ctx.true_reason("a", w_set)
-        ctx.generates(w_set, w_set)
-        ctx.common(w_set)
+                yield args, chosen[bad[0]][1]
 
 
 @pytest.mark.parametrize("warmed", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("name", sorted(CHECK_ORDER))
+@pytest.mark.parametrize("name", PUBLIC)
 def test_the_first_bad_argument_decides_the_error(name, warmed):
-    # A record-first lookup would report supporting_evidence("zz", True) and
-    # reason("zz", 8) as an unknown agent; they report the world set.
+    # Agent first: supporting_evidence("zz", True) and reason("zz", 8) report
+    # the unknown agent, on a fresh context and on a warm one alike.
     calls = list(bad_calls(name))
     assert calls
     for args, message in calls:
