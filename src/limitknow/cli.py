@@ -323,10 +323,17 @@ def _read_plain(argv) -> argparse.Namespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line, ``sys.argv[1:]`` by default. An ``argv`` that is
-    a string, or holds a token that is not one, is a usage error (exit 2)."""
-    if isinstance(argv, str):
+    a string or no iterable, or holds a token that is not a string, is a
+    usage error (exit 2)."""
+    if argv is None:
+        argv = sys.argv[1:]
+    elif isinstance(argv, str):
         build_parser().error("argv must be a list of strings, not one string")
-    argv = sys.argv[1:] if argv is None else list(argv)
+    else:
+        try:
+            argv = list(argv)
+        except TypeError:  # no iterable
+            build_parser().error(f"argv must be a list of strings, not {argv!r:.40}")
     args = _read_plain(argv)
     if args is None:
         if not all([isinstance(token, str) for token in argv]):

@@ -101,13 +101,13 @@ class BasisViolation:
 
 @dataclass(frozen=True)
 class BasisReport:
-    """Every violated basis condition; the basis is valid (``ok``) when
-    there is none."""
+    """The violated basis condition, if any; the basis is valid (``ok``)
+    when there is none."""
 
-    violations: tuple[BasisViolation, ...]
-    # Per world position, the intersection of the elements containing that
-    # world (0 where none does). For a valid basis that is each world's
-    # minimal neighborhood, which directedness makes an element itself.
+    violations: tuple[BasisViolation, ...]  # empty, or the first violation met
+    # Per world position of a valid basis, the intersection of the elements
+    # containing that world (0 where none does): its minimal neighborhood,
+    # which directedness makes an element itself. Empty when refused.
     neighborhoods: tuple[int, ...]
 
     @property
@@ -115,27 +115,18 @@ class BasisReport:
         return not self.violations
 
 
-def _meets(elements: Sequence[int], universe: int) -> list[int]:
-    """Per world position, the intersection of the elements containing that
-    world of ``universe``; -1 (every bit set) where no element does."""
-    meets = [-1] * universe.bit_length()
-    for e in elements:
-        for w in bits(e & universe):
-            meets[w] &= e
-    return meets
-
-
-def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] | None:
+def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] | BasisViolation:
     """Each world position's least element (0 off ``universe``), from one pass
-    over the elements in ascending size; None if a check of ``validate_basis``
-    fails. By induction on size, a passed element contains ``M(v)``, the first
-    element holding ``v``, for each of its worlds: a world first met in ``e``
-    has ``M(v) = e``, and each other must lie in a smaller passed element
-    inside ``e``, found by climbing path-compressed ``up`` links from
-    ``M(v)``. Then every element at ``w`` contains ``M(w)``: ``N(w) = M(w)``.
-    A ``v`` in ``e`` with ``M(v)`` not inside ``e`` has no least element: it
-    would lie inside ``M(v)``, and none smaller holds ``v``. Sorting by value
-    first puts equal elements side by side, hashing no mask."""
+    over the elements in ascending (size, value); else the first violation of
+    ``validate_basis`` that pass meets. By induction on size, a passed
+    element contains ``M(v)``, the first element holding ``v``, for each of
+    its worlds: a world first met in ``e`` has ``M(v) = e``, and each other
+    must lie in a smaller passed element inside ``e``, found by climbing
+    path-compressed ``up`` links from ``M(v)``. Then every element at ``w``
+    contains ``M(w)``: ``N(w) = M(w)``. At the lowest ``v`` in ``e`` with
+    ``M(v)`` not inside ``e``, the pair is not directed: an element at ``v``
+    inside both would be smaller than ``M(v)``, so met before it. Sorting by
+    value first puts equal elements side by side, hashing no mask."""
     order = sorted(elements)
     order.sort(key=int.bit_count)
     owner = [-1] * universe.bit_length()  # index into order of each M(w)
@@ -144,8 +135,10 @@ def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] |
     todo = universe
     last = 0  # an empty first element equals it
     for i, e in enumerate(order):
-        if e == last or e & outside:
-            return None
+        if e == last:
+            return BasisViolation("duplicate-element" if e else "empty-element", element=e)
+        if e & outside:
+            return BasisViolation("outside-universe", element=e)
         last = e
         new = e & todo
         if new & (new - 1):
@@ -158,9 +151,10 @@ def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] |
         if rest:
             off = ~e
         while rest:
-            j = owner[(rest & -rest).bit_length() - 1]
+            v = (rest & -rest).bit_length() - 1
+            j = owner[v]
             if order[j] & off:
-                return None
+                return BasisViolation("not-directed", element=order[j], other=e, world=v)
             top = j
             while (k := up[top]) and not order[k] & off:
                 top = k
@@ -169,7 +163,7 @@ def _least_evidence(elements: Sequence[int], universe: int) -> tuple[int, ...] |
             up[top] = i
             rest &= ~order[top]
     if todo:
-        return None
+        return BasisViolation("uncovered-world", world=(todo & -todo).bit_length() - 1)
     order.append(0)  # owner -1, a position off the universe, reads 0
     return tuple([order[j] for j in owner])
 
@@ -179,49 +173,17 @@ def validate_basis(elements: Sequence[int], universe: int) -> BasisReport:
     ingestion rules (non-empty, within universe, no duplicates), and report
     each world's least evidence.
 
-    Violations are data, not faults: the report lists every failed condition
-    with a witness. A universe or element that is not a non-negative int is
-    no set at all, and a ``FrameError``, as is a basis that is no sequence.
-    A valid basis passes one ascending pass (``_least_evidence``); one it
-    refuses is scanned per (world, element) incidence for the violations.
-    The elements at a world are directed there exactly when their
-    intersection is itself an element (a finite directed family has a least
-    member, and any member below all of them is their intersection), so the
-    pairwise search for witnesses runs only at worlds failing that test.
+    Violations are data, not faults: a refused basis is reported with the
+    first violation that one ascending pass (``_least_evidence``) meets, and
+    its witness. A universe or element that is not a non-negative int is no
+    set at all, and a ``FrameError``, as is a basis that is no sequence.
     """
     elements = _masks(elements, "basis element")
     _masks((universe,), "universe")
     least = _least_evidence(elements, universe)
-    if least is not None:
-        return BasisReport((), least)
-    found: list[BasisViolation] = []
-    seen: set[int] = set()
-    for e in elements:
-        if e == 0:
-            found.append(BasisViolation("empty-element", element=e))
-        if e & ~universe:
-            found.append(BasisViolation("outside-universe", element=e))
-        if e in seen:
-            found.append(BasisViolation("duplicate-element", element=e))
-        seen.add(e)
-
-    meets = _meets(elements, universe)
-    for w in bits(universe):
-        if meets[w] == -1:
-            found.append(BasisViolation("uncovered-world", world=w))
-            continue
-        if meets[w] in seen:
-            continue
-        at_w = [e for e in elements if (e >> w) & 1]
-        for i, e1 in enumerate(at_w):
-            for e2 in at_w[i + 1 :]:
-                meet = e1 & e2
-                if not any((e3 >> w) & 1 and e3 & ~meet == 0 for e3 in at_w):
-                    found.append(
-                        BasisViolation("not-directed", element=e1, other=e2, world=w)
-                    )
-    nbhd = tuple([0 if m == -1 else m for m in meets])
-    return BasisReport(tuple(found), nbhd)
+    if isinstance(least, BasisViolation):
+        return BasisReport((least,), ())
+    return BasisReport((), least)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +285,7 @@ def generate_topology(basis: Sequence[int]) -> Topology:
         universe |= e
     report = validate_basis(basis, universe)
     if not report.ok:
-        raise FrameError(
-            "invalid basis: " + "; ".join(v.describe() for v in report.violations)
-        )
+        raise FrameError(f"invalid basis: {report.violations[0].describe()}")
     return Topology(universe, report.neighborhoods)
 
 
@@ -386,7 +346,7 @@ class Frame:
             _check_tolerance(a)
             report = validate_basis(a.basis, self.universe)
             if not report.ok:
-                detail = "; ".join(v.describe(worlds) for v in report.violations)
+                detail = report.violations[0].describe(worlds)
                 raise FrameError(f"agent {a.name}: invalid basis: {detail}")
             self._topologies[a.name] = Topology(self.universe, report.neighborhoods)
 

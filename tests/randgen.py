@@ -126,6 +126,11 @@ def random_frame(
     return Frame(worlds, agents)
 
 
+def sierpinski_frame(tolerance: int = 1) -> Frame:
+    """Worlds u, v; agent ``a`` has the basis ``{u}``, ``{u, v}``."""
+    return Frame(["u", "v"], [AgentSpec("a", (0b01, 0b11), tolerance)])
+
+
 CHAIN = (0b111, 0b110, 0b100)  # {x,y,z}, {y,z}, {z}
 
 

@@ -12,6 +12,7 @@ import pytest
 from limitknow import cli
 from limitknow.attest import MAX_STEPS
 from limitknow.cli import build_parser, main
+from limitknow.frame import AgentSpec, Frame, FrameError, validate_basis
 from limitknow.logic import Model
 from limitknow.operators import OperatorContext
 from randgen import with_field
@@ -391,6 +392,23 @@ def test_malformed_model_is_one_error_line(capsys, tmp_path, path, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_basis_with_many_violations_is_one_short_error_line(capsys, tmp_path):
+    # 300 elements {w0, wi}: each pair meets in {w0}, which no element
+    # refines, so every one of the 44,850 pairs is not directed at w0.
+    worlds = [f"w{i}" for i in range(301)]
+    basis = tuple([1 | 1 << i for i in range(1, 301)])
+    assert len(validate_basis(basis, (1 << 301) - 1).violations) == 1
+    with pytest.raises(FrameError) as info:
+        Frame(worlds, [AgentSpec("a", basis, 0)])
+    assert len(str(info.value)) < 200
+    model = tmp_path / "model.json"
+    agent = {"name": "a", "tolerance": 0, "basis": [["w0", w] for w in worlds[1:]]}
+    model.write_text(json.dumps({"worlds": worlds, "agents": [agent]}))
+    code, out, err = run(capsys, "eval", "-m", str(model), "-f", "top")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -683,8 +701,9 @@ def test_main_answers_a_declined_call_as_argparse_does(capsys, monkeypatch, argv
     [
         (["check", "-m", MODEL, "-f", 5], "every command-line argument must be a string"),
         (f"check -m {MODEL} -f p", "argv must be a list of strings, not one string"),
+        (5, "argv must be a list of strings, not 5"),
     ],
-    ids=["not-a-str-token", "one-string"],
+    ids=["not-a-str-token", "one-string", "not-iterable"],
 )
 def test_main_refuses_an_argv_that_is_no_list_of_strings(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

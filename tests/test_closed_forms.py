@@ -315,17 +315,34 @@ def pairwise_validate(elements, universe):
     return BasisReport(tuple(found), tuple(least))
 
 
+def unordered(violation):
+    """A violation with its witness pair as a set: the oracle orders a
+    not-directed pair by position in the input, the ascending pass by size."""
+    return (violation.kind, frozenset((violation.element, violation.other)), violation.world)
+
+
+def agrees_with_oracle(report, expected):
+    """The same verdict as ``pairwise_validate``, the same report on a valid
+    basis, and on a refused one a single violation that the oracle lists."""
+    if expected.ok:
+        return report == expected
+    return (
+        len(report.violations) == 1
+        and report.neighborhoods == ()
+        and unordered(report.violations[0]) in {unordered(v) for v in expected.violations}
+    )
+
+
 def test_validate_basis_matches_pairwise_on_every_small_family():
-    # The ascending pass answers exactly the valid families; the rest fall
-    # back to the scan that lists the violations.
+    # The ascending pass answers every family: the least evidence of a valid
+    # one, or the first violation it meets in a refused one.
     universe = 0b111
     masks = range(0, 16)  # includes the empty set and a bit outside
     valid = 0
     for size in range(0, 5):
         for family in itertools.product(masks, repeat=size):
             expected = pairwise_validate(family, universe)
-            assert frame_module.validate_basis(family, universe) == expected
-            assert (frame_module._least_evidence(family, universe) is not None) == expected.ok
+            assert agrees_with_oracle(frame_module.validate_basis(family, universe), expected)
             valid += expected.ok
     assert valid == 679  # the 54 valid bases of 3 worlds with at most 4 elements, in every order
 
@@ -385,17 +402,13 @@ def big_families(n):
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
-def test_validate_basis_matches_the_scan_on_deep_families(n, monkeypatch):
-    # The scan is what validate_basis runs on a refused basis; it matches
-    # pairwise_validate above, which is too slow past 64 worlds.
+def test_validate_basis_matches_the_scan_on_deep_families(n):
+    # pairwise_validate, the scan above, is too slow past 64 worlds.
     universe = (1 << n) - 1
     rng = random.Random(n + 1)
     for name, family in big_families(n).items():
         family = rng.sample(family, len(family))
         report = frame_module.validate_basis(family, universe)
-        with monkeypatch.context() as m:
-            m.setattr(frame_module, "_least_evidence", lambda *args: None)
-            assert report == frame_module.validate_basis(family, universe), name
         assert report.ok, name
         if n == 64:
             assert report == pairwise_validate(family, universe), name
@@ -419,9 +432,9 @@ def test_the_ascending_pass_refuses_every_broken_deep_family():
         for how, bad in broken.items():
             bad = rng.sample(bad, len(bad))
             expected = pairwise_validate(bad, universe)
-            assert frame_module.validate_basis(bad, universe) == expected, (name, how)
+            report = frame_module.validate_basis(bad, universe)
+            assert agrees_with_oracle(report, expected), (name, how)
             assert not expected.ok, (name, how)
-            assert frame_module._least_evidence(bad, universe) is None, (name, how)
 
 
 def test_validate_basis_matches_pairwise_on_random_families():
@@ -438,7 +451,7 @@ def test_validate_basis_matches_pairwise_on_random_families():
             family = [rng.randint(0, 2 * universe + 1) for _ in range(rng.randint(1, 8))]
         rng.shuffle(family)
         report = frame_module.validate_basis(family, universe)
-        assert report == pairwise_validate(family, universe)
+        assert agrees_with_oracle(report, pairwise_validate(family, universe))
         invalid += not report.ok
     assert invalid > 100
 

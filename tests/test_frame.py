@@ -11,6 +11,7 @@ from limitknow import frame as frame_module
 from limitknow.attest import generate_stream
 from limitknow.frame import (
     AgentSpec,
+    BasisViolation,
     Frame,
     FrameError,
     ResourceLimitError,
@@ -33,7 +34,7 @@ from limitknow.hierarchy import (
 )
 from limitknow.logic import Model
 from limitknow.operators import OperatorContext
-from randgen import oracle_bits, random_basis, random_frame, subspace_basis
+from randgen import oracle_bits, random_basis, random_frame, sierpinski_frame, subspace_basis
 
 U = 0b001  # world u
 V = 0b010  # world v
@@ -66,11 +67,38 @@ def test_validate_reports_directedness_witness():
 
 
 def test_validate_flags_empty_and_duplicate_and_stray():
-    report = validate_basis([0, U, U, 0b1000], U | V)
-    kinds = [v.kind for v in report.violations]
-    assert "empty-element" in kinds
-    assert "duplicate-element" in kinds
-    assert "outside-universe" in kinds
+    # One basis per kind: a refused basis is named by its first violation.
+    for basis, kind in [
+        ([0, U | V], "empty-element"),
+        ([U, U, U | V], "duplicate-element"),
+        ([U | V, 0b1000], "outside-universe"),
+    ]:
+        report = validate_basis(basis, U | V)
+        assert [v.kind for v in report.violations] == [kind], basis
+        assert report.neighborhoods == ()
+
+
+@pytest.mark.parametrize(
+    "basis, universe, first",
+    [
+        ([0, U, U, 0b1000], U | V, BasisViolation("empty-element", element=0)),
+        ([0b1000, U, U], U | V, BasisViolation("duplicate-element", element=U)),
+        ([U | V, U | V, 0b1000], U | V, BasisViolation("outside-universe", element=0b1000)),
+        (
+            [U | Z, V | Z, U | V],
+            0b1111,  # world 3 is in no element too
+            BasisViolation("not-directed", element=U | V, other=U | Z, world=0),
+        ),
+        ([U, Z], 0b1111, BasisViolation("uncovered-world", world=1)),
+    ],
+    ids=["empty", "duplicate", "outside", "not-directed", "uncovered"],
+)
+def test_a_refused_basis_is_named_by_the_first_violation_of_the_ascending_pass(
+    basis, universe, first
+):
+    # Elements in ascending (size, value) order; a world left uncovered is
+    # known only once every element has passed.
+    assert validate_basis(basis, universe).violations == (first,)
 
 
 def test_generate_topology_sierpinski():
@@ -216,10 +244,6 @@ def test_frame_repr_names_worlds_and_agents():
 SIERPINSKI_METHOD = {U: Verdict.YES, U | V: Verdict.NO}
 
 
-def sierpinski_frame():
-    return Frame(["u", "v"], [AgentSpec("a", (U, U | V), 0)])
-
-
 SIERPINSKI_CHAIN = (U | V, U)
 
 
@@ -267,25 +291,25 @@ SIERPINSKI_CHAIN = (U | V, U)
         pytest.param(lambda: validate_basis(1, 1), id="validate-int-basis"),
         pytest.param(lambda: nested_difference("ab"), id="string-chain"),
         pytest.param(lambda: nested_difference((0b11, 1.0)), id="float-chain-member"),
-        pytest.param(lambda: sierpinski_frame().mask("uv"), id="string-world-names"),
-        pytest.param(lambda: sierpinski_frame().index(["x"]), id="list-world-name"),
-        pytest.param(lambda: sierpinski_frame().mask([["x"]]), id="list-world-name-in-mask"),
-        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, "1"), id="string-meets"),
-        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, None), id="none-meets"),
-        pytest.param(lambda: sierpinski_frame().topology("a").meeting(U, Z), id="meets-past-universe"),
-        pytest.param(lambda: sierpinski_frame().topology("a").rooted([U, 1.0]), id="float-rooted"),
-        pytest.param(lambda: sierpinski_frame().topology("a").rooted([Z]), id="rooted-past-universe"),
-        pytest.param(lambda: sierpinski_frame().with_tolerances("a"), id="string-tolerances"),
-        pytest.param(lambda: sierpinski_frame().subspace("a", 3.0), id="float-subspace-root"),
+        pytest.param(lambda: sierpinski_frame(0).mask("uv"), id="string-world-names"),
+        pytest.param(lambda: sierpinski_frame(0).index(["x"]), id="list-world-name"),
+        pytest.param(lambda: sierpinski_frame(0).mask([["x"]]), id="list-world-name-in-mask"),
+        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, "1"), id="string-meets"),
+        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, None), id="none-meets"),
+        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, Z), id="meets-past-universe"),
+        pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([U, 1.0]), id="float-rooted"),
+        pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([Z]), id="rooted-past-universe"),
+        pytest.param(lambda: sierpinski_frame(0).with_tolerances("a"), id="string-tolerances"),
+        pytest.param(lambda: sierpinski_frame(0).subspace("a", 3.0), id="float-subspace-root"),
         pytest.param(lambda: method_from_chain(SIERPINSKI_CHAIN, "ab"), id="string-method-basis"),
         pytest.param(
             lambda: method_from_chain(SIERPINSKI_CHAIN, (3.0, 1)), id="float-method-element"
         ),
         pytest.param(lambda: method_from_chain((0b01,), (0b11, 0b10)), id="chain-not-open"),
         pytest.param(lambda: method_from_chain((U, U | V), (U, U | V)), id="chain-not-descending"),
-        pytest.param(lambda: Model(sierpinski_frame(), 5), id="int-valuation"),
-        pytest.param(lambda: Model(sierpinski_frame(), "1"), id="string-valuation"),
-        pytest.param(lambda: Model(sierpinski_frame(), {1: 1}), id="int-valuation-name"),
+        pytest.param(lambda: Model(sierpinski_frame(0), 5), id="int-valuation"),
+        pytest.param(lambda: Model(sierpinski_frame(0), "1"), id="string-valuation"),
+        pytest.param(lambda: Model(sierpinski_frame(0), {1: 1}), id="int-valuation-name"),
     ],
 )
 def test_library_entry_points_reject_what_is_not_their_type(call):
@@ -313,7 +337,7 @@ def test_library_entry_points_reject_what_is_not_their_type(call):
 )
 def test_an_unhashable_agent_name_is_an_unknown_agent(call, agent):
     with pytest.raises(FrameError, match="unknown agent"):
-        call(sierpinski_frame(), agent)
+        call(sierpinski_frame(0), agent)
 
 
 class _Mask(IntEnum):
@@ -342,7 +366,7 @@ class _Mask(IntEnum):
 )
 def test_mask_check_verdicts_are_pinned(call, mask, error):
     # An exact int takes one type test; every other mask keeps its verdict.
-    frame = sierpinski_frame()
+    frame = sierpinski_frame(0)
     if error is None:
         assert call(frame, mask) == call(frame, U)
     else:
@@ -449,14 +473,10 @@ def test_topology_reuses_the_neighborhoods_validation_computed(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    def refuse(*args):
-        raise AssertionError("_meets ran on a valid basis")
-
     rng = random.Random(41)
     for _ in range(25):
         built = random_frame(rng)  # randgen validates its bases as it draws them
         monkeypatch.setattr(frame_module, "_least_evidence", counting)
-        monkeypatch.setattr(frame_module, "_meets", refuse)
         frame = Frame(built.worlds, built.agents)
         assert len(calls) == len(frame.agents)  # one pass per agent
         calls.clear()

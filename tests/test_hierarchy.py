@@ -31,13 +31,10 @@ from randgen import (
     oracle_min_switches,
     oracle_switches,
     random_basis,
+    sierpinski_frame,
 )
 
 YES, NO = Verdict.YES, Verdict.NO
-
-
-def sierpinski_frame(tolerance=1):
-    return Frame(["u", "v"], [AgentSpec("a", (0b01, 0b11), tolerance)])
 
 
 # ---------------------------------------------------------------------------
