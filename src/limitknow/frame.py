@@ -221,13 +221,9 @@ class Topology:
             out |= self.neighborhoods[w]
         return out
 
-    def meeting(self, s: int, x: int) -> int:
-        """The worlds of ``s`` whose neighborhood meets ``x``."""
-        self.check_subset(s)
-        self.check_subset(x)
-        return self._meeting(s, x)
-
     def _meeting(self, s: int, x: int) -> int:
+        """The worlds of ``s`` whose neighborhood meets ``x``, for masks the
+        caller has checked."""
         out = 0
         for w in bits(s):
             if self.neighborhoods[w] & x:

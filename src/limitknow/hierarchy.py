@@ -110,8 +110,8 @@ def _levels(topology: Topology, s: int, depth: int) -> tuple[list[int], list[int
     ins, outs = [s], [topology.universe & ~s]
     while len(ins) < depth and ins[-1] and outs[-1]:
         i, o = ins[-1], outs[-1]
-        ins.append(topology.meeting(i, o))
-        outs.append(topology.meeting(o, i))
+        ins.append(topology._meeting(i, o))
+        outs.append(topology._meeting(o, i))
     return ins, outs
 
 

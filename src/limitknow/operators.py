@@ -6,7 +6,8 @@ knowledge (a greatest fixed point), common inductive knowledge (interior in
 the meet of the per-agent true-reason topologies), and its witness-existential
 variant. Everything but the witness-existential variant works from minimal
 neighborhoods and never enumerates open sets. All operators are pure; the
-context only caches frame-derived data, so concurrent readers are safe.
+context caches only frame-derived data and the evidence supporting each
+queried witness set, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -30,21 +31,24 @@ class _Agent:
         self.topology, self.basis = frame.topology(spec.name), spec.basis
         self.tolerance, self.true_topology, self.supporting = spec.tolerance, None, {}
 
-    def evidence(self, w_set: int) -> tuple[int, ...]:
+    def support(self, w_set: int) -> tuple[int, tuple[int, ...]]:
+        """The union of the elements supporting the set, and those elements."""
         # Only an exact int is looked up before the check (True and 1.0 hash
         # like 1); one found was checked when it was stored.
-        if type(w_set) is int and (ev := self.supporting.get(w_set)) is not None:
-            return ev
+        if type(w_set) is int and (rec := self.supporting.get(w_set)) is not None:
+            return rec
         self.topology.check_subset(w_set)
-        ev = self.supporting[w_set] = _supporting(self.topology, self.basis, self.tolerance, w_set)
-        return ev
+        elements = _supporting(self.topology, self.basis, self.tolerance, w_set)
+        rec = self.supporting[w_set] = (reduce(or_, elements, 0), elements)
+        return rec
 
 
 class OperatorContext:
     """Operator evaluation over one frame, with per-agent caches.
 
-    Caches hold each agent's true-reason neighborhoods, the evidence that
-    supports each queried witness set, and ``common``'s ``joint`` table.
+    Caches hold each agent's true-reason neighborhoods, one record per
+    queried witness set of the evidence that supports it and its union, and
+    ``common``'s ``joint`` table.
     Rebuilding a context from the same frame yields identical caches.
     """
 
@@ -71,40 +75,36 @@ class OperatorContext:
     def supporting_evidence(self, agent: str, w_set: int) -> tuple[int, ...]:
         """Basis elements that give the agent reason simpliciter to believe
         the set, each by ``gives_reason``'s test."""
-        return self._agent(agent).evidence(w_set)
+        return self._agent(agent).support(w_set)[1]
 
     # -- the operators -------------------------------------------------------
 
     def reason(self, agent: str, w_set: int) -> int:
         """Worlds where the agent has reason simpliciter to believe the set:
         some evidence there supports it. Always a union of basis elements."""
-        out = 0
-        for e in self.supporting_evidence(agent, w_set):
-            out |= e
-        return out
+        return self._agent(agent).support(w_set)[0]
 
     def indicates(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the witness indicates the target to the agent: every
         supporting evidence confines the witness inside the target."""
-        evidence = self._agent(agent).evidence(witness)
-        self.frame.check_subset(target)
-        bad = 0
-        for e in evidence:
-            if witness & e & ~target:
-                bad |= e
-        return self.universe & ~bad
+        return self.universe & ~self._leaving(agent, witness, target)[1]
 
     def believes_via(self, agent: str, witness: int, target: int) -> int:
         """Worlds where the agent has the witness as reason to believe the
-        target: ``reason`` and ``indicates`` in one pass over the evidence."""
-        evidence = self._agent(agent).evidence(witness)
+        target: ``reason`` and ``indicates`` from one supporting record."""
+        union, bad = self._leaving(agent, witness, target)
+        return union & ~bad
+
+    def _leaving(self, agent: str, witness: int, target: int) -> tuple[int, int]:
+        """The union of the witness's supporting evidence, and the OR of the
+        elements of it whose part of the witness leaves the target."""
+        union, evidence = self._agent(agent).support(witness)
         self.frame.check_subset(target)
-        out = bad = 0
+        stray, bad = witness & ~target, 0
         for e in evidence:
-            out |= e
-            if witness & e & ~target:
+            if e & stray:
                 bad |= e
-        return out & ~bad
+        return union, bad
 
     def true_reason(self, agent: str, target: int) -> int:
         """Worlds where the agent has some true reason to believe the target.
@@ -127,11 +127,9 @@ class OperatorContext:
         """
         reasons, pairs = self.universe, []
         for rec in self._agents.values():
-            out = 0
-            for e in rec.evidence(witness):
-                out |= e
-                pairs.append((witness & e, e))
-            reasons &= out
+            union, evidence = rec.support(witness)
+            reasons &= union
+            pairs += [(witness & e, e) for e in evidence]
         self.frame.check_subset(target)
         return self._greatest(reasons, target, pairs)
 
@@ -222,7 +220,7 @@ class OperatorContext:
         self.frame.check_subset(v)
         for rec in self._agents.values():
             ins, outs = _levels(rec.topology, v, rec.tolerance + 1)
-            if len(ins) > rec.tolerance and rec.topology.meeting(ins[-1], outs[-1]):
+            if len(ins) > rec.tolerance and rec.topology._meeting(ins[-1], outs[-1]):
                 return False
         return True
 

@@ -2,8 +2,9 @@
 operator contexts, random formulas that share subtrees, exhaustive basis
 enumeration, JSON document edits, and independent brute-force oracles for
 ranks, switching counts, limit verdicts, common knowledge and its round
-loops, witness searches, formula evaluation and the law battery, staircase
-frames whose fixed points take many rounds, and opposed chains."""
+loops, witness searches, formula evaluation and the law battery, the blocks
+of joined T0 classes, staircase frames whose fixed points take many rounds,
+and opposed chains."""
 
 from __future__ import annotations
 
@@ -408,6 +409,25 @@ def oracle_common(ctx: OperatorContext, target: int) -> tuple[int, int]:
         if nxt == x:
             return x, rounds
         x = nxt
+
+
+def t0_blocks(frame: Frame) -> list[int]:
+    """The components of the join of every agent's partition of the worlds
+    into T0 classes ``K(w) = {v : N(v) = N(w)}``, as sorted masks."""
+    worlds = list(bits(frame.universe))
+    blocks = [1 << w for w in worlds]
+    for a in frame.agents:
+        least = frame.topology(a.name).neighborhoods
+        for w in worlds:
+            merged = sum(1 << v for v in worlds if least[v] == least[w])
+            rest = []
+            for b in blocks:
+                if b & merged:
+                    merged |= b
+                else:
+                    rest.append(b)
+            blocks = rest + [merged]
+    return sorted(blocks)
 
 
 def staircase_frame(n: int, tolerances: tuple[int, int], tree: bool = False) -> Frame:

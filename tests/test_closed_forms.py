@@ -234,10 +234,10 @@ def test_feasible_is_rank_within_tolerance_plus_one():
 
 def test_tolerance_tests_stop_at_the_bound(monkeypatch):
     # Reason at tolerance t reads at most t + 1 alternation levels of the
-    # set: 2t meeting passes, fewer once a level empties, and no hull, so a
+    # set: 2t ``_meeting`` passes, fewer once a level empties, and no hull, so a
     # tolerance-0 agent takes neither. Feasibility reads t + 1 levels per
     # agent and the inner side of one more.
-    calls = {"hull": 0, "meeting": 0}
+    calls = {"hull": 0, "_meeting": 0}
     for name in calls:
 
         def counting(self, *args, name=name, original=getattr(Topology, name)):
@@ -251,16 +251,16 @@ def test_tolerance_tests_stop_at_the_bound(monkeypatch):
         alternating = int("01" * (n // 2), 2)  # rank n for a, n - 1 for b
         for p in (frame.universe & ~0b111, 0b111, alternating):
             for a in frame.agents:
-                before = calls["meeting"]
+                before = calls["_meeting"]
                 supported = ctx.reason(a.name, p)
-                assert calls["meeting"] - before <= 2 * tolerance
+                assert calls["_meeting"] - before <= 2 * tolerance
                 if p == alternating:  # its levels do not empty within the bound
-                    assert calls["meeting"] - before == 2 * tolerance
+                    assert calls["_meeting"] - before == 2 * tolerance
                 if tolerance == 0:  # evidence supports a set it lies inside
                     assert supported == reduce(or_, [e for e in a.basis if e & ~p == 0], 0)
-        before = calls["meeting"]
+        before = calls["_meeting"]
         assert not ctx.feasible(alternating)
-        assert calls["meeting"] - before <= (2 * tolerance + 1) * len(frame.agents)
+        assert calls["_meeting"] - before <= (2 * tolerance + 1) * len(frame.agents)
     assert calls["hull"] == 0
 
 
@@ -269,11 +269,11 @@ def test_levels_stop_at_the_first_empty_level(monkeypatch):
     # level on, so counting its switches needs no further level.
     calls = []
 
-    def counting(self, *args, original=Topology.meeting):
+    def counting(self, *args, original=Topology._meeting):
         calls.append(args)
         return original(self, *args)
 
-    monkeypatch.setattr(Topology, "meeting", counting)
+    monkeypatch.setattr(Topology, "_meeting", counting)
     basis = chain_frame(64, 0).agent("a").basis
     assert max_switches({e: Verdict.YES for e in basis}, Verdict.YES) == 0
     assert len(calls) <= 2

@@ -294,9 +294,6 @@ SIERPINSKI_CHAIN = (U | V, U)
         pytest.param(lambda: sierpinski_frame(0).mask("uv"), id="string-world-names"),
         pytest.param(lambda: sierpinski_frame(0).index(["x"]), id="list-world-name"),
         pytest.param(lambda: sierpinski_frame(0).mask([["x"]]), id="list-world-name-in-mask"),
-        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, "1"), id="string-meets"),
-        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, None), id="none-meets"),
-        pytest.param(lambda: sierpinski_frame(0).topology("a").meeting(U, Z), id="meets-past-universe"),
         pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([U, 1.0]), id="float-rooted"),
         pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([Z]), id="rooted-past-universe"),
         pytest.param(lambda: sierpinski_frame(0).with_tolerances("a"), id="string-tolerances"),

@@ -118,7 +118,6 @@ CALLS = {
     "Topology.hull": (Y,),
     "Topology.interior": (X | Z,),
     "Topology.is_open": (Y | Z,),
-    "Topology.meeting": (Y | Z, Y),
     "Topology.rooted": (BASIS,),
     "OperatorContext.believes_via": ("a", Y | Z, Y | Z),
     "OperatorContext.common": (Y | Z,),

@@ -477,6 +477,34 @@ def test_common_is_tolerance_invariant_for_inductive_agents():
             assert OperatorContext(frame.with_tolerances(tol)).common(target) == reference
 
 
+def test_common_is_the_union_of_the_t0_blocks_inside_the_target():
+    # The paper's invariance theorem at set level: C(P) is a union of
+    # blocks, the components of the joined T0-class partitions, and once
+    # every agent is inductive it is every block inside P.
+    rng = random.Random(36)
+    cases = []
+    for _ in range(1000):
+        frame = random_frame(rng, max_worlds=7)
+        cases.append((frame, [rng.randint(0, frame.universe) for _ in range(4)]))
+    for n, tree in itertools.product((64, 256), (False, True)):
+        u = (1 << n) - 1
+        targets = [u, u & ~1, u & ~(1 << n // 2), u & ~(1 << n - 1)]
+        targets += [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(4)]
+        cases.append((randgen.staircase_frame(n, (1, 1), tree), targets))
+    proper = 0
+    for frame, targets in cases:
+        ctx, blocks = OperatorContext(frame), randgen.t0_blocks(frame)
+        assert sum(blocks) == frame.universe
+        inductive = all(a.tolerance >= 1 for a in frame.agents)
+        for target in targets:
+            common = ctx.common(target)
+            assert all(b & common in (0, b) for b in blocks)
+            if inductive:
+                assert common == sum([b for b in blocks if b & ~target == 0])
+                proper += 0 < common != target
+    assert proper > 100
+
+
 def test_true_reason_is_some_true_witness_believed_via():
     # S's closed form against its definition: the worlds where some true
     # witness W gives the agent reason to believe the target via W. B depends
