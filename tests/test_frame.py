@@ -294,6 +294,23 @@ SIERPINSKI_CHAIN = (U | V, U)
         pytest.param(lambda: sierpinski_frame(0).mask("uv"), id="string-world-names"),
         pytest.param(lambda: sierpinski_frame(0).index(["x"]), id="list-world-name"),
         pytest.param(lambda: sierpinski_frame(0).mask([["x"]]), id="list-world-name-in-mask"),
+        # ``_levels`` trusts its set, so each public door to it checks first.
+        pytest.param(
+            lambda: gives_reason(sierpinski_frame(0), "a", "1", U), id="string-levels-set"
+        ),
+        pytest.param(lambda: gives_reason(sierpinski_frame(0), "a", None, U), id="none-levels-set"),
+        pytest.param(
+            lambda: gives_reason(sierpinski_frame(0), "a", Z, U), id="levels-past-universe"
+        ),
+        pytest.param(
+            lambda: OperatorContext(sierpinski_frame(0)).feasible("1"), id="string-feasible"
+        ),
+        pytest.param(
+            lambda: OperatorContext(sierpinski_frame(0)).feasible(None), id="none-feasible"
+        ),
+        pytest.param(
+            lambda: OperatorContext(sierpinski_frame(0)).feasible(Z), id="feasible-past-universe"
+        ),
         pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([U, 1.0]), id="float-rooted"),
         pytest.param(lambda: sierpinski_frame(0).topology("a").rooted([Z]), id="rooted-past-universe"),
         pytest.param(lambda: sierpinski_frame(0).with_tolerances("a"), id="string-tolerances"),
